@@ -40,6 +40,18 @@ def _load_program(path: str):
     return program
 
 
+def _planned(program, plan: int | None):
+    """``program`` under ``plan``; exits with the usage-error code when the
+    plan index is out of range."""
+    if plan is None:
+        return program
+    k = len(rv_sites(program))
+    if not 0 <= plan < 2**k:
+        print(f"error: plan {plan} out of range for {k} sites", file=sys.stderr)
+        raise SystemExit(1)
+    return apply_plan(program, plan)
+
+
 def _backend(method: str):
     return SsiBackend() if method == "ssi" else DsBackend()
 
@@ -92,8 +104,7 @@ def cmd_analyze(args) -> int:
             "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
         })
         return 0
-    if args.plan is not None:
-        program = apply_plan(program, args.plan)
+    program = _planned(program, args.plan)
     verdict = analyze(program, args.method)
     _emit({
         "method": args.method,
@@ -129,9 +140,7 @@ def _load_data(args, benchmark: str | None):
 
 
 def cmd_run(args) -> int:
-    program = _load_program(args.file)
-    if args.plan is not None:
-        program = apply_plan(program, args.plan)
+    program = _planned(_load_program(args.file), args.plan)
     data = _load_data(args, args.benchmark)
     backend = _backend(args.method)
     t0 = time.perf_counter()
@@ -229,6 +238,7 @@ def cmd_bench(args) -> int:
     header = ["plan", "particles", "trials", "median_wall_ms", "mean_casts"]
     for v in var_names:
         header += [f"p10_mse_{v}", f"p50_mse_{v}", f"p90_mse_{v}"]
+    header.append("errors")  # failed or timed-out trials, not counted in `trials`
     print(",".join(header), file=writer)
     idx = 0
     for plan in plans:
@@ -236,15 +246,16 @@ def cmd_bench(args) -> int:
             chunk = results[idx:idx + args.trials]
             idx += args.trials
             ok = [r for r in chunk if "error" not in r]
-            if not ok:
-                continue
-            walls = sorted(r["wall_ms"] for r in ok)
-            row = [str(plan), str(n), str(len(ok)),
-                   repr(float(np.median(walls))),
-                   repr(float(np.mean([r["casts"] for r in ok])))]
-            for v in var_names:
-                vals = np.array([r["mse"][v] for r in ok])
-                row += [repr(float(np.percentile(vals, q))) for q in (10, 50, 90)]
+            row = [str(plan), str(n), str(len(ok))]
+            if ok:
+                row += [repr(float(np.median([r["wall_ms"] for r in ok]))),
+                        repr(float(np.mean([r["casts"] for r in ok])))]
+                for v in var_names:
+                    vals = np.array([r["mse"][v] for r in ok])
+                    row += [repr(float(np.percentile(vals, q))) for q in (10, 50, 90)]
+            else:
+                row += [""] * (2 + 3 * len(var_names))
+            row.append(str(len(chunk) - len(ok)))
             print(",".join(row), file=writer)
     return 0
 

@@ -38,7 +38,7 @@ from .sym import (
     Val,
     add,
     div,
-    free_rvs,
+    free_vars,
     is_const,
     mul,
     sub,
@@ -47,7 +47,7 @@ from .sym import (
 
 
 def rv_free(v: Val, allow: frozenset[int] = frozenset()) -> bool:
-    return all(r in allow for r in free_rvs(v))
+    return all(r in allow for r in free_vars(v))
 
 
 def affine_of(e: Val, rid: int) -> tuple[Val, Val] | None:
@@ -55,7 +55,7 @@ def affine_of(e: Val, rid: int) -> tuple[Val, Val] | None:
 
     Coefficients may reference other live variables.
     """
-    if rid not in free_rvs(e):
+    if rid not in free_vars(e):
         return (VConst(0.0), e)
     match e:
         case VRV(r) if r == rid:
@@ -110,7 +110,7 @@ def match_case(prior: Distr, cond: Distr, par: int,
             if (
                 rv_free(var0, allow)
                 and rv_free(var, allow)
-                and par in free_rvs(mu)
+                and par in free_vars(mu)
                 and affine_of(mu, par) is not None
             ):
                 return LINEAR_GAUSSIAN
@@ -123,7 +123,7 @@ def match_case(prior: Distr, cond: Distr, par: int,
         case DBernoulli(p1), DBernoulli(p2):
             # the parent's own probability may reference other live
             # variables; enumeration only substitutes the parent
-            if par in free_rvs(p2):
+            if par in free_vars(p2):
                 return BERNOULLI_BERNOULLI
     return None
 

@@ -153,7 +153,7 @@ class DsBackend:
         if c is not None:
             return c
         if g.ann(rid) is Annotation.SYMBOLIC:
-            casts.record(rid, g.labels.get(rid, ""))
+            casts.record(rid, g.label(rid))
         self.graft(rid, g, rng, casts)
         v = draw(g.eval_distr(g.distr(rid)), rng)
         self.realize(rid, DSampledDelta(v), g)

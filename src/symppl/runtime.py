@@ -4,6 +4,11 @@ Evaluation is substitution-based and follows big-step rules: a particle
 runs until it terminates with a value or pauses at a ``resample`` with a
 residual expression.  Sequencing positions (``let`` bodies, fold steps) are
 iterated rather than recursed so long folds do not grow the Python stack.
+
+List elements are evaluated only where they are used (``cons`` evaluates
+its head, ``hd`` the element it returns, a fold each element as it is
+consumed), so the cost of one step does not grow with the lists a model
+carries along.
 """
 
 from __future__ import annotations
@@ -63,6 +68,20 @@ class DegenerateWeights(Exception):
     """Every particle's weight collapsed to zero."""
 
 
+@dataclass(frozen=True, slots=True)
+class EFoldRest(Expr):
+    """Residual of a running fold: ``items[pos:]`` are still to be consumed.
+
+    Only the evaluator builds it; the list was evaluated once on entry to
+    the fold, and each element is evaluated again as it is consumed.
+    """
+
+    func: str
+    items: tuple[Val, ...]
+    pos: int
+    acc: Expr
+
+
 def subst(e: Expr, bindings: dict[str, Val]) -> Expr:
     if not bindings:
         return e
@@ -92,6 +111,8 @@ def subst(e: Expr, bindings: dict[str, Val]) -> Expr:
             return EObserve(dist, tuple(subst(x, bindings) for x in args), subst(value, bindings))
         case EFold(f, lst, init):
             return EFold(f, subst(lst, bindings), subst(init, bindings))
+        case EFoldRest(f, items, pos, acc):
+            return EFoldRest(f, items, pos, subst(acc, bindings))
     raise TypeError(e)
 
 
@@ -109,6 +130,15 @@ def match_pattern(pat: Pattern, v: Val) -> dict[str, Val]:
                 out.update(match_pattern(q, x))
             return out
     raise TypeError(pat)
+
+
+def _as_list(v: Val, g: SymState, error: str) -> VLst:
+    """``v`` as a list, evaluating it only when it is not one already."""
+    if not isinstance(v, VLst):
+        v = g.eval_value(v)
+        if not isinstance(v, VLst):
+            raise EvalError(error)
+    return v
 
 
 @dataclass
@@ -146,6 +176,24 @@ class Evaluator:
 
     def _eval_op(self, op: str, args: list[Val], p: Particle) -> Val:
         g = p.state
+        match op:
+            case "cons":
+                head = g.eval_value(args[0])
+                return VLst((head,) + _as_list(args[1], g, "cons onto a non-list").items)
+            case "hd":
+                items = _as_list(args[0], g, "hd of an empty or non-list value").items
+                if not items:
+                    raise EvalError("hd of an empty or non-list value")
+                return g.eval_value(items[0])
+            case "tl":
+                items = _as_list(args[0], g, "tl of an empty or non-list value").items
+                if not items:
+                    raise EvalError("tl of an empty or non-list value")
+                return VLst(items[1:])
+            case "rev":
+                return VLst(tuple(reversed(_as_list(args[0], g, "rev of a non-list value").items)))
+            case "len":
+                return VConst(float(len(_as_list(args[0], g, "len of a non-list value").items)))
         a = [g.eval_value(x) for x in args]
         match op:
             case "+":
@@ -160,26 +208,6 @@ class Evaluator:
                 return cmp(op, a[0], a[1])
             case "not":
                 return ite(a[0], VConst(False), VConst(True))
-            case "cons":
-                if not isinstance(a[1], VLst):
-                    raise EvalError("cons onto a non-list")
-                return VLst((a[0],) + a[1].items)
-            case "hd":
-                if not isinstance(a[0], VLst) or not a[0].items:
-                    raise EvalError("hd of an empty or non-list value")
-                return a[0].items[0]
-            case "tl":
-                if not isinstance(a[0], VLst) or not a[0].items:
-                    raise EvalError("tl of an empty or non-list value")
-                return VLst(a[0].items[1:])
-            case "rev":
-                if not isinstance(a[0], VLst):
-                    raise EvalError("rev of a non-list value")
-                return VLst(tuple(reversed(a[0].items)))
-            case "len":
-                if not isinstance(a[0], VLst):
-                    raise EvalError("len of a non-list value")
-                return VConst(float(len(a[0].items)))
             case "range":
                 lo, hi = a[0], a[1]
                 if not (isinstance(lo, VConst) and isinstance(hi, VConst)):
@@ -300,13 +328,17 @@ class Evaluator:
                         raise EvalError("resample in fold initializer")
                     if not isinstance(lst, VLst):
                         raise EvalError("fold over a non-list value")
-                    if not lst.items:
-                        return init, False
-                    acc = self._fresh_name()
+                    e = EFoldRest(fname, lst.items, 0, EVal(init))
+                case EFoldRest(fname, items, pos, acc_e):
+                    acc, _ = self._run(acc_e, p)
+                    if pos == len(items):
+                        return acc, False
+                    head = p.state.eval_value(items[pos])
+                    tmp = self._fresh_name()
                     e = ELet(
-                        PVar(acc),
-                        ECall(fname, ETuple((EVal(lst.items[0]), EVal(init)))),
-                        EFold(fname, EVal(VLst(lst.items[1:])), EVar(acc)),
+                        PVar(tmp),
+                        ECall(fname, ETuple((EVal(head), EVal(acc)))),
+                        EFoldRest(fname, items, pos + 1, EVar(tmp)),
                     )
                 case _:
                     raise TypeError(e)

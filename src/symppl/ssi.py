@@ -1,9 +1,13 @@
 """Semi-symbolic backend: swap-based conjugacy with hoisting.
 
-``hoist`` makes a variable a root by recursively hoisting its parents in
-topological order and then reversing each parent edge with ``swap``.  A
-failed swap forces the offending parent to a sample and retries; forcing a
+``hoist`` makes a variable a root by hoisting its parents in topological
+order and then reversing each parent edge with ``swap``.  A failed swap
+forces the offending parent to a sample and retries; forcing a
 symbolic-annotated variable is a dynamic encoding cast.
+
+Hoisting runs on an explicit stack, and ordering a single parent needs no
+ancestor search, so hoisting through a chain of length T costs O(T) time
+and no Python stack.
 """
 
 from __future__ import annotations
@@ -35,8 +39,16 @@ class SwapFailed(Exception):
 
 
 def topo_sort(rids: list[int], g: SymState) -> list[int]:
-    """Ancestors-first order over a set of variables, ids breaking ties."""
-    anc = {r: reachable(g.parents(r), g) for r in rids}
+    """Ancestors-first order over a set of variables, ids breaking ties.
+
+    Each time, takes the smallest remaining id with no ancestor among the
+    remaining ids.  Each ancestor search stops once it has found every
+    other member of ``rids``.
+    """
+    if len(rids) <= 1:
+        return list(rids)
+    members = set(rids)
+    anc = {r: reachable(g.parents(r), g, until=members - {r}) for r in rids}
     remaining = sorted(rids)
     out: list[int] = []
     while remaining:
@@ -89,7 +101,7 @@ class SsiBackend:
         if c is not None:
             return c
         if g.ann(rid) is Annotation.SYMBOLIC:
-            casts.record(rid, g.labels.get(rid, ""))
+            casts.record(rid, g.label(rid))
         self.hoist(rid, g, rng, casts)
         v = draw(g.eval_distr(g.distr(rid)), rng)
         intervene(rid, DSampledDelta(v), g)
@@ -114,20 +126,35 @@ class SsiBackend:
               rng: np.random.Generator, casts: CastLog) -> None:
         while True:
             try:
-                self._hoist_helper(rid, [], g)
+                self._hoist_helper(rid, g)
                 return
             except SwapFailed as fail:
                 self.value(fail.parent, g, rng, casts)
                 g.refresh(fail.child)
 
-    def _hoist_helper(self, cur: int, roots: list[int], g: SymState) -> None:
-        parents = topo_sort(g.parents(cur), g)
-        inner_roots = list(roots)
-        for p in parents:
-            if p not in roots:
-                self._hoist_helper(p, inner_roots, g)
-                inner_roots.append(p)
-        for p in reversed(parents):
-            if p not in roots:
-                if not swap(p, cur, g):
-                    raise SwapFailed(p, cur)
+    def _hoist_helper(self, rid: int, g: SymState) -> None:
+        """Make ``rid`` a root: hoist its parents, ancestors first, then
+        reverse each parent edge with ``swap``.
+
+        A frame is ``[cur, roots, parents, inner_roots, next]``: ``roots``
+        are the variables the enclosing frames have already made roots, and
+        ``inner_roots`` adds those this frame has hoisted so far.
+        """
+        stack = [[rid, [], topo_sort(g.parents(rid), g), [], 0]]
+        while stack:
+            frame = stack[-1]
+            cur, roots, parents, inner_roots, i = frame
+            if i < len(parents):
+                frame[4] = i + 1
+                p = parents[i]
+                if p not in roots:
+                    stack.append([p, inner_roots, topo_sort(g.parents(p), g),
+                                  list(inner_roots), 0])
+                continue
+            for p in reversed(parents):
+                if p not in roots:
+                    if not swap(p, cur, g):
+                        raise SwapFailed(p, cur)
+            stack.pop()
+            if stack:
+                stack[-1][3].append(cur)

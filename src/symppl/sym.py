@@ -9,7 +9,8 @@ random variables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -24,6 +25,13 @@ class Val:
     __slots__ = ()
 
 
+class _Node(Val):
+    """A compound value.  Nodes are immutable, so each caches its free
+    variables (``_fv``, set on first use by ``free_vars``)."""
+
+    __slots__ = ("_fv",)
+
+
 @dataclass(frozen=True, slots=True)
 class VConst(Val):
     v: float | bool | None
@@ -35,50 +43,50 @@ class VRV(Val):
 
 
 @dataclass(frozen=True, slots=True)
-class VAdd(Val):
+class VAdd(_Node):
     left: Val
     right: Val
 
 
 @dataclass(frozen=True, slots=True)
-class VSub(Val):
+class VSub(_Node):
     left: Val
     right: Val
 
 
 @dataclass(frozen=True, slots=True)
-class VMul(Val):
+class VMul(_Node):
     left: Val
     right: Val
 
 
 @dataclass(frozen=True, slots=True)
-class VDiv(Val):
+class VDiv(_Node):
     left: Val
     right: Val
 
 
 @dataclass(frozen=True, slots=True)
-class VIte(Val):
+class VIte(_Node):
     cond: Val
     then: Val
     orelse: Val
 
 
 @dataclass(frozen=True, slots=True)
-class VCmp(Val):
+class VCmp(_Node):
     op: str  # "=", "!=", "<", "<="
     left: Val
     right: Val
 
 
 @dataclass(frozen=True, slots=True)
-class VTup(Val):
+class VTup(_Node):
     items: tuple[Val, ...]
 
 
 @dataclass(frozen=True, slots=True)
-class VLst(Val):
+class VLst(_Node):
     items: tuple[Val, ...]
 
 
@@ -231,43 +239,49 @@ def ite(c: Val, t: Val, o: Val) -> Val:
     return _node_ite(c, t, o)
 
 
-def free_rvs(v: Val) -> list[int]:
+def free_vars(v: Val) -> tuple[int, ...]:
     """Random variables referenced by a value, in first-occurrence order.
 
-    Values are routinely shared sub-DAGs (substitution reuses nodes), so
-    traversal skips already-visited nodes by identity.
+    The order is that of a depth-first, left-to-right walk.  Each compound
+    node computes its tuple once, from its children's, and keeps it, so
+    shared sub-DAGs are never walked twice.
     """
-    out: list[int] = []
-    seen: set[int] = set()
-    visited: set[int] = set()
+    if isinstance(v, VRV):
+        return (v.rid,)
+    if not isinstance(v, _Node):
+        return ()
+    try:
+        return v._fv
+    except AttributeError:
+        pass
+    match v:
+        case VAdd(l, r) | VSub(l, r) | VMul(l, r) | VDiv(l, r) | VCmp(_, l, r):
+            fv = _union([free_vars(l), free_vars(r)])
+        case VIte(c, t, o):
+            fv = _union([free_vars(c), free_vars(t), free_vars(o)])
+        case VTup(items) | VLst(items):
+            fv = _union([free_vars(i) for i in items])
+        case _:
+            raise TypeError(v)
+    object.__setattr__(v, "_fv", fv)
+    return fv
 
-    def go(x: Val) -> None:
-        if id(x) in visited:
-            return
-        visited.add(id(x))
-        match x:
-            case VRV(rid):
-                if rid not in seen:
-                    seen.add(rid)
-                    out.append(rid)
-            case VAdd(l, r) | VSub(l, r) | VMul(l, r) | VDiv(l, r):
-                go(l)
-                go(r)
-            case VCmp(_, l, r):
-                go(l)
-                go(r)
-            case VIte(c, t, o):
-                go(c)
-                go(t)
-                go(o)
-            case VTup(items) | VLst(items):
-                for i in items:
-                    go(i)
-            case _:
-                pass
 
-    go(v)
-    return out
+def _union(parts: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """First-occurrence union; reuses the first tuple when nothing is new."""
+    parts = [p for p in parts if p]
+    if not parts:
+        return ()
+    head = parts[0]
+    if len(parts) == 1:
+        return head
+    merged = tuple(dict.fromkeys(chain.from_iterable(parts)))
+    return head if len(merged) == len(head) else merged
+
+
+def free_rvs(v: Val) -> list[int]:
+    """``free_vars`` as a list."""
+    return list(free_vars(v))
 
 
 def subst_rv(v: Val, rid: int, replacement: Val, _memo: dict | None = None) -> Val:
@@ -378,14 +392,7 @@ def distr_params(d: Distr) -> tuple[Val, ...]:
 
 
 def distr_rvs(d: Distr) -> list[int]:
-    out: list[int] = []
-    seen: set[int] = set()
-    for p in distr_params(d):
-        for rid in free_rvs(p):
-            if rid not in seen:
-                seen.add(rid)
-                out.append(rid)
-    return out
+    return list(_union([free_vars(p) for p in distr_params(d)]))
 
 
 def make_dist(name: str, args: tuple[Val, ...]) -> Distr:
@@ -413,6 +420,7 @@ class Entry:
     ann: Annotation
     distr: Distr
     node: object | None = None  # backend-specific data
+    label: str = field(default="", compare=False)  # "<name>#<rid>" for cast reports
 
 
 class SymState:
@@ -422,17 +430,15 @@ class SymState:
     mutated in place.  ``copy`` is a cheap shallow copy.
     """
 
-    __slots__ = ("entries", "labels", "_next")
+    __slots__ = ("entries", "_next")
 
     def __init__(self) -> None:
         self.entries: dict[int, Entry] = {}
-        self.labels: dict[int, str] = {}
         self._next = 0
 
     def copy(self) -> "SymState":
         g = SymState.__new__(SymState)
         g.entries = dict(self.entries)
-        g.labels = self.labels  # labels only accrete; shared read-only is fine
         g._next = self._next
         return g
 
@@ -443,9 +449,7 @@ class SymState:
                 raise EvalError(f"distribution references unknown variable {rid}")
         rid = self._next
         self._next += 1
-        self.entries[rid] = Entry(ann, distr, node)
-        if label:
-            self.labels[rid] = f"{label}#{rid}"
+        self.entries[rid] = Entry(ann, distr, node, f"{label}#{rid}" if label else "")
         return rid
 
     def __contains__(self, rid: int) -> bool:
@@ -460,13 +464,16 @@ class SymState:
     def node(self, rid: int):
         return self.entries[rid].node
 
+    def label(self, rid: int) -> str:
+        return self.entries[rid].label
+
     def set_distr(self, rid: int, d: Distr) -> None:
         e = self.entries[rid]
-        self.entries[rid] = Entry(e.ann, d, e.node)
+        self.entries[rid] = Entry(e.ann, d, e.node, e.label)
 
     def set_node(self, rid: int, node) -> None:
         e = self.entries[rid]
-        self.entries[rid] = Entry(e.ann, e.distr, node)
+        self.entries[rid] = Entry(e.ann, e.distr, node, e.label)
 
     def realized_value(self, rid: int) -> Val | None:
         match self.entries[rid].distr:
@@ -566,20 +573,27 @@ class SymState:
             visit(rid)
 
 
-def reachable(roots, *states: SymState) -> set[int]:
-    """Transitive closure of variable references through stored distributions."""
+def reachable(roots, *states: SymState, until: set[int] | None = None) -> set[int]:
+    """Transitive closure of variable references through stored distributions.
+
+    With ``until``, the search stops as soon as it has seen every variable
+    in that set, so the result is then only guaranteed to hold those.
+    """
     frontier: list[int] = []
     for r in roots:
         if isinstance(r, int):
             frontier.append(r)
         else:
-            frontier.extend(free_rvs(r))
+            frontier.extend(free_vars(r))
     seen: set[int] = set()
-    while frontier:
+    missing = len(until) if until is not None else -1
+    while frontier and missing:
         rid = frontier.pop()
         if rid in seen:
             continue
         seen.add(rid)
+        if until is not None and rid in until:
+            missing -= 1
         for g in states:
             if rid in g.entries:
                 frontier.extend(distr_rvs(g.entries[rid].distr))
@@ -744,7 +758,7 @@ def state_to_json(g: SymState):
     """Debug dump of a symbolic state."""
     return {
         str(rid): {
-            "label": g.labels.get(rid, ""),
+            "label": e.label,
             "annotation": str(e.ann) or "none",
             "distribution": distr_to_json(e.distr),
             "node": repr(e.node) if e.node is not None else None,

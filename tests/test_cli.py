@@ -97,9 +97,30 @@ def test_bench_single_row():
     assert lines[0].startswith("plan,particles,trials,median_wall_ms")
     assert len(lines) == 2
     assert lines[1].split(",")[0] == "7"
+    assert lines[1].split(",")[-1] == "0"  # errors
 
 
 def test_enumerate_plans():
     r = run_cli("enumerate-plans", str(MODELS / "tree.si"))
     out = json.loads(r.stdout)
     assert out["total_plans"] == 4 and out["sites"] == ["b", "a"]
+
+
+@pytest.mark.parametrize("command", ["run", "analyze"])
+def test_plan_out_of_range_is_a_usage_error(command):
+    r = run_cli(command, str(MODELS / "noise.si"), "--plan", "99")
+    assert r.returncode == 1
+    assert r.stderr == "error: plan 99 out of range for 3 sites\n"
+    assert r.stdout == ""
+
+
+def test_bench_reports_failed_trials():
+    # a stream far too long for a one-second budget: the trial times out
+    r = run_cli("bench", "noise", "--method", "ssi", "--plans", "7", "--particles", "16",
+                "--trials", "1", "--timesteps", "5000", "--timeout", "1")
+    assert r.returncode == 0
+    header, row = r.stdout.strip().splitlines()
+    assert header.split(",")[-1] == "errors"
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["plan"] == "7" and cells["trials"] == "0" and cells["errors"] == "1"
+    assert cells["median_wall_ms"] == "" and cells["p50_mse_x"] == ""

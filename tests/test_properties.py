@@ -4,7 +4,30 @@ from hypothesis import given, settings, strategies as st
 
 from symppl.absdomain import AConst, AEUnk, ARV, UNK, aadd, adiv, aite, amul, asub, join_expr, leq_expr
 from symppl.lang import Annotation
-from symppl.sym import DNormal, DSampledDelta, SymState, VConst, VRV, add, mul
+from symppl.sym import (
+    DNormal,
+    DSampledDelta,
+    EvalError,
+    SymState,
+    VAdd,
+    VCmp,
+    VConst,
+    VDiv,
+    VIte,
+    VLst,
+    VMul,
+    VRV,
+    VSub,
+    VTup,
+    add,
+    cmp,
+    div,
+    free_rvs,
+    ite,
+    mul,
+    reset_intern,
+    sub,
+)
 
 
 def abs_exprs(depth=3):
@@ -47,3 +70,78 @@ def test_concrete_eval_idempotent(consts):
     e = add(mul(VRV(x), VConst(consts[1])), VRV(y))
     once = g.eval_value(e)
     assert g.eval_value(once) == once
+
+
+def reference_free_rvs(v):
+    """First-occurrence variables by a plain depth-first walk, no caching."""
+    out, seen, visited = [], set(), set()
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        if id(x) in visited:
+            continue
+        visited.add(id(x))
+        if isinstance(x, VRV):
+            if x.rid not in seen:
+                seen.add(x.rid)
+                out.append(x.rid)
+        elif isinstance(x, (VAdd, VSub, VMul, VDiv, VCmp)):
+            stack += [x.right, x.left]
+        elif isinstance(x, VIte):
+            stack += [x.orelse, x.then, x.cond]
+        elif isinstance(x, (VTup, VLst)):
+            stack += reversed(x.items)
+    return out
+
+
+# Each step combines earlier nodes by index, so later nodes share subterms.
+DAG_STEPS = st.lists(
+    st.tuples(st.sampled_from(["+", "-", "*", "/", "<", "ite", "tup", "lst"]),
+              st.lists(st.integers(0, 10**6), min_size=1, max_size=4)),
+    max_size=25,
+)
+
+
+def build_dag(steps):
+    nodes = [VRV(i) for i in range(5)] + [VConst(float(c)) for c in (1, 2, 3)]
+    for op, picks in steps:
+        args = [nodes[i % len(nodes)] for i in picks]
+        a, b, c = (args * 3)[:3]
+        try:
+            match op:
+                case "+":
+                    node = add(a, b)
+                case "-":
+                    node = sub(a, b)
+                case "*":
+                    node = mul(a, b)
+                case "/":
+                    node = div(a, b)
+                case "<":
+                    node = cmp("<", a, b)
+                case "ite":
+                    node = ite(cmp("<", a, VConst(2.0)), b, c)
+                case "tup":
+                    node = VTup(tuple(args))
+                case _:
+                    node = VLst(tuple(args))
+        except EvalError:  # a constant zero divisor
+            continue
+        nodes.append(node)
+    return nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(DAG_STEPS, st.randoms(use_true_random=False))
+def test_cached_free_rvs_match_reference_walk(steps, rnd):
+    nodes = build_dag(steps)
+    order = list(range(len(nodes)))
+    rnd.shuffle(order)  # query order decides which caches fill first
+    for i in order:
+        assert free_rvs(nodes[i]) == reference_free_rvs(nodes[i])
+    reset_intern()
+    for i in order:
+        assert free_rvs(nodes[i]) == reference_free_rvs(nodes[i])
+    rebuilt = build_dag(steps)
+    for i in order:
+        assert free_rvs(rebuilt[i]) == reference_free_rvs(rebuilt[i])

@@ -208,3 +208,63 @@ r
 """
     mix = run_src(src, n=1)
     assert len(mix.casts) == 1
+
+
+def noise_run(plan, backend, particles, timesteps, seed=0):
+    from symppl.benchmarks import BENCHMARKS
+
+    program = apply_plan(BENCHMARKS["noise"].program(), plan)
+    data, _ = data_for("noise", seed, timesteps)
+    return run_model(program, particles, seed, backend, data)
+
+
+def eval_value_calls_per_step(monkeypatch, plan, backend, timesteps, particles=2):
+    calls = [0]
+    original = SymState.eval_value
+
+    def counted(self, v, _memo=None):
+        calls[0] += 1
+        return original(self, v, _memo)
+
+    monkeypatch.setattr(SymState, "eval_value", counted)
+    noise_run(plan, backend, particles, timesteps)
+    monkeypatch.setattr(SymState, "eval_value", original)
+    return calls[0] / (particles * timesteps)
+
+
+@pytest.mark.parametrize("plan,backend", [(3, SsiBackend), (4, DsBackend)], ids=["ssi", "ds"])
+def test_eval_value_calls_per_step_do_not_grow_with_stream(monkeypatch, plan, backend):
+    # the accumulator and the remaining data list are not re-evaluated each step
+    short = eval_value_calls_per_step(monkeypatch, plan, backend(), 20)
+    long = eval_value_calls_per_step(monkeypatch, plan, backend(), 80)
+    assert long <= 1.1 * short
+
+
+def test_single_parent_hoist_builds_no_closure(monkeypatch):
+    import symppl.ssi as ssi
+
+    sorted_sizes = []
+    closure_sizes = []
+    topo_sort, reachable = ssi.topo_sort, ssi.reachable
+
+    def recording_topo_sort(rids, g):
+        sorted_sizes.append(len(rids))
+        return topo_sort(rids, g)
+
+    def recording_reachable(*args, **kwargs):
+        closure_sizes.append(sorted_sizes[-1])
+        return reachable(*args, **kwargs)
+
+    monkeypatch.setattr(ssi, "topo_sort", recording_topo_sort)
+    monkeypatch.setattr(ssi, "reachable", recording_reachable)
+    noise_run(3, SsiBackend(), 2, 20)
+    assert sorted_sizes and max(sorted_sizes) == 1
+    assert closure_sizes == []
+
+
+def test_long_stream_hoist_does_not_recurse():
+    mix = noise_run(3, SsiBackend(), 2, 1500)
+    assert not mix.casts and mix.output_casts == 0
+    for t in range(1500):
+        mean, var = posterior_stats(mix, (0, t))
+        assert math.isfinite(mean) and math.isfinite(var)

@@ -20,6 +20,7 @@ from symppl.sym import (
     VRV,
     add,
     mul,
+    reachable,
     sub,
 )
 from symppl.ssi import SsiBackend, intervene, swap, topo_sort
@@ -153,6 +154,36 @@ def test_topo_sort_orders_ancestors_first():
     c = g.fresh(Annotation.NONE, DNormal(add(VRV(a), VRV(b)), VConst(1.0)))
     assert topo_sort([b, a], g) == [a, b]
     assert topo_sort([c, b, a], g) == [a, b, c]
+
+
+def full_closure_topo_sort(rids, g):
+    """Reference order: full ancestor closures, smallest ready id first."""
+    anc = {r: reachable(g.parents(r), g) for r in rids}
+    remaining = sorted(rids)
+    out = []
+    while remaining:
+        r = next(r for r in remaining if not any(q in anc[r] for q in remaining if q != r))
+        out.append(r)
+        remaining.remove(r)
+    return out
+
+
+def test_topo_sort_matches_full_closure_order():
+    # dependencies follow a random rank, not the ids, as they do after swaps
+    gen = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(gen.integers(2, 9))
+        g = SymState()
+        rids = [g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0))) for _ in range(n)]
+        rank = list(gen.permutation(n))
+        for r in rids:
+            older = [q for q in rids if rank[q] < rank[r] and gen.random() < 0.4]
+            mu = VConst(0.0)
+            for q in older:
+                mu = add(mu, VRV(q))
+            g.set_distr(r, DNormal(mu, VConst(1.0)))
+        subset = [int(r) for r in gen.choice(rids, size=int(gen.integers(1, n + 1)), replace=False)]
+        assert topo_sort(subset, g) == full_closure_topo_sort(subset, g)
 
 
 def test_value_star_forces_ascending():

@@ -122,3 +122,18 @@ def test_reachable_and_weak_eq():
     g3 = g1.copy()
     g3.set_distr(a, DNormal(VConst(9.0), VConst(1.0)))
     assert not weak_eq(g1, g3, VRV(b))
+
+
+def test_labels_are_per_particle():
+    g = SymState()
+    g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)), label="x")
+    a, b = g.copy(), g.copy()
+    ra = a.fresh(Annotation.SYMBOLIC, DNormal(VConst(0.0), VConst(1.0)), label="left")
+    rb = b.fresh(Annotation.SYMBOLIC, DNormal(VConst(0.0), VConst(1.0)), label="right")
+    assert ra == rb
+    assert a.label(ra) == f"left#{ra}" and b.label(rb) == f"right#{rb}"
+    assert g.label(0) == a.label(0) == b.label(0) == "x#0"
+    # the label survives distribution and node updates
+    a.set_distr(ra, DSampledDelta(1.0))
+    a.set_node(ra, "node")
+    assert a.label(ra) == f"left#{ra}"
