@@ -2,9 +2,9 @@
 
 The domain mirrors the runtime forms and adds three unknowns: ``UnkC``
 (some constant), ``EUnk(S)`` (some expression over a variable set), and
-``TopE`` (any expression); distributions get ``DUnk(S)``/``TopD`` and the
-delayed-sampling node lattice gets ``TopN``.  ``UnkC`` counts as a
-constant.  Joins recurse through matching heads, collapse mismatches to
+``TopE`` (any expression).  Distributions are the runtime's forms over
+abstract parameters plus ``DUnk(S)``/``TopD``, and the delayed-sampling
+node lattice gets ``TopN``.  ``UnkC`` counts as a constant.  Joins recurse through matching heads, collapse mismatches to
 ``EUnk`` over the free variables of both sides, widen scalar expressions
 deeper than ``DEPTH_LIMIT``, and (inside fold fixpoints) widen ``EUnk``
 sets with ``SET_LIMIT`` or more variables to ``TopE``.
@@ -12,9 +12,19 @@ sets with ``SET_LIMIT`` or more variables to ``TopE``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+from .conjugacy import Algebra
 from .lang import Annotation
+from .sym import (
+    _CMP,
+    DDelta,
+    DMixIte,
+    Distr,
+    distr_params,
+    map_params,
+)
 
 DEPTH_LIMIT = 5
 SET_LIMIT = 4
@@ -113,64 +123,24 @@ UNK = AUnkC()
 TOP_E = ATopE()
 
 
-class AbsDistr:
-    __slots__ = ()
+# Abstract-only distributions; the others are ``sym``'s ``DNormal`` ...
+# ``DMixIte`` with abstract parameters.
 
 
 @dataclass(frozen=True, slots=True)
-class ADNormal(AbsDistr):
-    mu: AbsVal
-    var: AbsVal
+class ADSampledDelta(Distr):
+    """A variable forced to a sample: some constant drawn at run time."""
 
-
-@dataclass(frozen=True, slots=True)
-class ADBernoulli(AbsDistr):
-    p: AbsVal
-
-
-@dataclass(frozen=True, slots=True)
-class ADInvGamma(AbsDistr):
-    a: AbsVal
-    b: AbsVal
-
-
-@dataclass(frozen=True, slots=True)
-class ADBeta(AbsDistr):
-    a: AbsVal
-    b: AbsVal
-
-
-@dataclass(frozen=True, slots=True)
-class ADStudentT(AbsDistr):
-    loc: AbsVal
-    dof: AbsVal
-    scale: AbsVal
-
-
-@dataclass(frozen=True, slots=True)
-class ADDelta(AbsDistr):
     e: AbsVal
 
 
 @dataclass(frozen=True, slots=True)
-class ADSampledDelta(AbsDistr):
-    e: AbsVal
-
-
-@dataclass(frozen=True, slots=True)
-class ADMixIte(AbsDistr):
-    cond: AbsVal
-    then: AbsDistr
-    orelse: AbsDistr
-
-
-@dataclass(frozen=True, slots=True)
-class ADUnk(AbsDistr):
+class ADUnk(Distr):
     fv: frozenset[int]
 
 
 @dataclass(frozen=True, slots=True)
-class ATopD(AbsDistr):
+class ATopD(Distr):
     pass
 
 
@@ -188,7 +158,7 @@ class AMargRoot:
 @dataclass(frozen=True, slots=True)
 class AMarg:
     parent: int
-    prior: AbsDistr
+    prior: Distr
     children: frozenset[int]
 
 
@@ -264,9 +234,6 @@ def adiv(l: AbsVal, r: AbsVal) -> AbsVal:
     return _arith(ADiv, lambda a, b: a / b, l, r)
 
 
-from .sym import _CMP  # shared comparison table
-
-
 def acmp(op: str, l: AbsVal, r: AbsVal) -> AbsVal:
     if isinstance(l, ATopE) or isinstance(r, ATopE):
         return TOP_E
@@ -319,38 +286,32 @@ def fv(v: AbsVal) -> frozenset[int]:
             return frozenset()
 
 
-def fv_distr(d: AbsDistr) -> frozenset[int]:
-    match d:
-        case ADUnk(s):
-            return s
-        case ATopD() | ATopE():
-            return frozenset()
-        case ADMixIte(c, d1, d2):
-            return fv(c) | fv_distr(d1) | fv_distr(d2)
-        case _:
-            out: frozenset[int] = frozenset()
-            for p in _distr_params(d):
-                out |= fv(p)
-            return out
+def fv_distr(d: Distr) -> frozenset[int]:
+    if isinstance(d, ADUnk):
+        return d.fv
+    out: frozenset[int] = frozenset()
+    for p in _distr_params(d):
+        out |= fv(p)
+    return out
 
 
-def _distr_params(d: AbsDistr) -> tuple[AbsVal, ...]:
+def _distr_params(d: Distr) -> tuple[AbsVal, ...]:
     match d:
-        case ADNormal(mu, var):
-            return (mu, var)
-        case ADBernoulli(p):
-            return (p,)
-        case ADInvGamma(a, b) | ADBeta(a, b):
-            return (a, b)
-        case ADStudentT(loc, dof, scale):
-            return (loc, dof, scale)
-        case ADDelta(e) | ADSampledDelta(e):
+        case ADSampledDelta(e):
             return (e,)
-        case ADMixIte(c, d1, d2):
-            return (c,) + _distr_params(d1) + _distr_params(d2)
         case ADUnk(_) | ATopD():
             return ()
-    raise TypeError(d)
+    return distr_params(d)
+
+
+def _map_distr(d: Distr, f) -> Distr:
+    """``sym.map_params`` extended to the abstract-only forms."""
+    match d:
+        case ADSampledDelta(e):
+            return ADSampledDelta(f(e))
+        case ADUnk(_) | ATopD():
+            return d
+    return map_params(d, f)
 
 
 def contains_top(v: AbsVal) -> bool:
@@ -369,12 +330,8 @@ def contains_top(v: AbsVal) -> bool:
             return False
 
 
-def distr_contains_top(d: AbsDistr) -> bool:
-    if isinstance(d, ATopD):
-        return True
-    if isinstance(d, ADMixIte):
-        return contains_top(d.cond) or distr_contains_top(d.then) or distr_contains_top(d.orelse)
-    return any(contains_top(p) for p in _distr_params(d))
+def distr_contains_top(d: Distr) -> bool:
+    return isinstance(d, ATopD) or any(contains_top(p) for p in _distr_params(d))
 
 
 def rv_free(v: AbsVal) -> bool:
@@ -408,6 +365,21 @@ def subst(v: AbsVal, rid: int, replacement: AbsVal) -> AbsVal:
             return ALst(tuple(subst(i, rid, replacement) for i in items), new_tail)
         case _:
             return v
+
+
+def _t_scale(a: AbsVal, b: AbsVal) -> AbsVal:
+    if isinstance(a, AConst) and isinstance(b, AConst):
+        return AConst(math.sqrt(b.v / a.v))
+    return UNK
+
+
+# The abstract instance of the conjugacy rules' value algebra.  Division is
+# total already; a top anywhere may hide any variable.
+ALGEBRA = Algebra(
+    const=AConst, rv=ARV, add=aadd, sub=asub, mul=amul, div=adiv, div_total=adiv,
+    fv=fv, has_top=contains_top, subst_rv=subst,
+    arith={AAdd: "+", ASub: "-", AMul: "*", ADiv: "/"}, t_scale=_t_scale,
+)
 
 
 def scalar_depth(v: AbsVal) -> int:
@@ -463,26 +435,8 @@ def widen_sets(v: AbsVal) -> AbsVal:
             return v
 
 
-def widen_distr(d: AbsDistr) -> AbsDistr:
-    match d:
-        case ADNormal(mu, var):
-            return ADNormal(widen(mu), widen(var))
-        case ADBernoulli(p):
-            return ADBernoulli(widen(p))
-        case ADInvGamma(a, b):
-            return ADInvGamma(widen(a), widen(b))
-        case ADBeta(a, b):
-            return ADBeta(widen(a), widen(b))
-        case ADStudentT(loc, dof, scale):
-            return ADStudentT(widen(loc), widen(dof), widen(scale))
-        case ADDelta(e):
-            return ADDelta(widen(e))
-        case ADSampledDelta(e):
-            return ADSampledDelta(widen(e))
-        case ADMixIte(c, d1, d2):
-            return ADMixIte(widen(c), widen_distr(d1), widen_distr(d2))
-        case _:
-            return d
+def widen_distr(d: Distr) -> Distr:
+    return _map_distr(d, widen)
 
 
 # --- partial order ---
@@ -497,11 +451,8 @@ def leq_expr(a: AbsVal, b: AbsVal) -> bool:
     if isinstance(a, ATopE):
         return False
     match a, b:
-        case (AConst(_), AUnkC()):
-            return True
-        case (AConst(_) | AUnkC(), ARV(_)):
-            return True
-        case (AConst(_) | AUnkC(), AEUnk(_)):
+        case (_, AUnkC() | ARV(_)) if not isinstance(a, (ATup, ALst)) and rv_free(a):
+            # a scalar free of variables and tops stands for a constant
             return True
         case (ARV(rid), AEUnk(s)):
             return rid in s
@@ -583,7 +534,7 @@ def _join_lists(a: ALst, b: ALst) -> AbsVal:
     return ALst(prefix, rest)
 
 
-def join_distr(a: AbsDistr, b: AbsDistr) -> AbsDistr:
+def join_distr(a: Distr, b: Distr) -> Distr:
     if a == b:
         return a
     if isinstance(a, ATopD) or isinstance(b, ATopD):
@@ -595,49 +546,19 @@ def join_distr(a: AbsDistr, b: AbsDistr) -> AbsDistr:
             return TOP_D if distr_contains_top(b) else ADUnk(s | fv_distr(b))
         case (_, ADUnk(s)):
             return TOP_D if distr_contains_top(a) else ADUnk(s | fv_distr(a))
-        case (ADNormal(m1, v1), ADNormal(m2, v2)):
-            return ADNormal(join_expr(m1, m2), join_expr(v1, v2))
-        case (ADBernoulli(p1), ADBernoulli(p2)):
-            return ADBernoulli(join_expr(p1, p2))
-        case (ADInvGamma(a1, b1), ADInvGamma(a2, b2)):
-            return ADInvGamma(join_expr(a1, a2), join_expr(b1, b2))
-        case (ADBeta(a1, b1), ADBeta(a2, b2)):
-            return ADBeta(join_expr(a1, a2), join_expr(b1, b2))
-        case (ADStudentT(l1, d1, s1), ADStudentT(l2, d2, s2)):
-            return ADStudentT(join_expr(l1, l2), join_expr(d1, d2), join_expr(s1, s2))
-        case (ADDelta(e1), ADDelta(e2)):
-            return ADDelta(join_expr(e1, e2))
-        case (ADSampledDelta(e1), ADSampledDelta(e2)):
+        case (DDelta(e1), ADSampledDelta(e2)) | (ADSampledDelta(e1), DDelta(e2)):
             return ADSampledDelta(join_expr(e1, e2))
-        case (ADDelta(e1), ADSampledDelta(e2)) | (ADSampledDelta(e1), ADDelta(e2)):
-            return ADSampledDelta(join_expr(e1, e2))
+    if type(a) is type(b) and not isinstance(a, DMixIte):
+        return type(a)(*[join_expr(x, y) for x, y in zip(_distr_params(a), _distr_params(b))])
     if distr_contains_top(a) or distr_contains_top(b):
         return TOP_D
     return ADUnk(fv_distr(a) | fv_distr(b))
 
 
-def widen_sets_distr(d: AbsDistr) -> AbsDistr:
-    match d:
-        case ADUnk(s) if len(s) >= SET_LIMIT:
-            return TOP_D
-        case ADNormal(mu, var):
-            return ADNormal(widen_sets(mu), widen_sets(var))
-        case ADBernoulli(p):
-            return ADBernoulli(widen_sets(p))
-        case ADInvGamma(a, b):
-            return ADInvGamma(widen_sets(a), widen_sets(b))
-        case ADBeta(a, b):
-            return ADBeta(widen_sets(a), widen_sets(b))
-        case ADStudentT(loc, dof, scale):
-            return ADStudentT(widen_sets(loc), widen_sets(dof), widen_sets(scale))
-        case ADDelta(e):
-            return ADDelta(widen_sets(e))
-        case ADSampledDelta(e):
-            return ADSampledDelta(widen_sets(e))
-        case ADMixIte(c, d1, d2):
-            return ADMixIte(widen_sets(c), widen_sets_distr(d1), widen_sets_distr(d2))
-        case _:
-            return d
+def widen_sets_distr(d: Distr) -> Distr:
+    if isinstance(d, ADUnk) and len(d.fv) >= SET_LIMIT:
+        return TOP_D
+    return _map_distr(d, widen_sets)
 
 
 # --- abstract state ---
@@ -653,7 +574,7 @@ def join_ann(a: Annotation, b: Annotation) -> Annotation:
 @dataclass(frozen=True, slots=True)
 class AbsEntry:
     ann: Annotation
-    distr: AbsDistr
+    distr: Distr
     node: AbsNode | None
 
 
@@ -680,7 +601,7 @@ class AbsState:
         g.entries = dict(self.entries)
         return g
 
-    def fresh(self, ann: Annotation, distr: AbsDistr, node: AbsNode | None,
+    def fresh(self, ann: Annotation, distr: Distr, node: AbsNode | None,
               site: str, label: str = "") -> int:
         rid = self.counter[0]
         self.counter[0] += 1
@@ -695,13 +616,13 @@ class AbsState:
     def ann(self, rid: int) -> Annotation:
         return self.entries[rid].ann
 
-    def distr(self, rid: int) -> AbsDistr:
+    def distr(self, rid: int) -> Distr:
         return self.entries[rid].distr
 
     def node(self, rid: int) -> AbsNode | None:
         return self.entries[rid].node
 
-    def set_distr(self, rid: int, d: AbsDistr) -> None:
+    def set_distr(self, rid: int, d: Distr) -> None:
         e = self.entries[rid]
         self.entries[rid] = AbsEntry(e.ann, widen_distr(d), e.node)
 
@@ -718,7 +639,7 @@ class AbsState:
         if entry is None:
             return None
         match entry.distr:
-            case ADDelta(e) | ADSampledDelta(e) if rv_free(e):
+            case DDelta(e) | ADSampledDelta(e) if rv_free(e):
                 return e
             case _:
                 return None
@@ -757,23 +678,9 @@ class AbsState:
             case _:
                 return v
 
-    def eval_distr(self, d: AbsDistr) -> AbsDistr:
+    def eval_distr(self, d: Distr) -> Distr:
         match d:
-            case ADNormal(mu, var):
-                return ADNormal(self.eval_value(mu), self.eval_value(var))
-            case ADBernoulli(p):
-                return ADBernoulli(self.eval_value(p))
-            case ADInvGamma(a, b):
-                return ADInvGamma(self.eval_value(a), self.eval_value(b))
-            case ADBeta(a, b):
-                return ADBeta(self.eval_value(a), self.eval_value(b))
-            case ADStudentT(loc, dof, scale):
-                return ADStudentT(self.eval_value(loc), self.eval_value(dof), self.eval_value(scale))
-            case ADDelta(e):
-                return ADDelta(self.eval_value(e))
-            case ADSampledDelta(e):
-                return ADSampledDelta(self.eval_value(e))
-            case ADMixIte(c, d1, d2):
+            case DMixIte(c, d1, d2):
                 c = self.eval_value(c)
                 if isinstance(c, AConst):
                     return self.eval_distr(d1) if c.v else self.eval_distr(d2)
@@ -781,12 +688,11 @@ class AbsState:
                 o = self.eval_distr(d2)
                 if _is_constish(c) or (isinstance(c, AEUnk) and not c.fv):
                     return join_distr(t, o)
-                return ADMixIte(c, t, o)
+                return DMixIte(c, t, o)
             case ADUnk(s):
                 live = frozenset(r for r in s if r not in self.entries or self.realized_value(r) is None)
                 return ADUnk(live)
-            case _:
-                return d
+        return _map_distr(d, self.eval_value)
 
     def refresh(self, rid: int) -> None:
         self.set_distr(rid, self.eval_distr(self.entries[rid].distr))
@@ -1054,31 +960,12 @@ def rename_apply(v: AbsVal, sigma: dict[int, int]) -> AbsVal:
             return v
 
 
-def rename_distr(d: AbsDistr, sigma: dict[int, int]) -> AbsDistr:
+def rename_distr(d: Distr, sigma: dict[int, int]) -> Distr:
     if not sigma:
         return d
-    match d:
-        case ADNormal(mu, var):
-            return ADNormal(rename_apply(mu, sigma), rename_apply(var, sigma))
-        case ADBernoulli(p):
-            return ADBernoulli(rename_apply(p, sigma))
-        case ADInvGamma(a, b):
-            return ADInvGamma(rename_apply(a, sigma), rename_apply(b, sigma))
-        case ADBeta(a, b):
-            return ADBeta(rename_apply(a, sigma), rename_apply(b, sigma))
-        case ADStudentT(loc, dof, scale):
-            return ADStudentT(rename_apply(loc, sigma), rename_apply(dof, sigma),
-                              rename_apply(scale, sigma))
-        case ADDelta(e):
-            return ADDelta(rename_apply(e, sigma))
-        case ADSampledDelta(e):
-            return ADSampledDelta(rename_apply(e, sigma))
-        case ADMixIte(c, d1, d2):
-            return ADMixIte(rename_apply(c, sigma), rename_distr(d1, sigma), rename_distr(d2, sigma))
-        case ADUnk(s):
-            return ADUnk(frozenset(sigma.get(r, r) for r in s))
-        case _:
-            return d
+    if isinstance(d, ADUnk):
+        return ADUnk(frozenset(sigma.get(r, r) for r in d.fv))
+    return _map_distr(d, lambda v: rename_apply(v, sigma))
 
 
 def rename_node(node: AbsNode | None, sigma: dict[int, int]) -> AbsNode | None:
@@ -1098,33 +985,13 @@ def rename_node(node: AbsNode | None, sigma: dict[int, int]) -> AbsNode | None:
     raise TypeError(node)
 
 
-def subst_distr(d: AbsDistr, rid: int, replacement: AbsVal) -> AbsDistr:
-    match d:
-        case ADNormal(mu, var):
-            return ADNormal(subst(mu, rid, replacement), subst(var, rid, replacement))
-        case ADBernoulli(p):
-            return ADBernoulli(subst(p, rid, replacement))
-        case ADInvGamma(a, b):
-            return ADInvGamma(subst(a, rid, replacement), subst(b, rid, replacement))
-        case ADBeta(a, b):
-            return ADBeta(subst(a, rid, replacement), subst(b, rid, replacement))
-        case ADStudentT(loc, dof, scale):
-            return ADStudentT(subst(loc, rid, replacement), subst(dof, rid, replacement),
-                              subst(scale, rid, replacement))
-        case ADDelta(e):
-            return ADDelta(subst(e, rid, replacement))
-        case ADSampledDelta(e):
-            return ADSampledDelta(subst(e, rid, replacement))
-        case ADMixIte(c, d1, d2):
-            return ADMixIte(subst(c, rid, replacement), subst_distr(d1, rid, replacement),
-                            subst_distr(d2, rid, replacement))
-        case ADUnk(s):
-            return ADUnk(s - {rid})
-        case _:
-            return d
+def subst_distr(d: Distr, rid: int, replacement: AbsVal) -> Distr:
+    if isinstance(d, ADUnk):
+        return ADUnk(d.fv - {rid})
+    return _map_distr(d, lambda v: subst(v, rid, replacement))
 
 
-def _drop_self(d: AbsDistr, rid: int) -> AbsDistr:
+def _drop_self(d: Distr, rid: int) -> Distr:
     """A merged variable may not condition on itself; the lost dependence
     degrades to an unknown constant."""
     if rid in fv_distr(d):
@@ -1132,19 +999,12 @@ def _drop_self(d: AbsDistr, rid: int) -> AbsDistr:
     return d
 
 
-def _param_unknown_sets(d: AbsDistr):
-    match d:
-        case ADUnk(s):
-            yield s
-        case ADMixIte(c, d1, d2):
-            yield from _expr_unknown_sets(c)
-            yield from _param_unknown_sets(d1)
-            yield from _param_unknown_sets(d2)
-        case ATopD():
-            pass
-        case _:
-            for p in _distr_params(d):
-                yield from _expr_unknown_sets(p)
+def _param_unknown_sets(d: Distr):
+    if isinstance(d, ADUnk):
+        yield d.fv
+        return
+    for p in _distr_params(d):
+        yield from _expr_unknown_sets(p)
 
 
 def _expr_unknown_sets(v: AbsVal):
@@ -1168,7 +1028,7 @@ def _expr_unknown_sets(v: AbsVal):
             pass
 
 
-def _check_joined_entry(g: AbsState, d: AbsDistr) -> None:
+def _check_joined_entry(g: AbsState, d: Distr) -> None:
     """A join that degrades a parameter to an unknown expression over a
     live symbolic variable hides a conjugacy the runtime may depend on;
     reject conservatively (mirrors the syntactic-join precision loss)."""
@@ -1214,66 +1074,3 @@ def rename_join(e1: AbsVal, e2: AbsVal, g1: AbsState, g2: AbsState,
     if in_fold:
         joined = widen_sets(joined)
     return joined, join_states(g1, g3, in_fold)
-
-
-def abs_expr_to_json(v: AbsVal):
-    match v:
-        case AConst(x):
-            return x
-        case AUnkC():
-            return {"unk": "const"}
-        case ATopE():
-            return {"top": "expr"}
-        case AEUnk(s):
-            return {"unk": "expr", "over": sorted(s)}
-        case ARV(rid):
-            return {"rv": rid}
-        case AAdd(l, r):
-            return {"op": "+", "args": [abs_expr_to_json(l), abs_expr_to_json(r)]}
-        case ASub(l, r):
-            return {"op": "-", "args": [abs_expr_to_json(l), abs_expr_to_json(r)]}
-        case AMul(l, r):
-            return {"op": "*", "args": [abs_expr_to_json(l), abs_expr_to_json(r)]}
-        case ADiv(l, r):
-            return {"op": "/", "args": [abs_expr_to_json(l), abs_expr_to_json(r)]}
-        case ACmp(op, l, r):
-            return {"op": op, "args": [abs_expr_to_json(l), abs_expr_to_json(r)]}
-        case AIte(c, t, o):
-            return {"op": "ite", "args": [abs_expr_to_json(c), abs_expr_to_json(t), abs_expr_to_json(o)]}
-        case ATup(items):
-            return {"tuple": [abs_expr_to_json(i) for i in items]}
-        case ALst(items, tail):
-            out = {"list": [abs_expr_to_json(i) for i in items]}
-            if tail is not None:
-                out["tail_over"] = sorted(tail)
-            return out
-    raise TypeError(v)
-
-
-def abs_distr_to_json(d: AbsDistr):
-    match d:
-        case ATopD():
-            return {"top": "distr"}
-        case ADUnk(s):
-            return {"unk": "distr", "over": sorted(s)}
-        case ADMixIte(c, d1, d2):
-            return {"dist": "mixture", "cond": abs_expr_to_json(c),
-                    "then": abs_distr_to_json(d1), "else": abs_distr_to_json(d2)}
-        case _:
-            name = type(d).__name__.removeprefix("AD").lower()
-            return {"dist": name,
-                    "params": [abs_expr_to_json(p) for p in _distr_params(d)]}
-
-
-def abs_state_to_json(g: AbsState):
-    """Debug dump of an abstract state for analysis traces."""
-    return {
-        str(rid): {
-            "site": g.sites.get(rid, ""),
-            "label": g.labels.get(rid, ""),
-            "annotation": str(e.ann) or "none",
-            "distribution": abs_distr_to_json(e.distr),
-            "node": repr(e.node) if e.node is not None else None,
-        }
-        for rid, e in sorted(g.entries.items())
-    }

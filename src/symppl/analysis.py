@@ -8,12 +8,13 @@ symbolic variable.  The verdict is deterministic.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
 from . import absdomain as ad
+from . import conjugacy
 from .absdomain import (
+    ALGEBRA,
     AbsState,
     AbsVal,
     AConst,
@@ -28,17 +29,9 @@ from .absdomain import (
     ATopN,
     ATup,
     AnalysisFail,
-    ADBernoulli,
-    ADBeta,
-    ADDelta,
-    ADInvGamma,
-    ADMixIte,
-    ADNormal,
     ADSampledDelta,
-    ADStudentT,
     ADUnk,
     ATopD,
-    AbsDistr,
     TOP_E,
     UNK,
     aadd,
@@ -53,7 +46,6 @@ from .absdomain import (
     fv_distr,
     rename_join,
     rv_free,
-    subst as abs_subst,
 )
 from .checker import impure_functions, is_pure
 from .lang import (
@@ -76,6 +68,7 @@ from .lang import (
 )
 from .lang import Pattern, PTuple, PUnit, PVar, PWild
 from .runtime import subst as esubst
+from .sym import DDelta, Distr, make_dist
 
 FOLD_ITER_LIMIT = 1000
 
@@ -85,127 +78,6 @@ class Verdict:
     satisfiable: bool
     witnesses: tuple[tuple[str, str], ...] = ()
     elapsed_ms: float = 0.0
-
-
-# --- abstract conjugacy ---
-
-
-def abs_affine_of(e: AbsVal, rid: int) -> tuple[AbsVal, AbsVal] | None:
-    if rid not in fv(e):
-        if contains_top(e):
-            return None
-        return (AConst(0.0), e)
-    match e:
-        case ARV(r) if r == rid:
-            return (AConst(1.0), AConst(0.0))
-        case ad.AAdd(l, r):
-            cl, cr = abs_affine_of(l, rid), abs_affine_of(r, rid)
-            if cl is None or cr is None:
-                return None
-            return (aadd(cl[0], cr[0]), aadd(cl[1], cr[1]))
-        case ad.ASub(l, r):
-            cl, cr = abs_affine_of(l, rid), abs_affine_of(r, rid)
-            if cl is None or cr is None:
-                return None
-            return (asub(cl[0], cr[0]), asub(cl[1], cr[1]))
-        case ad.AMul(l, r):
-            cl, cr = abs_affine_of(l, rid), abs_affine_of(r, rid)
-            if cl is None or cr is None:
-                return None
-            (a1, b1), (a2, b2) = cl, cr
-            if a1 == AConst(0.0):
-                return (amul(b1, a2), amul(b1, b2))
-            if a2 == AConst(0.0):
-                return (amul(a1, b2), amul(b1, b2))
-            return None
-        case ad.ADiv(l, r):
-            cl, cr = abs_affine_of(l, rid), abs_affine_of(r, rid)
-            if cl is None or cr is None:
-                return None
-            (a1, b1), (a2, b2) = cl, cr
-            if a2 == AConst(0.0):
-                return (adiv(a1, b2), adiv(b1, b2))
-            return None
-        case _:
-            return None
-
-
-def abs_match_case(prior: AbsDistr, cond: AbsDistr, par: int,
-                   allow: frozenset[int] = frozenset()) -> str | None:
-    def free(v: AbsVal) -> bool:
-        return fv(v) <= allow and not contains_top(v)
-
-    match prior, cond:
-        case ADNormal(_, var0), ADNormal(mu, var):
-            if free(var0) and free(var) and par in fv(mu) and abs_affine_of(mu, par) is not None:
-                return "linear_gaussian"
-        case ADBeta(a, b), ADBernoulli(p):
-            if p == ARV(par) and free(a) and free(b):
-                return "beta_bernoulli"
-        case ADInvGamma(a, b), ADNormal(mu, var):
-            if var == ARV(par) and free(mu) and free(a) and free(b):
-                return "invgamma_variance"
-        case ADBernoulli(p1), ADBernoulli(p2):
-            if par in fv(p2) and free(p1):
-                return "bernoulli_bernoulli"
-    return None
-
-
-def abs_marginal(prior: AbsDistr, cond: AbsDistr, par: int) -> AbsDistr | None:
-    case = abs_match_case(prior, cond, par)
-    if case is None:
-        return None
-    one = AConst(1.0)
-    if case == "linear_gaussian":
-        a, b = abs_affine_of(cond.mu, par)
-        mu01 = aadd(amul(a, prior.mu), b)
-        var01 = amul(amul(a, a), prior.var)
-        return ADNormal(mu01, aadd(var01, cond.var))
-    if case == "beta_bernoulli":
-        return ADBernoulli(adiv(prior.a, aadd(prior.a, prior.b)))
-    if case == "invgamma_variance":
-        a, b = prior.a, prior.b
-        if isinstance(a, AConst) and isinstance(b, AConst):
-            scale: AbsVal = AConst(math.sqrt(b.v / a.v))
-        else:
-            scale = UNK
-        return ADStudentT(cond.mu, amul(AConst(2.0), a), scale)
-    if case == "bernoulli_bernoulli":
-        p1, p2 = prior.p, cond.p
-        p_t = abs_subst(p2, par, AConst(True))
-        p_f = abs_subst(p2, par, AConst(False))
-        return ADBernoulli(aadd(amul(p1, p_t), amul(asub(one, p1), p_f)))
-    return None
-
-
-def abs_posterior(prior: AbsDistr, cond: AbsDistr, par: int, child_ref: AbsVal) -> AbsDistr | None:
-    case = abs_match_case(prior, cond, par)
-    if case is None:
-        return None
-    one = AConst(1.0)
-    if case == "linear_gaussian":
-        a, b = abs_affine_of(cond.mu, par)
-        mu01 = aadd(amul(a, prior.mu), b)
-        var01 = amul(amul(a, a), prior.var)
-        var02 = adiv(one, aadd(adiv(one, var01), adiv(one, cond.var)))
-        mu02 = amul(aadd(adiv(mu01, var01), adiv(child_ref, cond.var)), var02)
-        return ADNormal(adiv(asub(mu02, b), a), adiv(var02, amul(a, a)))
-    if case == "beta_bernoulli":
-        a, b = prior.a, prior.b
-        return ADMixIte(child_ref, ADBeta(aadd(a, one), b), ADBeta(a, aadd(b, one)))
-    if case == "invgamma_variance":
-        resid = asub(child_ref, cond.mu)
-        return ADInvGamma(aadd(prior.a, AConst(0.5)),
-                          aadd(prior.b, adiv(amul(resid, resid), AConst(2.0))))
-    if case == "bernoulli_bernoulli":
-        p1, p2 = prior.p, cond.p
-        p_t = abs_subst(p2, par, AConst(True))
-        p_f = abs_subst(p2, par, AConst(False))
-        marg = aadd(amul(p1, p_t), amul(asub(one, p1), p_f))
-        pos_t = adiv(amul(p1, p_t), marg)
-        pos_f = adiv(amul(p1, asub(one, p_t)), asub(one, marg))
-        return ADMixIte(child_ref, ADBernoulli(pos_t), ADBernoulli(pos_f))
-    return None
 
 
 def set_top(g: AbsState, rid: int) -> None:
@@ -244,7 +116,7 @@ class AbsSwapFailed(Exception):
 class AbsSsi:
     name = "ssi"
 
-    def assume(self, ann: Annotation, dist: AbsDistr, g: AbsState, site: str, label: str) -> int:
+    def assume(self, ann: Annotation, dist: Distr, g: AbsState, site: str, label: str) -> int:
         return g.fresh(ann, ad.widen_distr(g.eval_distr(dist)), None, site, label)
 
     def value(self, rid: int, g: AbsState) -> AbsVal:
@@ -259,7 +131,7 @@ class AbsSsi:
 
     def observe(self, rid: int, value: AbsVal, g: AbsState) -> None:
         self.hoist(rid, g)
-        g.set_distr(rid, ADDelta(value if rv_free(value) else UNK))
+        g.set_distr(rid, DDelta(value if rv_free(value) else UNK))
 
     def swap(self, x1: int, x2: int, g: AbsState) -> bool:
         prior = g.eval_distr(g.distr(x1))
@@ -267,10 +139,10 @@ class AbsSsi:
         if isinstance(prior, (ADUnk, ATopD)):
             set_top(g, x1)
             return False
-        marg = abs_marginal(prior, cond, x1)
+        marg = conjugacy.marginal(prior, cond, x1, ALGEBRA)
         if marg is None:
             return False
-        post = abs_posterior(prior, cond, x1, ARV(x2))
+        post = conjugacy.posterior(prior, cond, x1, ARV(x2), ALGEBRA)
         if post is None:
             return False
         g.set_distr(x2, marg)
@@ -324,7 +196,7 @@ def _abs_topo(rids: list[int], g: AbsState) -> list[int]:
 class AbsDs:
     name = "ds"
 
-    def assume(self, ann: Annotation, dist: AbsDistr, g: AbsState, site: str, label: str) -> int:
+    def assume(self, ann: Annotation, dist: Distr, g: AbsState, site: str, label: str) -> int:
         dist, keeper = self._conjugate_dist(dist, g)
         rid = g.fresh(ann, ad.widen_distr(dist), None, site, label)
         if keeper is None:
@@ -336,7 +208,7 @@ class AbsDs:
                 g.set_node(keeper, _node_with_children(ke.node, ad._node_children(ke.node) | {rid}))
         return rid
 
-    def _conjugate_dist(self, dist: AbsDistr, g: AbsState) -> tuple[AbsDistr, int | None]:
+    def _conjugate_dist(self, dist: Distr, g: AbsState) -> tuple[Distr, int | None]:
         dist = g.eval_distr(dist)
         parents = sorted(p for p in fv_distr(dist) if p in g.entries and g.realized_value(p) is None)
         if not parents:
@@ -347,7 +219,7 @@ class AbsDs:
             prior = g.eval_distr(g.distr(p))
             if isinstance(prior, (ADUnk, ATopD)):
                 continue
-            if abs_match_case(prior, dist, p, allow=others) is not None:
+            if conjugacy.match_case(prior, dist, p, allow=others, alg=ALGEBRA) is not None:
                 keeper = p
                 break
         for p in parents:
@@ -356,7 +228,7 @@ class AbsDs:
         dist = g.eval_distr(dist)
         if keeper is not None:
             prior = g.eval_distr(g.distr(keeper))
-            if abs_match_case(prior, dist, keeper) is None:
+            if conjugacy.match_case(prior, dist, keeper, alg=ALGEBRA) is None:
                 self.value(keeper, g)
                 dist = g.eval_distr(dist)
                 keeper = None
@@ -374,7 +246,7 @@ class AbsDs:
 
     def observe(self, rid: int, value: AbsVal, g: AbsState) -> None:
         self.graft(rid, g)
-        self.realize(rid, ADDelta(value if rv_free(value) else UNK), g)
+        self.realize(rid, DDelta(value if rv_free(value) else UNK), g)
 
     def graft(self, rid: int, g: AbsState) -> None:
         node = g.node(rid)
@@ -415,7 +287,7 @@ class AbsDs:
             return
         prior = g.eval_distr(g.distr(node.parent))
         cond = g.eval_distr(g.distr(rid))
-        marg = abs_marginal(prior, cond, node.parent)
+        marg = conjugacy.marginal(prior, cond, node.parent, ALGEBRA)
         if marg is None:
             set_top(g, rid)
             set_top(g, node.parent)
@@ -423,7 +295,7 @@ class AbsDs:
         g.set_distr(rid, g.eval_distr(marg))
         g.set_node(rid, AMarg(node.parent, cond, node.children))
 
-    def realize(self, rid: int, d: AbsDistr, g: AbsState) -> None:
+    def realize(self, rid: int, d: Distr, g: AbsState) -> None:
         node = g.node(rid)
         g.set_distr(rid, d)
         g.set_node(rid, ARealized())
@@ -435,7 +307,7 @@ class AbsDs:
                 if isinstance(prior, (ADUnk, ATopD)):
                     set_top(g, parent)
                 else:
-                    post = abs_posterior(prior, g.eval_distr(node.prior), parent, value)
+                    post = conjugacy.posterior(prior, g.eval_distr(node.prior), parent, value, ALGEBRA)
                     if post is None:
                         set_top(g, parent)
                     else:
@@ -614,7 +486,7 @@ class AbsInterp:
                     e = esubst(body, _abs_match(pat, v))
                 case ELetRV(ann, name, dist, args, body, site):
                     argv = [g.eval_value(self.run(x, g)) for x in args]
-                    d = _abs_dist(dist, argv)
+                    d = make_dist(dist, tuple(argv))
                     rid = self.backend.assume(ann, d, g, site=f"rv:{site}", label=name)
                     if ann is Annotation.SAMPLE:
                         bound_v = self.backend.value(rid, g)
@@ -623,7 +495,7 @@ class AbsInterp:
                     e = esubst(body, {name: bound_v})
                 case EObserve(dist, args, value_e):
                     argv = [g.eval_value(self.run(x, g)) for x in args]
-                    d = _abs_dist(dist, argv)
+                    d = make_dist(dist, tuple(argv))
                     rid = self.backend.assume(Annotation.NONE, d, g, site="obs", label="obs")
                     ve = self.run(value_e, g)
                     c = self.value_star(ve, g)
@@ -686,23 +558,6 @@ def _abs_match(pat: Pattern, v: AbsVal) -> dict[str, AbsVal]:
                         raise ValueError(f"pattern arity mismatch: {p} vs {x}")
     go(pat, v)
     return out
-
-
-def _abs_dist(name: str, args: list[AbsVal]) -> AbsDistr:
-    match name:
-        case "gaussian":
-            return ADNormal(args[0], args[1])
-        case "bernoulli":
-            return ADBernoulli(args[0])
-        case "invgamma":
-            return ADInvGamma(args[0], args[1])
-        case "beta":
-            return ADBeta(args[0], args[1])
-        case "student_t":
-            return ADStudentT(args[0], args[1], args[2])
-        case "delta":
-            return ADDelta(args[0])
-    raise ValueError(name)
 
 
 def analyze(program: Program, method: str) -> Verdict:

@@ -37,15 +37,15 @@ class BenchmarkSpec:
     truth_columns: tuple[str, ...]
     variables: tuple[VarSpec, ...]
     simulate: Callable  # (rng, timesteps, variant) -> (rows, truth)
+    bool_columns: tuple[int, ...] = ()  # data columns read as booleans
 
     def program(self) -> Program:
         src = (resources.files("symppl") / "models" / f"{self.name}.si").read_text()
         return parse(src)
 
     def row_to_value(self, row: tuple[float, ...]) -> Val:
-        if len(row) == 1:
-            return VConst(row[0])
-        return VTup(tuple(VConst(x) for x in row))
+        items = tuple(VConst(bool(x) if i in self.bool_columns else x) for i, x in enumerate(row))
+        return items[0] if len(items) == 1 else VTup(items)
 
     def data_value(self, rows: list[tuple[float, ...]]) -> Val:
         return VLst(tuple(self.row_to_value(r) for r in rows))
@@ -216,9 +216,9 @@ def _sim_aircraft(rng: np.random.Generator, T: int, variant: str):
 BENCHMARKS: dict[str, BenchmarkSpec] = {}
 
 
-def _register(name, data_columns, truth_columns, variables, simulate):
+def _register(name, data_columns, truth_columns, variables, simulate, bool_columns=()):
     BENCHMARKS[name] = BenchmarkSpec(name, tuple(data_columns), tuple(truth_columns),
-                                     tuple(variables), simulate)
+                                     tuple(variables), simulate, bool_columns)
 
 
 _register("noise", ["zobs"], ["x", "q", "r"],
@@ -251,7 +251,7 @@ _register("runner", ["sx_obs", "sy_obs", "a_obs"], ["sx", "sy", "x", "y"],
           _sim_runner)
 _register("slam", ["obs", "cmd"], ["x"] + [f"cell{i}" for i in range(11)],
           [VarSpec("map", 0, True), VarSpec("x", 1, False)],
-          _sim_slam)
+          _sim_slam, bool_columns=(0,))
 _register("wheels", ["left_wheel_rate", "right_wheel_rate"], ["velocity", "omega"],
           [VarSpec("velocity", 0, False), VarSpec("omega", 1, False)],
           _sim_wheels)
@@ -295,12 +295,8 @@ def read_csv(path: str) -> list[tuple[float, ...]]:
 
 def data_for(name: str, seed: int, timesteps: int, variant: str = "prior") -> tuple[Val, dict]:
     """Generate observations in memory and return (data value, truth)."""
-    spec = BENCHMARKS[name]
     rows, truth = generate(name, seed, timesteps, variant)
-    value = spec.data_value(rows)
-    if name == "slam":  # observation column is a boolean
-        value = VLst(tuple(VTup((VConst(bool(r.items[0].v)), r.items[1])) for r in value.items))
-    return value, truth
+    return BENCHMARKS[name].data_value(rows), truth
 
 
 def mse_per_variable(name: str, mix: Mixture, truth: dict) -> dict[str, float]:

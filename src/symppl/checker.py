@@ -110,7 +110,60 @@ def check(program: Program) -> list[str]:
     for f in program.functions:
         check_expr(f.body, set(pattern_vars(f.param)), f.name)
     check_expr(program.main, set(), None)
+    resampling = _resampling_functions(program)
+    for body in [f.body for f in program.functions] + [program.main]:
+        _check_resample_positions(body, resampling, diags)
     return diags
+
+
+def _resamples_at(e: Expr, resampling: set[str]) -> str | None:
+    """What, in node ``e`` itself, can resample."""
+    match e:
+        case EResample():
+            return "resample"
+        case ECall(func, _) | EFold(func, _, _) if func in resampling:
+            return f"call of {func}, which can resample,"
+        case EOp("map", (EVar(func), _)) if func in resampling:
+            return f"map of {func}, which can resample,"
+    return None
+
+
+def _resampling_functions(program: Program) -> set[str]:
+    """Names of functions whose bodies can resample (transitively)."""
+    out: set[str] = set()
+    for f in program.functions:  # declaration order; callees precede callers
+        if any(_resamples_at(x, out) for x in walk(f.body)):
+            out.add(f.name)
+    return out
+
+
+def _check_resample_positions(e: Expr, resampling: set[str], diags: list[str]) -> None:
+    """A particle can pause at a resample only in a sequencing position: a
+    function body or ``main``, a ``let``'s bound or body, a random
+    variable's body, or an ``if`` branch.  Elsewhere the pause would be
+    lost, so a resample there is an error."""
+    match e:
+        case ELet(_, bound, body):
+            seq, off = [bound, body], []
+        case ELetRV(_, _, _, args, body):
+            seq, off = [body], list(args)
+        case EIf(c, t, o):
+            seq, off = [t, o], [c]
+        case ECall(_, arg):
+            seq, off = [], [arg]
+        case EFold(_, lst, init):
+            seq, off = [], [lst, init]
+        case EResample():
+            seq, off = [], []
+        case _:
+            seq, off = [], [e]
+    for x in off:
+        for y in walk(x):
+            what = _resamples_at(y, resampling)
+            if what is not None:
+                diags.append(f"{what} outside a sequencing position")
+    for x in seq:
+        _check_resample_positions(x, resampling, diags)
 
 
 def impure_functions(program: Program) -> set[str]:

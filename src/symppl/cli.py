@@ -119,13 +119,7 @@ def _load_data(args, benchmark: str | None):
     if args.data:
         rows = bm.read_csv(args.data)
         if benchmark is not None:
-            spec = bm.BENCHMARKS[benchmark]
-            value = spec.data_value(rows)
-            if benchmark == "slam":
-                from .sym import VConst, VLst, VTup
-
-                value = VLst(tuple(VTup((VConst(bool(r.items[0].v)), r.items[1])) for r in value.items))
-            return value
+            return bm.BENCHMARKS[benchmark].data_value(rows)
         from .sym import VConst, VLst, VTup
 
         if rows and len(rows[0]) == 1:

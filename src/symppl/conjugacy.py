@@ -11,6 +11,11 @@ Four supported pairs:
 * bernoulli-bernoulli: Bernoulli parent inside the child's probability,
   resolved by enumerating the parent.
 
+This is the only rule table.  The runtime applies it to concrete values
+(``CONCRETE``, the default) and the analysis to abstract ones
+(``absdomain.ALGEBRA``); each passes the value operations as an
+``Algebra``, so the analysis accepts exactly the pairs the runtime does.
+
 ``posterior`` expressions reference the child through ``child_ref``, which
 is the child variable during a swap and a realized constant during a
 delayed-sampling realize.
@@ -19,6 +24,8 @@ delayed-sampling realize.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 from .sym import (
     DBernoulli,
@@ -39,93 +46,38 @@ from .sym import (
     add,
     div,
     free_vars,
-    is_const,
     mul,
     sub,
     subst_rv,
 )
 
 
-def rv_free(v: Val, allow: frozenset[int] = frozenset()) -> bool:
-    return all(r in allow for r in free_vars(v))
+@dataclass(frozen=True, slots=True)
+class Algebra:
+    """The value operations the rules use, for one value domain.
 
-
-def affine_of(e: Val, rid: int) -> tuple[Val, Val] | None:
-    """Decompose ``e`` as ``a * rid + b`` with ``a``, ``b`` free of ``rid``.
-
-    Coefficients may reference other live variables.
+    ``const``/``rv`` build a constant and a variable reference; ``add`` ..
+    ``div`` are the smart constructors, and ``div_total`` is a division
+    that never fails (it conditions on a zero-probability branch).  ``fv``
+    gives a value's random variables, ``has_top`` whether it may hide
+    unknown ones, ``subst_rv(v, rid, c)`` replaces a variable, ``arith``
+    maps each arithmetic node class (fields ``left``/``right``) to its
+    operator, and ``t_scale(a, b)`` is the Student-t scale of an
+    invgamma-variance marginal, or None when it has no closed form.
     """
-    if rid not in free_vars(e):
-        return (VConst(0.0), e)
-    match e:
-        case VRV(r) if r == rid:
-            return (VConst(1.0), VConst(0.0))
-        case VAdd(l, r):
-            cl, cr = affine_of(l, rid), affine_of(r, rid)
-            if cl is None or cr is None:
-                return None
-            return (add(cl[0], cr[0]), add(cl[1], cr[1]))
-        case VSub(l, r):
-            cl, cr = affine_of(l, rid), affine_of(r, rid)
-            if cl is None or cr is None:
-                return None
-            return (sub(cl[0], cr[0]), sub(cl[1], cr[1]))
-        case VMul(l, r):
-            cl, cr = affine_of(l, rid), affine_of(r, rid)
-            if cl is None or cr is None:
-                return None
-            (a1, b1), (a2, b2) = cl, cr
-            if a1 == VConst(0.0):
-                return (mul(b1, a2), mul(b1, b2))
-            if a2 == VConst(0.0):
-                return (mul(a1, b2), mul(b1, b2))
-            return None  # quadratic in rid
-        case VDiv(l, r):
-            cl, cr = affine_of(l, rid), affine_of(r, rid)
-            if cl is None or cr is None:
-                return None
-            (a1, b1), (a2, b2) = cl, cr
-            if a2 == VConst(0.0):
-                return (div(a1, b2), div(b1, b2))
-            return None
-        case _:
-            return None
 
-
-LINEAR_GAUSSIAN = "linear_gaussian"
-BETA_BERNOULLI = "beta_bernoulli"
-INVGAMMA_VARIANCE = "invgamma_variance"
-BERNOULLI_BERNOULLI = "bernoulli_bernoulli"
-
-
-def match_case(prior: Distr, cond: Distr, par: int,
-               allow: frozenset[int] = frozenset()) -> str | None:
-    """Which conjugacy case applies for ``cond`` as a child of ``par``.
-
-    Both distributions must be pre-evaluated.  ``allow`` lists variables to
-    treat as constants (used when choosing which extra parents to force).
-    """
-    match prior, cond:
-        case DNormal(_, var0), DNormal(mu, var):
-            if (
-                rv_free(var0, allow)
-                and rv_free(var, allow)
-                and par in free_vars(mu)
-                and affine_of(mu, par) is not None
-            ):
-                return LINEAR_GAUSSIAN
-        case DBeta(a, b), DBernoulli(p):
-            if p == VRV(par) and rv_free(a, allow) and rv_free(b, allow):
-                return BETA_BERNOULLI
-        case DInvGamma(a, b), DNormal(mu, var):
-            if var == VRV(par) and rv_free(mu, allow) and rv_free(a, allow) and rv_free(b, allow):
-                return INVGAMMA_VARIANCE
-        case DBernoulli(p1), DBernoulli(p2):
-            # the parent's own probability may reference other live
-            # variables; enumeration only substitutes the parent
-            if par in free_vars(p2):
-                return BERNOULLI_BERNOULLI
-    return None
+    const: Callable
+    rv: Callable
+    add: Callable
+    sub: Callable
+    mul: Callable
+    div: Callable
+    div_total: Callable
+    fv: Callable
+    has_top: Callable
+    subst_rv: Callable
+    arith: dict
+    t_scale: Callable
 
 
 def _safe_div(num: Val, den: Val) -> Val:
@@ -135,63 +87,144 @@ def _safe_div(num: Val, den: Val) -> Val:
         return VConst(0.0)  # conditioning on a zero-probability branch
 
 
-def _gaussian_parts(prior: DNormal, cond: DNormal, par: int) -> tuple[Val, Val, Val, Val, Val]:
-    coefs = affine_of(cond.mu, par)
-    assert coefs is not None
-    a, b = coefs
-    mu01 = add(mul(a, prior.mu), b)
-    var01 = mul(mul(a, a), prior.var)
-    return a, b, mu01, var01, cond.var
-
-
-def marginal(prior: Distr, cond: Distr, par: int) -> Distr | None:
-    """Marginal distribution of the child after integrating out the parent."""
-    case = match_case(prior, cond, par)
-    if case is None:
-        return None
-    if case == LINEAR_GAUSSIAN:
-        _, _, mu01, var01, var = _gaussian_parts(prior, cond, par)
-        return DNormal(mu01, add(var01, var))
-    if case == BETA_BERNOULLI:
-        a, b = prior.a, prior.b
-        return DBernoulli(div(a, add(a, b)))
-    if case == INVGAMMA_VARIANCE:
-        a, b = prior.a, prior.b
-        if not (is_const(a) and is_const(b)):
-            return None
-        return DStudentT(cond.mu, mul(VConst(2.0), a), VConst(math.sqrt(b.v / a.v)))
-    if case == BERNOULLI_BERNOULLI:
-        p1, p2 = prior.p, cond.p
-        p_t = subst_rv(p2, par, VConst(True))
-        p_f = subst_rv(p2, par, VConst(False))
-        return DBernoulli(add(mul(p1, p_t), mul(sub(VConst(1.0), p1), p_f)))
+def _t_scale(a: Val, b: Val) -> Val | None:
+    if isinstance(a, VConst) and isinstance(b, VConst):
+        return VConst(math.sqrt(b.v / a.v))
     return None
 
 
-def posterior(prior: Distr, cond: Distr, par: int, child_ref: Val) -> Distr | None:
-    """Parent's distribution conditioned on the child taking ``child_ref``."""
-    case = match_case(prior, cond, par)
-    if case is None:
+CONCRETE = Algebra(
+    const=VConst, rv=VRV, add=add, sub=sub, mul=mul, div=div, div_total=_safe_div,
+    fv=free_vars, has_top=lambda v: False, subst_rv=subst_rv,
+    arith={VAdd: "+", VSub: "-", VMul: "*", VDiv: "/"}, t_scale=_t_scale,
+)
+
+
+def _free(v, allow: frozenset[int], alg: Algebra) -> bool:
+    return all(r in allow for r in alg.fv(v)) and not alg.has_top(v)
+
+
+def affine_of(e, rid: int, alg: Algebra = CONCRETE):
+    """Decompose ``e`` as ``a * rid + b`` with ``a``, ``b`` free of ``rid``.
+
+    Coefficients may reference other live variables.
+    """
+    if rid not in alg.fv(e):
+        return None if alg.has_top(e) else (alg.const(0.0), e)
+    op = alg.arith.get(type(e))
+    if op is None:
+        return (alg.const(1.0), alg.const(0.0)) if e == alg.rv(rid) else None
+    cl, cr = affine_of(e.left, rid, alg), affine_of(e.right, rid, alg)
+    if cl is None or cr is None:
         return None
+    (a1, b1), (a2, b2) = cl, cr
+    if op == "+":
+        return (alg.add(a1, a2), alg.add(b1, b2))
+    if op == "-":
+        return (alg.sub(a1, a2), alg.sub(b1, b2))
+    zero = alg.const(0.0)
+    if op == "*":
+        if a1 == zero:
+            return (alg.mul(b1, a2), alg.mul(b1, b2))
+        if a2 == zero:
+            return (alg.mul(a1, b2), alg.mul(b1, b2))
+        return None  # quadratic in rid
+    if a2 == zero:
+        return (alg.div(a1, b2), alg.div(b1, b2))
+    return None
+
+
+LINEAR_GAUSSIAN = "linear_gaussian"
+BETA_BERNOULLI = "beta_bernoulli"
+INVGAMMA_VARIANCE = "invgamma_variance"
+BERNOULLI_BERNOULLI = "bernoulli_bernoulli"
+
+
+def match_case(prior: Distr, cond: Distr, par: int,
+               allow: frozenset[int] = frozenset(), alg: Algebra = CONCRETE) -> str | None:
+    """Which conjugacy case applies for ``cond`` as a child of ``par``.
+
+    Both distributions must be pre-evaluated.  ``allow`` lists variables to
+    treat as constants (used when choosing which extra parents to force).
+    """
+    match prior, cond:
+        case DNormal(_, var0), DNormal(mu, var):
+            if (
+                _free(var0, allow, alg)
+                and _free(var, allow, alg)
+                and par in alg.fv(mu)
+                and affine_of(mu, par, alg) is not None
+            ):
+                return LINEAR_GAUSSIAN
+        case DBeta(a, b), DBernoulli(p):
+            if p == alg.rv(par) and _free(a, allow, alg) and _free(b, allow, alg):
+                return BETA_BERNOULLI
+        case DInvGamma(a, b), DNormal(mu, var):
+            if (var == alg.rv(par) and _free(mu, allow, alg) and _free(a, allow, alg)
+                    and _free(b, allow, alg)):
+                return INVGAMMA_VARIANCE
+        case DBernoulli(_), DBernoulli(p2):
+            # the parent's own probability may reference other live
+            # variables; enumeration only substitutes the parent
+            if par in alg.fv(p2):
+                return BERNOULLI_BERNOULLI
+    return None
+
+
+def _gaussian_parts(prior: DNormal, cond: DNormal, par: int, alg: Algebra):
+    a, b = affine_of(cond.mu, par, alg)
+    mu01 = alg.add(alg.mul(a, prior.mu), b)
+    var01 = alg.mul(alg.mul(a, a), prior.var)
+    return a, b, mu01, var01, cond.var
+
+
+def _enumerate_parent(prior: DBernoulli, cond: DBernoulli, par: int, alg: Algebra):
+    """The child's probability given a true parent, and its marginal."""
+    p1 = prior.p
+    p_t = alg.subst_rv(cond.p, par, alg.const(True))
+    p_f = alg.subst_rv(cond.p, par, alg.const(False))
+    return p_t, alg.add(alg.mul(p1, p_t), alg.mul(alg.sub(alg.const(1.0), p1), p_f))
+
+
+def marginal(prior: Distr, cond: Distr, par: int, alg: Algebra = CONCRETE) -> Distr | None:
+    """Marginal distribution of the child after integrating out the parent."""
+    case = match_case(prior, cond, par, alg=alg)
     if case == LINEAR_GAUSSIAN:
-        a, b, mu01, var01, var = _gaussian_parts(prior, cond, par)
-        var02 = div(VConst(1.0), add(div(VConst(1.0), var01), div(VConst(1.0), var)))
-        mu02 = mul(add(div(mu01, var01), div(child_ref, var)), var02)
-        return DNormal(div(sub(mu02, b), a), div(var02, mul(a, a)))
+        _, _, mu01, var01, var = _gaussian_parts(prior, cond, par, alg)
+        return DNormal(mu01, alg.add(var01, var))
     if case == BETA_BERNOULLI:
         a, b = prior.a, prior.b
-        one = VConst(1.0)
-        return DMixIte(child_ref, DBeta(add(a, one), b), DBeta(a, add(b, one)))
+        return DBernoulli(alg.div(a, alg.add(a, b)))
     if case == INVGAMMA_VARIANCE:
-        a, b = prior.a, prior.b
-        resid = sub(child_ref, cond.mu)
-        return DInvGamma(add(a, VConst(0.5)), add(b, div(mul(resid, resid), VConst(2.0))))
+        scale = alg.t_scale(prior.a, prior.b)
+        if scale is None:
+            return None
+        return DStudentT(cond.mu, alg.mul(alg.const(2.0), prior.a), scale)
     if case == BERNOULLI_BERNOULLI:
-        p1, p2 = prior.p, cond.p
-        p_t = subst_rv(p2, par, VConst(True))
-        p_f = subst_rv(p2, par, VConst(False))
-        marg = add(mul(p1, p_t), mul(sub(VConst(1.0), p1), p_f))
-        pos_t = _safe_div(mul(p1, p_t), marg)
-        pos_f = _safe_div(mul(p1, sub(VConst(1.0), p_t)), sub(VConst(1.0), marg))
+        return DBernoulli(_enumerate_parent(prior, cond, par, alg)[1])
+    return None
+
+
+def posterior(prior: Distr, cond: Distr, par: int, child_ref,
+              alg: Algebra = CONCRETE) -> Distr | None:
+    """Parent's distribution conditioned on the child taking ``child_ref``."""
+    case = match_case(prior, cond, par, alg=alg)
+    one = alg.const(1.0)
+    if case == LINEAR_GAUSSIAN:
+        a, b, mu01, var01, var = _gaussian_parts(prior, cond, par, alg)
+        var02 = alg.div(one, alg.add(alg.div(one, var01), alg.div(one, var)))
+        mu02 = alg.mul(alg.add(alg.div(mu01, var01), alg.div(child_ref, var)), var02)
+        return DNormal(alg.div(alg.sub(mu02, b), a), alg.div(var02, alg.mul(a, a)))
+    if case == BETA_BERNOULLI:
+        a, b = prior.a, prior.b
+        return DMixIte(child_ref, DBeta(alg.add(a, one), b), DBeta(a, alg.add(b, one)))
+    if case == INVGAMMA_VARIANCE:
+        resid = alg.sub(child_ref, cond.mu)
+        return DInvGamma(alg.add(prior.a, alg.const(0.5)),
+                         alg.add(prior.b, alg.div(alg.mul(resid, resid), alg.const(2.0))))
+    if case == BERNOULLI_BERNOULLI:
+        p_t, marg = _enumerate_parent(prior, cond, par, alg)
+        pos_t = alg.div_total(alg.mul(prior.p, p_t), marg)
+        pos_f = alg.div_total(alg.mul(prior.p, alg.sub(one, p_t)), alg.sub(one, marg))
         return DMixIte(child_ref, DBernoulli(pos_t), DBernoulli(pos_f))
     return None

@@ -391,6 +391,32 @@ def distr_params(d: Distr) -> tuple[Val, ...]:
     raise TypeError(d)
 
 
+def map_params(d: Distr, f) -> Distr:
+    """The same distribution with ``f`` applied to each parameter.
+
+    The runtime and the analysis both rebuild distributions through this
+    one function.
+    """
+    match d:
+        case DNormal(mu, var):
+            return DNormal(f(mu), f(var))
+        case DBernoulli(p):
+            return DBernoulli(f(p))
+        case DInvGamma(a, b):
+            return DInvGamma(f(a), f(b))
+        case DBeta(a, b):
+            return DBeta(f(a), f(b))
+        case DStudentT(loc, dof, scale):
+            return DStudentT(f(loc), f(dof), f(scale))
+        case DDelta(e):
+            return DDelta(f(e))
+        case DSampledDelta(_):
+            return d
+        case DMixIte(c, d1, d2):
+            return DMixIte(f(c), map_params(d1, f), map_params(d2, f))
+    raise TypeError(d)
+
+
 def distr_rvs(d: Distr) -> list[int]:
     return list(_union([free_vars(p) for p in distr_params(d)]))
 
@@ -529,27 +555,12 @@ class SymState:
         return out
 
     def eval_distr(self, d: Distr) -> Distr:
-        match d:
-            case DNormal(mu, var):
-                return DNormal(self.eval_value(mu), self.eval_value(var))
-            case DBernoulli(p):
-                return DBernoulli(self.eval_value(p))
-            case DInvGamma(a, b):
-                return DInvGamma(self.eval_value(a), self.eval_value(b))
-            case DBeta(a, b):
-                return DBeta(self.eval_value(a), self.eval_value(b))
-            case DStudentT(loc, dof, scale):
-                return DStudentT(self.eval_value(loc), self.eval_value(dof), self.eval_value(scale))
-            case DDelta(e):
-                return DDelta(self.eval_value(e))
-            case DSampledDelta(_):
-                return d
-            case DMixIte(c, d1, d2):
-                c = self.eval_value(c)
-                if isinstance(c, VConst):
-                    return self.eval_distr(d1) if c.v else self.eval_distr(d2)
-                return DMixIte(c, self.eval_distr(d1), self.eval_distr(d2))
-        raise TypeError(d)
+        if isinstance(d, DMixIte):
+            c = self.eval_value(d.cond)
+            if isinstance(c, VConst):
+                return self.eval_distr(d.then if c.v else d.orelse)
+            return DMixIte(c, self.eval_distr(d.then), self.eval_distr(d.orelse))
+        return map_params(d, self.eval_value)
 
     def refresh(self, rid: int) -> None:
         """Re-evaluate a stored distribution (delta substitution)."""
@@ -752,16 +763,3 @@ def val_to_json(v: Val):
         case VLst(items):
             return [val_to_json(i) for i in items]
     raise TypeError(v)
-
-
-def state_to_json(g: SymState):
-    """Debug dump of a symbolic state."""
-    return {
-        str(rid): {
-            "label": e.label,
-            "annotation": str(e.ann) or "none",
-            "distribution": distr_to_json(e.distr),
-            "node": repr(e.node) if e.node is not None else None,
-        }
-        for rid, e in sorted(g.entries.items())
-    }

@@ -19,7 +19,6 @@ from symppl.absdomain import (
     ASub,
     ATopE,
     AbsState,
-    ADNormal,
     AUnkC,
     DEPTH_LIMIT,
     SET_LIMIT,
@@ -34,6 +33,7 @@ from symppl.absdomain import (
     widen_sets,
 )
 from symppl.lang import Annotation
+from symppl.sym import DNormal
 
 
 def random_expr(rng: random.Random, depth: int = 3):
@@ -132,14 +132,14 @@ def test_rename_join_example():
     # joining X1+1 under {X1 -> N(1,1)} with X2+2 under {X2 -> N(0,1)}
     # renames X2 to X1, giving X1+UnkC with X1 -> N(UnkC, 1)
     g1 = AbsState()
-    x1 = g1.fresh(Annotation.SYMBOLIC, ADNormal(AConst(1.0), AConst(1.0)), None, "rv:0", "x1")
+    x1 = g1.fresh(Annotation.SYMBOLIC, DNormal(AConst(1.0), AConst(1.0)), None, "rv:0", "x1")
     g2 = AbsState(g1.counter, g1.sites, g1.labels)
-    x2 = g2.fresh(Annotation.SYMBOLIC, ADNormal(AConst(0.0), AConst(1.0)), None, "rv:0", "x2")
+    x2 = g2.fresh(Annotation.SYMBOLIC, DNormal(AConst(0.0), AConst(1.0)), None, "rv:0", "x2")
     e1 = AAdd(ARV(x1), AConst(1.0))
     e2 = AAdd(ARV(x2), AConst(2.0))
     joined, gj = rename_join(e1, e2, g1, g2)
     assert joined == AAdd(ARV(x1), UNK)
-    assert gj.entries[x1].distr == ADNormal(UNK, AConst(1.0))
+    assert gj.entries[x1].distr == DNormal(UNK, AConst(1.0))
 
 
 def test_join_with_top_absorbs():

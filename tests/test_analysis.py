@@ -4,8 +4,6 @@ import pytest
 
 from symppl import apply_plan, parse, rv_sites
 from symppl.absdomain import (
-    ADBernoulli,
-    ADNormal,
     ADUnk,
     AConst,
     AbsState,
@@ -17,6 +15,7 @@ from symppl.absdomain import (
 from symppl.analysis import AbsSsi, analyze, set_top
 from symppl.benchmarks import BENCHMARKS
 from symppl.lang import Annotation
+from symppl.sym import DNormal
 
 # identified / total satisfiable counts to reproduce, per backend
 PRECISION_TABLE = {
@@ -80,7 +79,7 @@ def test_analysis_deterministic():
 def test_abstract_value_fails_on_symbolic():
     g = AbsState()
     backend = AbsSsi()
-    rid = g.fresh(Annotation.SYMBOLIC, ADNormal(AConst(0.0), AConst(1.0)), None, "rv:0", "x")
+    rid = g.fresh(Annotation.SYMBOLIC, DNormal(AConst(0.0), AConst(1.0)), None, "rv:0", "x")
     with pytest.raises(AnalysisFail):
         backend.value(rid, g)
 
@@ -88,7 +87,7 @@ def test_abstract_value_fails_on_symbolic():
 def test_abstract_value_on_sample_root():
     g = AbsState()
     backend = AbsSsi()
-    rid = g.fresh(Annotation.SAMPLE, ADNormal(AConst(0.0), AConst(1.0)), None, "rv:0", "x")
+    rid = g.fresh(Annotation.SAMPLE, DNormal(AConst(0.0), AConst(1.0)), None, "rv:0", "x")
     assert backend.value(rid, g) == UNK
     assert g.realized_value(rid) is not None
 
@@ -96,7 +95,7 @@ def test_abstract_value_on_sample_root():
 def test_set_top_escalates_through_unknown_distribution():
     # parent has an unknown distribution over a symbolic ancestor: failure
     g = AbsState()
-    x3 = g.fresh(Annotation.SYMBOLIC, ADNormal(AConst(1.0), AConst(1.0)), None, "rv:3", "x3")
+    x3 = g.fresh(Annotation.SYMBOLIC, DNormal(AConst(1.0), AConst(1.0)), None, "rv:3", "x3")
     x1 = g.fresh(Annotation.NONE, ADUnk(frozenset({x3})), None, "rv:1", "x1")
     with pytest.raises(AnalysisFail) as exc:
         set_top(g, x1)
@@ -106,16 +105,16 @@ def test_set_top_escalates_through_unknown_distribution():
 def test_swap_on_unknown_prior_sets_top_and_fails_symbolic():
     g = AbsState()
     backend = AbsSsi()
-    x3 = g.fresh(Annotation.SYMBOLIC, ADNormal(AConst(1.0), AConst(1.0)), None, "rv:3", "x3")
+    x3 = g.fresh(Annotation.SYMBOLIC, DNormal(AConst(1.0), AConst(1.0)), None, "rv:3", "x3")
     x1 = g.fresh(Annotation.NONE, ADUnk(frozenset({x3})), None, "rv:1", "x1")
-    x2 = g.fresh(Annotation.NONE, ADNormal(ARV(x1), AConst(1.0)), None, "rv:2", "x2")
+    x2 = g.fresh(Annotation.NONE, DNormal(ARV(x1), AConst(1.0)), None, "rv:2", "x2")
     with pytest.raises(AnalysisFail):
         backend.swap(x1, x2, g)
 
 
 def test_set_top_without_symbolic_just_tops():
     g = AbsState()
-    x3 = g.fresh(Annotation.SAMPLE, ADNormal(AConst(1.0), AConst(1.0)), None, "rv:3", "x3")
+    x3 = g.fresh(Annotation.SAMPLE, DNormal(AConst(1.0), AConst(1.0)), None, "rv:3", "x3")
     x1 = g.fresh(Annotation.NONE, ADUnk(frozenset({x3})), None, "rv:1", "x1")
     set_top(g, x1)
     assert isinstance(g.distr(x1), ATopD)
@@ -126,12 +125,12 @@ def test_node_join_mismatch_escalates_to_symbolic_failure():
     from symppl.absdomain import AInit, AMarg, AMargRoot, join_states
 
     g1 = AbsState()
-    x1 = g1.fresh(Annotation.NONE, ADNormal(AConst(0.0), AConst(1.0)), AMargRoot(frozenset()), "rv:1", "x1")
-    x2 = g1.fresh(Annotation.NONE, ADNormal(ARV(x1), AConst(1.0)), AInit(x1, frozenset()), "rv:2", "x2")
-    x3 = g1.fresh(Annotation.SYMBOLIC, ADNormal(ARV(x2), AConst(1.0)), AInit(x2, frozenset()), "rv:3", "x3")
+    x1 = g1.fresh(Annotation.NONE, DNormal(AConst(0.0), AConst(1.0)), AMargRoot(frozenset()), "rv:1", "x1")
+    x2 = g1.fresh(Annotation.NONE, DNormal(ARV(x1), AConst(1.0)), AInit(x1, frozenset()), "rv:2", "x2")
+    x3 = g1.fresh(Annotation.SYMBOLIC, DNormal(ARV(x2), AConst(1.0)), AInit(x2, frozenset()), "rv:3", "x3")
     g2 = g1.copy()
-    g2.set_node(x2, AMarg(x1, ADNormal(ARV(x1), AConst(1.0)), frozenset({x3})))
-    g2.set_node(x3, AMarg(x2, ADNormal(ARV(x2), AConst(1.0)), frozenset()))
+    g2.set_node(x2, AMarg(x1, DNormal(ARV(x1), AConst(1.0)), frozenset({x3})))
+    g2.set_node(x3, AMarg(x2, DNormal(ARV(x2), AConst(1.0)), frozenset()))
     with pytest.raises(AnalysisFail) as exc:
         join_states(g1, g2, in_fold=False)
     assert ("rv:3", "x3") in exc.value.witnesses

@@ -124,3 +124,28 @@ def test_bench_reports_failed_trials():
     cells = dict(zip(header.split(","), row.split(",")))
     assert cells["plan"] == "7" and cells["trials"] == "0" and cells["errors"] == "1"
     assert cells["median_wall_ms"] == "" and cells["p50_mse_x"] == ""
+
+
+@pytest.mark.parametrize("command", ["run", "analyze"])
+def test_resample_in_operator_argument_is_a_usage_error(command, tmp_path):
+    src = tmp_path / "bad.si"
+    src.write_text("let f = fun (a) -> let () = resample() in a\n"
+                   "let y = f(1.) + 2. in y\n")
+    r = run_cli(command, str(src))
+    assert r.returncode == 1
+    assert r.stderr == "error: call of f, which can resample, outside a sequencing position\n"
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("name", ["slam", "runner", "noise"])
+def test_data_csv_matches_generated_data(name, tmp_path):
+    import argparse
+
+    from symppl import benchmarks as bm
+    from symppl.cli import _load_data, main
+
+    assert main(["gen-data", name, "--seed", "4", "--timesteps", "6",
+                 "--out", str(tmp_path / name)]) == 0
+    args = argparse.Namespace(data=str(tmp_path / f"{name}_data.csv"))
+    value, _ = bm.data_for(name, 4, 6)
+    assert repr(_load_data(args, name)) == repr(value)  # repr tells True from 1.0

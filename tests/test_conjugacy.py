@@ -201,3 +201,67 @@ def test_observe_posterior_beta_matches_enumeration():
     assert abs(math.exp(w) - 0.4) < 1e-12  # E[Beta(2,3)] = 2/5
     d1 = g.eval_distr(g.distr(x1))
     assert isinstance(d1, DBeta) and d1.a.v == 3.0 and d1.b.v == 3.0
+
+
+# --- one rule table, two value algebras ---
+
+X, Y, CHILD = 0, 1, 2  # the parent, another live variable, the child
+
+
+def _abstract(v):
+    """The abstract value standing for exactly the concrete value ``v``."""
+    from symppl import absdomain as ad
+    from symppl.sym import VAdd, VDiv, VIte, VMul, VSub
+
+    match v:
+        case VConst(c):
+            return ad.AConst(c)
+        case VRV(rid):
+            return ad.ARV(rid)
+        case VIte(c, t, o):
+            return ad.AIte(_abstract(c), _abstract(t), _abstract(o))
+    node = {VAdd: ad.AAdd, VSub: ad.ASub, VMul: ad.AMul, VDiv: ad.ADiv}[type(v)]
+    return node(_abstract(v.left), _abstract(v.right))
+
+
+def _pairs(alg, ite):
+    c, rv = alg.const, alg.rv
+    return {
+        "linear-gaussian": (DNormal(c(0.5), c(1.0)),
+                            DNormal(alg.add(alg.mul(c(2.0), rv(X)), c(3.0)), c(0.5))),
+        "linear-gaussian, live coefficient": (DNormal(c(0.0), c(2.0)),
+                                              DNormal(alg.add(alg.mul(rv(Y), rv(X)), c(1.0)), c(1.0))),
+        "beta-bernoulli": (DBeta(c(2.0), c(3.0)), DBernoulli(rv(X))),
+        "invgamma-variance": (DInvGamma(c(3.0), c(2.0)), DNormal(c(1.0), rv(X))),
+        "bernoulli-bernoulli": (DBernoulli(c(0.3)), DBernoulli(ite(rv(X), c(0.9), c(0.2)))),
+        "bernoulli-bernoulli, live parent probability": (
+            DBernoulli(rv(Y)), DBernoulli(ite(rv(X), c(0.9), c(0.2)))),
+        "quadratic mean": (DNormal(c(0.0), c(1.0)), DNormal(alg.mul(rv(X), rv(X)), c(1.0))),
+        "live child variance": (DNormal(c(0.0), c(1.0)), DNormal(rv(X), rv(Y))),
+    }
+
+
+def test_rule_table_agrees_across_algebras():
+    from symppl import absdomain as ad
+    from symppl.sym import ite, map_params
+
+    concrete = _pairs(conjugacy.CONCRETE, ite)
+    abstract = _pairs(ad.ALGEBRA, ad.aite)
+    cases = {}
+    for name, (prior, cond) in concrete.items():
+        a_prior, a_cond = abstract[name]
+        assert (map_params(prior, _abstract), map_params(cond, _abstract)) == (a_prior, a_cond)
+        cases[name] = tuple(conjugacy.match_case(prior, cond, X, allow)
+                            for allow in (frozenset(), frozenset({Y})))
+        assert cases[name] == tuple(conjugacy.match_case(a_prior, a_cond, X, allow, ad.ALGEBRA)
+                                    for allow in (frozenset(), frozenset({Y}))), name
+        marg = conjugacy.marginal(prior, cond, X)
+        post = conjugacy.posterior(prior, cond, X, VRV(CHILD))
+        a_marg = conjugacy.marginal(a_prior, a_cond, X, ad.ALGEBRA)
+        a_post = conjugacy.posterior(a_prior, a_cond, X, ad.ARV(CHILD), ad.ALGEBRA)
+        for got, want in ((a_marg, marg), (a_post, post)):
+            assert got == (want if want is None else map_params(want, _abstract)), name
+    bb = conjugacy.BERNOULLI_BERNOULLI
+    assert cases["bernoulli-bernoulli, live parent probability"] == (bb, bb)
+    assert cases["quadratic mean"] == (None, None)
+    assert cases["live child variance"] == (None, conjugacy.LINEAR_GAUSSIAN)

@@ -55,6 +55,36 @@ def test_check_unbound_variable():
     assert any("unbound variable y" in d for d in check(parse("y")))
 
 
+RESAMPLING_F = "let f = fun (a) -> let () = resample() in a\n"
+
+
+@pytest.mark.parametrize("main", [
+    "let y = f(1.) + 2. in y",  # operator argument
+    "let y = f(f(1.)) in y",  # call argument
+    "let t = (f(1.), 2.) in t",  # tuple element
+    "[f(1.)]",  # list element
+    "let x <- gaussian(f(1.), 1.) in x",  # distribution argument
+    "observe(gaussian(0., 1.), f(1.))",  # observed value
+    "if f(1.) < 0. then 1. else 2.",  # if condition
+    "List.map(f, [1., 2.])",  # map of a resampling function
+    "let y = (let () = resample() in 1.) + 2. in y",  # a bare resample
+])
+def test_check_rejects_resample_outside_sequencing_position(main):
+    diags = check(parse(RESAMPLING_F + main))
+    assert len(diags) == 1 and "outside a sequencing position" in diags[0], diags
+
+
+def test_check_accepts_resample_in_sequencing_positions():
+    src = RESAMPLING_F + """let g = fun (a) -> if a < 0. then f(a) else let () = resample() in a
+let step = fun (z, acc) -> g(acc + z)
+let y = f(1.) in
+let x <- gaussian(y, 1.) in
+let z = fold(step, data, x) in
+if z < 0. then g(z) else z
+"""
+    assert check(parse(src)) == []
+
+
 def test_fold_resample_sugar():
     src = """
 let step = fun (z, acc) -> acc + z

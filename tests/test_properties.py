@@ -1,8 +1,10 @@
 """Property-based checks over randomly generated terms."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from symppl.absdomain import AConst, AEUnk, ARV, UNK, aadd, adiv, aite, amul, asub, join_expr, leq_expr
+from symppl.absdomain import (
+    AAdd, AConst, AEUnk, ARV, ASub, UNK, aadd, adiv, aite, amul, asub, join_expr, leq_expr,
+)
 from symppl.lang import Annotation
 from symppl.sym import (
     DNormal,
@@ -50,6 +52,10 @@ def abs_exprs(depth=3):
 
 @settings(max_examples=300, deadline=None)
 @given(abs_exprs(), abs_exprs())
+@example(  # joins to UNK: variable-free, top-free scalars lie below it
+    a=aite(AAdd(UNK, AEUnk(frozenset())), AConst(0.0), AConst(0.0)),
+    b=aite(ASub(AConst(0.0), AEUnk(frozenset())), AConst(0.0), UNK),
+)
 def test_join_is_upper_bound(a, b):
     j = join_expr(a, b)
     assert leq_expr(a, j) and leq_expr(b, j)
