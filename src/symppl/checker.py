@@ -174,7 +174,7 @@ def impure_functions(program: Program) -> set[str]:
             match e:
                 case EObserve(_, _, _) | EResample():
                     impure.add(f.name)
-                case ECall(func, _) | EFold(func, _, _):
+                case ECall(func, _) | EFold(func, _, _) | EOp("map", (EVar(func), _)):
                     if func in impure:
                         impure.add(f.name)
                 case _:
@@ -187,7 +187,7 @@ def is_pure(e: Expr, impure: set[str]) -> bool:
         match x:
             case EObserve(_, _, _) | EResample():
                 return False
-            case ECall(func, _) | EFold(func, _, _):
+            case ECall(func, _) | EFold(func, _, _) | EOp("map", (EVar(func), _)):
                 if func in impure:
                     return False
             case _:

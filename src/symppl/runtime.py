@@ -1,9 +1,15 @@
 """Particle evaluation with resample checkpoints, particle sets, mixtures.
 
-Evaluation is substitution-based and follows big-step rules: a particle
-runs until it terminates with a value or pauses at a ``resample`` with a
-residual expression.  Sequencing positions (``let`` bodies, fold steps) are
-iterated rather than recursed so long folds do not grow the Python stack.
+Evaluation follows big-step rules under an environment: a particle runs
+until it terminates with a value or pauses at a ``resample`` with a
+residual expression.  A call starts from a fresh environment holding only
+its parameters (functions are first-order and closed), and ``let`` extends
+a copy of its frame's environment.  Substitution happens only when a
+particle pauses: each enclosing ``let`` substitutes its environment into
+the rest of its body, so the residual a particle keeps is a closed
+expression that resampled copies can share.  Sequencing positions (``let``
+bodies, fold steps) are iterated rather than recursed so long folds do not
+grow the Python stack.
 
 List elements are evaluated only where they are used (``cons`` evaluates
 its head, ``hd`` the element it returns, a fold each element as it is
@@ -70,7 +76,9 @@ class DegenerateWeights(Exception):
 
 @dataclass(frozen=True, slots=True)
 class EFoldRest(Expr):
-    """Residual of a running fold: ``items[pos:]`` are still to be consumed.
+    """Residual of a fold paused inside a step: ``acc`` is the paused
+    step's residual, whose value is the accumulator, and ``items[pos:]`` are
+    still to be consumed.
 
     Only the evaluator builds it; the list was evaluated once on entry to
     the fold, and each element is evaluated again as it is consumed.
@@ -83,6 +91,11 @@ class EFoldRest(Expr):
 
 
 def subst(e: Expr, bindings: dict[str, Val]) -> Expr:
+    """``e`` with its free variables in ``bindings`` replaced by values.
+
+    The evaluator uses it only to close ``main`` over ``data`` and a paused
+    residual over the environments of its enclosing frames.
+    """
     if not bindings:
         return e
     match e:
@@ -111,8 +124,6 @@ def subst(e: Expr, bindings: dict[str, Val]) -> Expr:
             return EObserve(dist, tuple(subst(x, bindings) for x in args), subst(value, bindings))
         case EFold(f, lst, init):
             return EFold(f, subst(lst, bindings), subst(init, bindings))
-        case EFoldRest(f, items, pos, acc):
-            return EFoldRest(f, items, pos, subst(acc, bindings))
     raise TypeError(e)
 
 
@@ -166,13 +177,8 @@ class Evaluator:
         self.program = program
         self.backend = backend
         self.impure = impure_functions(program)
-        self._fresh = 0
 
     # --- helpers ---
-
-    def _fresh_name(self) -> str:
-        self._fresh += 1
-        return f"__t{self._fresh}"
 
     def _eval_op(self, op: str, args: list[Val], p: Particle) -> Val:
         g = p.state
@@ -218,13 +224,24 @@ class Evaluator:
     def _apply_map(self, fname: str, lst: Val, p: Particle) -> Val:
         if not isinstance(lst, VLst):
             raise EvalError("map over a non-list value")
+        f = self.program.function(fname)
         out = []
         for el in lst.items:
-            r, interrupted = self._run(ECall(fname, EVal(el)), p)
+            r, interrupted = self._run(f.body, match_pattern(f.param, el), p)
             if interrupted:
                 raise EvalError("resample inside map is not supported")
             out.append(r)
         return VLst(tuple(out))
+
+    def _fold_from(self, fname: str, items: tuple[Val, ...], pos: int, acc: Val, p: Particle):
+        """Runs the steps of a fold from ``items[pos]`` on; like ``_run``."""
+        f = self.program.function(fname)
+        for pos in range(pos, len(items)):
+            head = p.state.eval_value(items[pos])
+            acc, interrupted = self._run(f.body, match_pattern(f.param, VTup((head, acc))), p)
+            if interrupted:
+                return EFoldRest(fname, items, pos + 1, acc), True
+        return acc, False
 
     # --- particle evaluation ---
 
@@ -232,7 +249,7 @@ class Evaluator:
         """Run until the next checkpoint or termination."""
         if p.flag:
             raise EvalError("particle already paused")
-        r, interrupted = self._run(p.cont, p)
+        r, interrupted = self._run(p.cont, {}, p)
         if interrupted:
             p.cont = r
             p.flag = True
@@ -241,8 +258,14 @@ class Evaluator:
             p.cont = EVal(r)
             p.flag = False
 
-    def _run(self, e: Expr, p: Particle):
-        """Returns ``(value, False)`` or ``(residual_expr, True)``."""
+    def _run(self, e: Expr, env: dict[str, Val], p: Particle):
+        """Evaluates ``e`` under ``env``.
+
+        Returns ``(value, False)``, or ``(residual_expr, True)`` when the
+        particle pauses at a ``resample``.  A residual is closed: each frame
+        substitutes its own environment into what it returns.  ``env`` is
+        never mutated, since an enclosing frame may still read it.
+        """
         while True:
             match e:
                 case EVal(v):
@@ -250,11 +273,14 @@ class Evaluator:
                 case EConst(c):
                     return VConst(c), False
                 case EVar(name):
-                    raise EvalError(f"unbound variable {name}")
+                    try:
+                        return env[name], False
+                    except KeyError:
+                        raise EvalError(f"unbound variable {name}") from None
                 case ETuple(items):
                     vals = []
                     for x in items:
-                        v, interrupted = self._run(x, p)
+                        v, interrupted = self._run(x, env, p)
                         if interrupted:
                             raise EvalError("resample in tuple position")
                         vals.append(v)
@@ -262,40 +288,42 @@ class Evaluator:
                 case EList(items):
                     vals = []
                     for x in items:
-                        v, _ = self._run(x, p)
+                        v, _ = self._run(x, env, p)
                         vals.append(v)
                     return VLst(tuple(vals)), False
                 case EOp("map", (EVar(fname), lst_e)):
-                    lst, _ = self._run(lst_e, p)
+                    lst, _ = self._run(lst_e, env, p)
                     return self._apply_map(fname, lst, p), False
                 case EOp(op, args):
                     vals = []
                     for x in args:
-                        v, _ = self._run(x, p)
+                        v, _ = self._run(x, env, p)
                         vals.append(v)
                     return self._eval_op(op, vals, p), False
                 case ECall(fname, arg):
-                    v, _ = self._run(arg, p)
+                    v, _ = self._run(arg, env, p)
                     f = self.program.function(fname)
-                    e = subst(f.body, match_pattern(f.param, v))
+                    e, env = f.body, match_pattern(f.param, v)
                 case EIf(ce, te, oe):
-                    cv, _ = self._run(ce, p)
+                    cv, _ = self._run(ce, env, p)
                     cv = p.state.eval_value(cv)
                     if not isinstance(cv, VConst) and is_pure(te, self.impure) and is_pure(oe, self.impure):
-                        tv, _ = self._run(te, p)
-                        ov, _ = self._run(oe, p)
+                        tv, _ = self._run(te, env, p)
+                        ov, _ = self._run(oe, env, p)
                         return ite(cv, tv, ov), False
                     c = value_star(cv, p.state, self.backend, p.rng, p.casts)
                     e = te if c.v else oe
                 case ELet(pat, bound, body):
-                    r, interrupted = self._run(bound, p)
+                    r, interrupted = self._run(bound, env, p)
                     if interrupted:
-                        return ELet(pat, r, body), True
-                    e = subst(body, match_pattern(pat, r))
+                        names = pattern_vars(pat)
+                        rest = {k: v for k, v in env.items() if k not in names}
+                        return ELet(pat, r, subst(body, rest)), True
+                    e, env = body, env | match_pattern(pat, r)
                 case ELetRV(ann, name, dist, args, body):
                     argv = []
                     for x in args:
-                        v, _ = self._run(x, p)
+                        v, _ = self._run(x, env, p)
                         argv.append(p.state.eval_value(v))
                     d = make_dist(dist, tuple(argv))
                     rid = self.backend.assume(ann, d, p.state, p.rng, p.casts, label=name)
@@ -303,16 +331,16 @@ class Evaluator:
                         bound_v: Val = self.backend.value(rid, p.state, p.rng, p.casts)
                     else:
                         bound_v = VRV(rid)
-                    e = subst(body, {name: bound_v})
+                    e, env = body, {**env, name: bound_v}
                 case EObserve(dist, args, value_e):
                     argv = []
                     for x in args:
-                        v, _ = self._run(x, p)
+                        v, _ = self._run(x, env, p)
                         argv.append(p.state.eval_value(v))
                     d = make_dist(dist, tuple(argv))
                     rid = self.backend.assume(Annotation.NONE, d, p.state, p.rng, p.casts,
                                               label="obs")
-                    ve, _ = self._run(value_e, p)
+                    ve, _ = self._run(value_e, env, p)
                     c = value_star(ve, p.state, self.backend, p.rng, p.casts)
                     w = self.backend.observe(rid, c.v, p.state, p.rng, p.casts)
                     p.logw += w
@@ -321,25 +349,19 @@ class Evaluator:
                     p.checkpoint = site
                     return EVal(VConst(None)), True
                 case EFold(fname, lst_e, init_e):
-                    lst, _ = self._run(lst_e, p)
+                    lst, _ = self._run(lst_e, env, p)
                     lst = p.state.eval_value(lst)
-                    init, interrupted = self._run(init_e, p)
+                    init, interrupted = self._run(init_e, env, p)
                     if interrupted:
                         raise EvalError("resample in fold initializer")
                     if not isinstance(lst, VLst):
                         raise EvalError("fold over a non-list value")
-                    e = EFoldRest(fname, lst.items, 0, EVal(init))
+                    return self._fold_from(fname, lst.items, 0, init, p)
                 case EFoldRest(fname, items, pos, acc_e):
-                    acc, _ = self._run(acc_e, p)
-                    if pos == len(items):
-                        return acc, False
-                    head = p.state.eval_value(items[pos])
-                    tmp = self._fresh_name()
-                    e = ELet(
-                        PVar(tmp),
-                        ECall(fname, ETuple((EVal(head), EVal(acc)))),
-                        EFoldRest(fname, items, pos + 1, EVar(tmp)),
-                    )
+                    acc, interrupted = self._run(acc_e, env, p)
+                    if interrupted:
+                        return EFoldRest(fname, items, pos, acc), True
+                    return self._fold_from(fname, items, pos, acc, p)
                 case _:
                     raise TypeError(e)
 

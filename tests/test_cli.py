@@ -149,3 +149,74 @@ def test_data_csv_matches_generated_data(name, tmp_path):
     args = argparse.Namespace(data=str(tmp_path / f"{name}_data.csv"))
     value, _ = bm.data_for(name, 4, 6)
     assert repr(_load_data(args, name)) == repr(value)  # repr tells True from 1.0
+
+
+MAP_OF_OBSERVING_FUNCTION = """\
+let f = fun (z) -> let () = observe(gaussian(0., 1.), z) in z
+let x <- gaussian(0., 1.) in
+let y = if x < 0. then List.map(f, [1.]) else [2.] in
+y
+"""
+
+
+def main_out(capsys, *argv):
+    from symppl.cli import main
+
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("method", ["ssi", "ds"])
+def test_map_of_observing_function_is_impure(method, tmp_path, capsys):
+    # a symbolic if-condition whose branch maps an observing function must be
+    # forced, not evaluated on both sides
+    src = tmp_path / "map.si"
+    src.write_text(MAP_OF_OBSERVING_FUNCTION)
+    code, out, _ = main_out(capsys, "run", str(src), "--method", method, "--plan", "0",
+                            "--particles", "2")
+    assert code == 0
+    assert json.loads(out)["casts"]
+    _, verdict, _ = main_out(capsys, "analyze", str(src), "--method", method, "--plan", "0")
+    code, _, err = main_out(capsys, "run", str(src), "--method", method, "--plan", "0",
+                            "--particles", "2", "--strict-casts")
+    cast_error = code == 3 and err.startswith("error: unsatisfiable annotation")
+    # the analysis calls the plan satisfiable exactly when a strict run needs no cast
+    assert (json.loads(verdict)["verdict"] == "satisfiable") != cast_error
+
+
+# SHA-256 of `run ... --particles 4 --seed 0 --timesteps 8` JSON without
+# `wall_ms`, recorded before the evaluator became environment-based: one
+# satisfiable and one rejected plan per model, both backends.
+RUN_DIGESTS = [
+    ("noise", 4, "ssi", "f4303ffc0c33d2aad0943c7d10ee323e11e6a51378db7d8fa5d84b5918c7cd69"),
+    ("noise", 4, "ds", "c64895f4740565756c6647d9f7a86b9146cf006a0fc1c6c27e1ffd2c1e7684cc"),
+    ("noise", 0, "ssi", "c28062c318c601f735bbb4a08e0e8246f24f82babb1a26d226fba981ac0755e2"),
+    ("noise", 0, "ds", "f243a9d1d7b4eb91173d6eba1e90a1805548c27862d2a1983085b6205c73949b"),
+    ("outlier", 6, "ssi", "7c3f00515294f98b29a7f25672d10ee0031d89d73ce42e594c2c060767c09319"),
+    ("outlier", 6, "ds", "3703842d68039cad6b7718f1163ac5cf765ce6b48a95aaf27c28118f77f6ca20"),
+    ("outlier", 0, "ssi", "bfb7fe5a1a88d32803f501dd6b89d76628ab2173542202475a69e90790ce98db"),
+    ("outlier", 0, "ds", "8f025fe46ce6036d3bc40953dd395a2d1896ff781df160a19406e6086100fc47"),
+    ("slds", 112, "ssi", "3449c85f0c3db3655b4ba072e169896368ee5794ec684c5c1cb0cc05f1bdf3fc"),
+    ("slds", 112, "ds", "4ee4dd73bbecdf63bb0e0bee54004040ab85cf208c414840dff8231971c1c9e4"),
+    ("slds", 0, "ssi", "b77e5defd3aa829c87c11bb3a522f3833111534141fa403378d104b440dc2fb0"),
+    ("slds", 0, "ds", "77faaf2cdd94efef5247bae6a0d45e80be13768180ccaa1988beebd2e774bc83"),
+    ("slam", 1, "ssi", "0ff0d30c762c0db8208d3a0d2fe48beffe7f79827452fd77fe27d4371880f4b3"),
+    ("slam", 1, "ds", "0f74b2252b6849f1e240b1865c8ba434ed2bc7a830303a1c79245beda11814ee"),
+    ("slam", 0, "ssi", "b1ba343f37d629344e1853b29c4ba1c6ab667c0a82ae907d746836dc50042cbb"),
+    ("slam", 0, "ds", "3d332b48d0ef7b9d5010b28659bfc766eecaebc22be2e0fab8f77c538431fe5a"),
+]
+
+
+@pytest.mark.parametrize("name,plan,method,digest", RUN_DIGESTS,
+                         ids=[f"{n}-{p}-{m}" for n, p, m, _ in RUN_DIGESTS])
+def test_run_output_matches_recorded_digest(name, plan, method, digest, capsys):
+    import hashlib
+
+    code, out, err = main_out(capsys, "run", str(MODELS / f"{name}.si"), "--method", method,
+                              "--plan", str(plan), "--benchmark", name, "--particles", "4",
+                              "--seed", "0", "--timesteps", "8")
+    assert (code, err) == (0, "")
+    result = json.loads(out)
+    result.pop("wall_ms")
+    assert hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest() == digest

@@ -154,3 +154,14 @@ def test_plan_guard():
 def test_comments_and_nesting():
     prog = parse("(* a (* nested *) comment *) let x = 1. in x")
     assert isinstance(prog.main, ELet)
+
+
+def test_map_counts_as_a_call_for_purity():
+    from symppl.checker import impure_functions, is_pure
+
+    prog = parse("let f = fun z -> let () = observe(gaussian(0., 1.), z) in z\n"
+                 "let g = fun l -> List.map(f, l)\n"
+                 "List.map(f, [1.])")
+    impure = impure_functions(prog)
+    assert impure == {"f", "g"}
+    assert not is_pure(prog.main, impure)

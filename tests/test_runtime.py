@@ -1,5 +1,6 @@
 """Particle evaluation, resampling, and mixture statistics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from symppl import parse
 from symppl.benchmarks import data_for
 from symppl.checker import apply_plan
 from symppl.ds import DsBackend
+import symppl.runtime as runtime
 from symppl.runtime import (
     DegenerateWeights,
     Evaluator,
@@ -21,8 +23,8 @@ from symppl.runtime import (
 )
 from symppl.interface import CastLog
 from symppl.ssi import SsiBackend
-from symppl.sym import DDelta, DNormal, VConst, VLst, VTup
-from symppl.lang import EConst, EVal
+from symppl.sym import DDelta, DNormal, EvalError, VConst, VLst, VTup
+from symppl.lang import EConst, ELet, ELetRV, EVal, EVar, Expr, pattern_vars
 
 
 def make_particle(expr):
@@ -268,3 +270,126 @@ def test_long_stream_hoist_does_not_recurse():
     for t in range(1500):
         mean, var = posterior_stats(mix, (0, t))
         assert math.isfinite(mean) and math.isfinite(var)
+
+
+def only_output(mix):
+    """The output tree shared by every particle of a deterministic run."""
+    (tree,) = {str(tree) for _, tree in mix.components}
+    return tree
+
+
+def test_inner_let_does_not_rebind_outer_name():
+    assert only_output(run_src("let x = 1. in let y = (let x = 2. in x) in (x, y)", n=2)) == str(
+        (DDelta(VConst(1.0)), DDelta(VConst(2.0))))
+
+
+def test_call_sees_only_its_parameters():
+    src = """
+let f = fun x -> x + 1.
+let x = 10. in
+let y = f(2.) in
+(x, y)
+"""
+    assert only_output(run_src(src)) == str((DDelta(VConst(10.0)), DDelta(VConst(3.0))))
+    # a function body cannot read a name its caller bound
+    with pytest.raises(EvalError, match="unbound variable b"):
+        run_src("let g = fun a -> a + b\nlet b = 1. in g(2.)")
+
+
+def test_tuple_pattern_shadows_only_its_names():
+    src = "let a = 1. in let b = 2. in let (a, c) = (3., 4.) in (a, b, c)"
+    assert only_output(run_src(src)) == str(
+        (DDelta(VConst(3.0)), DDelta(VConst(2.0)), DDelta(VConst(4.0))))
+
+
+def free_names(e: Expr, bound: frozenset = frozenset()) -> set[str]:
+    """Variables of ``e`` that no enclosing binder of ``e`` binds."""
+    match e:
+        case EVar(name):
+            return set() if name in bound else {name}
+        case ELet(pat, b, body):
+            return free_names(b, bound) | free_names(body, bound | set(pattern_vars(pat)))
+        case ELetRV(_, name, _, args, body):
+            return set().union(*(free_names(x, bound) for x in args),
+                               free_names(body, bound | {name}))
+    out: set[str] = set()
+    for field in dataclasses.fields(e):
+        value = getattr(e, field.name)
+        for x in value if isinstance(value, tuple) else (value,):
+            if isinstance(x, Expr):
+                out |= free_names(x, bound)
+    return out
+
+
+NESTED_PAUSE = """
+let step = fun (z, acc) ->
+  let symbolic x <- gaussian(acc, 1.) in
+  let () = observe(gaussian(x, 0.5), z) in
+  let (y, _) = (let w = (x, z) in let () = resample() in w) in
+  y
+let last = fold(step, data, 0.) in
+last
+"""
+
+
+def test_paused_residual_is_closed_and_resumes_like_a_full_run():
+    prog = parse(NESTED_PAUSE)
+    data = VLst((VConst(0.3), VConst(-0.2), VConst(0.9)))
+    ev = Evaluator(prog, SsiBackend())
+    p = make_particle(runtime.subst(prog.main, {"data": data}))
+    pauses = 0
+    while True:
+        ev.eval_particle(p)
+        if not p.flag:
+            break
+        pauses += 1
+        assert free_names(p.cont) == set()
+        p = p.copy_for_resample(np.random.default_rng(pauses))
+        p.flag = False
+    assert pauses == len(data.items)
+    from symppl.interface import distribution
+
+    resumed = distribution(p.value, p.state, ev.backend, p.rng, CastLog())
+    assert str(resumed) == only_output(run_model(prog, 3, 0, SsiBackend(), data))
+
+
+def count_top_level_subst(monkeypatch) -> list[int]:
+    """Counts calls of ``runtime.subst`` that are not its own recursion."""
+    calls, depth = [0], [0]
+    original = runtime.subst
+
+    def counted(e, bindings):
+        calls[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return original(e, bindings)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(runtime, "subst", counted)
+    return calls
+
+
+def test_no_substitution_without_a_pause(monkeypatch):
+    calls = count_top_level_subst(monkeypatch)
+    src = """
+let inc = fun (z, acc) -> let (a, b) = (acc, z) in a + b
+let twice = fun x -> let y = inc(x, x) in y
+let s = fold(inc, data, 0.) in
+let t = twice(s) in
+List.map(twice, [t, s])
+"""
+    run_src(src, VLst((VConst(1.0), VConst(2.0))), n=3)
+    assert calls[0] == 1  # closing ``main`` over ``data``
+
+
+def test_substitution_only_closes_paused_frames(monkeypatch):
+    # on noise a particle pauses inside the step's ``let () = resample()``,
+    # which runs inside main's ``let (xs, q, r) = fold(...)``: two frames
+    per_pause = []
+    for timesteps in (20, 80):
+        calls = count_top_level_subst(monkeypatch)
+        noise_run(4, DsBackend(), 2, timesteps)
+        monkeypatch.undo()
+        per_pause.append((calls[0] - 1) / (2 * timesteps))  # one call closes ``main``
+    assert per_pause[0] == per_pause[1] <= 2
