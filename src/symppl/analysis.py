@@ -1,9 +1,17 @@
 """Satisfiability analysis: abstract interpretation of annotation plans.
 
-One abstract particle interprets the program; ``resample`` is a no-op and
-there are no weights.  Forcing a variable whose abstract annotation is
-SYMBOLIC aborts with failure, as does any lattice escalation that touches a
-symbolic variable.  The verdict is deterministic.
+The analysis is the runtime's evaluation loop (``runtime.Evaluator._run``)
+run over the domain of ``absdomain``.  ``AbsInterp`` supplies only that
+domain: value constructors, operators, pattern binding, the join of both
+branches of an ``if`` whose forced condition stays unknown, the fixpoint
+of a fold over a list of unknown length, and the abstract backends.
+``main`` is closed over an unknown ``data`` with ``runtime.subst``, as
+``run_model`` closes it over the data, and one abstract particle runs it;
+``resample`` is a no-op and there are no weights.  Forcing a variable
+whose abstract annotation is SYMBOLIC aborts with failure, as does any
+lattice escalation that touches a symbolic variable.  The verdict is
+deterministic.  A program the analysis cannot interpret raises
+``AnalysisError``.
 """
 
 from __future__ import annotations
@@ -47,30 +55,15 @@ from .absdomain import (
     rename_join,
     rv_free,
 )
-from .checker import impure_functions, is_pure
-from .lang import (
-    Annotation,
-    ECall,
-    EConst,
-    EFold,
-    EIf,
-    EList,
-    ELet,
-    ELetRV,
-    EObserve,
-    EOp,
-    EResample,
-    ETuple,
-    EVal,
-    EVar,
-    Expr,
-    Program,
-)
-from .lang import Pattern, PTuple, PUnit, PVar, PWild
-from .runtime import subst as esubst
-from .sym import DDelta, Distr, make_dist
+from .lang import Annotation, Expr, Pattern, Program, PTuple, PUnit, PVar, PWild
+from .runtime import Evaluator, subst as esubst
+from .sym import DDelta, Distr, EvalError
 
 FOLD_ITER_LIMIT = 1000
+
+
+class AnalysisError(EvalError):
+    """A program the analysis cannot interpret (a limit, not a verdict)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -340,22 +333,54 @@ def _node_with_children(node, children: frozenset[int]):
 # --- abstract interpreter ---
 
 
-def _abs_const(c: float | bool | None) -> AbsVal:
-    return AConst(c)
+def _abs_match(pat: Pattern, v: AbsVal) -> dict[str, AbsVal]:
+    """Bind a pattern against an abstract value, projecting unknowns."""
+    out: dict[str, AbsVal] = {}
+
+    def go(p: Pattern, x: AbsVal) -> None:
+        match p:
+            case PVar(name):
+                out[name] = x
+            case PWild() | PUnit():
+                pass
+            case PTuple(items):
+                match x:
+                    case ATup(vals) if len(vals) == len(items):
+                        for q, y in zip(items, vals):
+                            go(q, y)
+                    case AEUnk(s):
+                        for q in items:
+                            go(q, AEUnk(s))
+                    case ATopE():
+                        for q in items:
+                            go(q, TOP_E)
+                    case _:
+                        raise AnalysisError(f"pattern arity mismatch: {p} vs {x}")
+    go(pat, v)
+    return out
 
 
-class AbsInterp:
-    def __init__(self, program: Program, backend: AbsSsi | AbsDs):
-        self.program = program
-        self.backend = backend
-        self.impure = impure_functions(program)
-        self._fresh = 0
+@dataclass(slots=True)
+class AbsParticle:
+    """The analysis's one particle: a state, with no weight and no pause."""
 
-    def _fresh_name(self) -> str:
-        self._fresh += 1
-        return f"__a{self._fresh}"
+    state: AbsState
 
-    def value_star(self, v: AbsVal, g: AbsState) -> AbsVal:
+
+class AbsInterp(Evaluator):
+    """The runtime's evaluation loop over the abstract domain."""
+
+    Const = AConst
+    Tup = ATup
+    Lst = ALst
+    RV = ARV
+    ite = staticmethod(aite)
+    fv = staticmethod(fv)
+    bind = staticmethod(_abs_match)
+
+    def _force(self, v: AbsVal, p: AbsParticle) -> AbsVal:
+        """``value_star``: force each variable, then fold; ``UNK`` if still unknown."""
+        g = p.state
         e = g.eval_value(v)
         if isinstance(e, AConst):
             return e
@@ -365,8 +390,43 @@ class AbsInterp:
         e = g.eval_value(e)
         return e if isinstance(e, AConst) else UNK
 
-    def _eval_op(self, op: str, args: list[AbsVal], g: AbsState) -> AbsVal:
-        a = [g.eval_value(x) for x in args]
+    def _join_branches(self, te: Expr, oe: Expr, env: dict, p: AbsParticle) -> AbsVal:
+        """Both branches from copies of the state, joined."""
+        p1 = AbsParticle(p.state.copy())
+        tv, _ = self._run(te, env, p1)
+        p2 = AbsParticle(p.state.copy())
+        ov, _ = self._run(oe, env, p2)
+        joined, gj = rename_join(tv, ov, p1.state, p2.state, in_fold=False)
+        p.state.entries = gj.entries
+        return joined
+
+    def _assume(self, ann: Annotation, d: Distr, p: AbsParticle, label: str,
+                site: int | None) -> int:
+        return self.backend.assume(ann, d, p.state, site="obs" if site is None else f"rv:{site}",
+                                   label=label)
+
+    def _value(self, rid: int, p: AbsParticle) -> AbsVal:
+        return self.backend.value(rid, p.state)
+
+    def _observe(self, rid: int, c: AbsVal, p: AbsParticle) -> None:
+        self.backend.observe(rid, c, p.state)
+
+    def _resample(self, site: int, p: AbsParticle):
+        return AConst(None), False
+
+    def _map_items(self, lst: AbsVal, p: AbsParticle) -> tuple[AbsVal, ...]:
+        lst = p.state.eval_value(lst)
+        if not isinstance(lst, ALst) or lst.tail is not None:
+            raise AnalysisError("map over an unknown list is unsupported")
+        return lst.items
+
+    def _fold(self, fname: str, lst: AbsVal, init: AbsVal, p: AbsParticle):
+        if isinstance(lst, ALst) and lst.tail is None:
+            return self._fold_from(fname, lst.items, 0, init, p)
+        return self.fold_fixpoint(fname, lst, init, p), False
+
+    def _eval_op(self, op: str, args: list[AbsVal], p: AbsParticle) -> AbsVal:
+        a = [p.state.eval_value(x) for x in args]
         match op:
             case "+":
                 return aadd(a[0], a[1])
@@ -428,136 +488,23 @@ class AbsInterp:
                 if isinstance(lo, AConst) and isinstance(hi, AConst):
                     return ALst(tuple(AConst(float(i)) for i in range(int(lo.v), int(hi.v))), None)
                 return AEUnk(frozenset())
-        raise ValueError(op)
+        raise EvalError(f"unknown operator {op}")
 
-    def run(self, e: Expr, g: AbsState) -> AbsVal:
-        while True:
-            match e:
-                case EVal(v):
-                    return v
-                case EConst(c):
-                    return _abs_const(c)
-                case EVar("data"):
-                    return AEUnk(frozenset())
-                case EVar(name):
-                    raise ValueError(f"unbound variable {name}")
-                case ETuple(items):
-                    return ATup(tuple(self.run(x, g) for x in items))
-                case EList(items):
-                    return ALst(tuple(self.run(x, g) for x in items), None)
-                case EOp("map", (EVar(fname), lst_e)):
-                    lst = g.eval_value(self.run(lst_e, g))
-                    if not isinstance(lst, ALst) or lst.tail is not None:
-                        raise ValueError("map over an unknown list is unsupported")
-                    f = self.program.function(fname)
-                    out = []
-                    for el in lst.items:
-                        out.append(self.run(esubst(f.body, _abs_match(f.param, el)), g))
-                    return ALst(tuple(out), None)
-                case EOp(op, args):
-                    vals = [self.run(x, g) for x in args]
-                    return self._eval_op(op, vals, g)
-                case ECall(fname, arg):
-                    v = self.run(arg, g)
-                    f = self.program.function(fname)
-                    e = esubst(f.body, _abs_match(f.param, v))
-                case EIf(ce, te, oe):
-                    cv = g.eval_value(self.run(ce, g))
-                    if isinstance(cv, AConst):
-                        e = te if cv.v else oe
-                        continue
-                    if fv(cv) and is_pure(te, self.impure) and is_pure(oe, self.impure):
-                        tv = self.run(te, g)
-                        ov = self.run(oe, g)
-                        return aite(cv, tv, ov)
-                    c = self.value_star(cv, g)
-                    if isinstance(c, AConst):
-                        e = te if c.v else oe
-                        continue
-                    g1 = g.copy()
-                    tv = self.run(te, g1)
-                    g2 = g.copy()
-                    ov = self.run(oe, g2)
-                    joined, gj = rename_join(tv, ov, g1, g2, in_fold=False)
-                    g.entries = gj.entries
-                    return joined
-                case ELet(pat, bound, body):
-                    v = self.run(bound, g)
-                    e = esubst(body, _abs_match(pat, v))
-                case ELetRV(ann, name, dist, args, body, site):
-                    argv = [g.eval_value(self.run(x, g)) for x in args]
-                    d = make_dist(dist, tuple(argv))
-                    rid = self.backend.assume(ann, d, g, site=f"rv:{site}", label=name)
-                    if ann is Annotation.SAMPLE:
-                        bound_v = self.backend.value(rid, g)
-                    else:
-                        bound_v = ARV(rid)
-                    e = esubst(body, {name: bound_v})
-                case EObserve(dist, args, value_e):
-                    argv = [g.eval_value(self.run(x, g)) for x in args]
-                    d = make_dist(dist, tuple(argv))
-                    rid = self.backend.assume(Annotation.NONE, d, g, site="obs", label="obs")
-                    ve = self.run(value_e, g)
-                    c = self.value_star(ve, g)
-                    self.backend.observe(rid, c, g)
-                    return AConst(None)
-                case EResample():
-                    return AConst(None)
-                case EFold(fname, lst_e, init_e):
-                    lst = g.eval_value(self.run(lst_e, g))
-                    init = self.run(init_e, g)
-                    if isinstance(lst, ALst) and lst.tail is None:
-                        if not lst.items:
-                            return init
-                        acc = self._fresh_name()
-                        e = ELet(
-                            PVar(acc),
-                            ECall(fname, ETuple((EVal(lst.items[0]), EVal(init)))),
-                            EFold(fname, EVal(ALst(lst.items[1:], None)), EVar(acc)),
-                        )
-                        continue
-                    return self.fold_fixpoint(fname, lst, init, g)
-                case _:
-                    raise TypeError(e)
-
-    def fold_fixpoint(self, fname: str, lst: AbsVal, acc: AbsVal, g: AbsState) -> AbsVal:
+    def fold_fixpoint(self, fname: str, lst: AbsVal, acc: AbsVal, p: AbsParticle) -> AbsVal:
+        """A fold over a list of unknown length: the step joined into the
+        accumulator until the accumulator and the state stop changing."""
+        g = p.state
         elem: AbsVal = TOP_E if contains_top(lst) else AEUnk(fv(lst))
+        f = self.program.function(fname)
         for _ in range(FOLD_ITER_LIMIT):
-            g_iter = g.copy()
-            vf = self.run(ECall(fname, ETuple((EVal(elem), EVal(acc)))), g_iter)
-            vj, gj = rename_join(acc, vf, g, g_iter, in_fold=True)
+            it = AbsParticle(g.copy())
+            vf, _ = self._run(f.body, _abs_match(f.param, ATup((elem, acc))), it)
+            vj, gj = rename_join(acc, vf, g, it.state, in_fold=True)
             if vj == acc and abs_weak_eq(g, gj, ATup((lst, vj))):
                 return acc
             acc = vj
             g.entries = gj.entries
-        raise ValueError("fold fixpoint did not converge")
-
-
-def _abs_match(pat: Pattern, v: AbsVal) -> dict[str, AbsVal]:
-    """Bind a pattern against an abstract value, projecting unknowns."""
-    out: dict[str, AbsVal] = {}
-
-    def go(p: Pattern, x: AbsVal) -> None:
-        match p:
-            case PVar(name):
-                out[name] = x
-            case PWild() | PUnit():
-                pass
-            case PTuple(items):
-                match x:
-                    case ATup(vals) if len(vals) == len(items):
-                        for q, y in zip(items, vals):
-                            go(q, y)
-                    case AEUnk(s):
-                        for q in items:
-                            go(q, AEUnk(s))
-                    case ATopE():
-                        for q in items:
-                            go(q, TOP_E)
-                    case _:
-                        raise ValueError(f"pattern arity mismatch: {p} vs {x}")
-    go(pat, v)
-    return out
+        raise AnalysisError("fold fixpoint did not converge")
 
 
 def analyze(program: Program, method: str) -> Verdict:
@@ -565,9 +512,9 @@ def analyze(program: Program, method: str) -> Verdict:
     backend = AbsSsi() if method == "ssi" else AbsDs()
     started = time.perf_counter()
     interp = AbsInterp(program, backend)
-    g = AbsState()
+    main = esubst(program.main, {"data": AEUnk(frozenset())})
     try:
-        interp.run(program.main, g)
+        interp._run(main, {}, AbsParticle(AbsState()))
     except AnalysisFail as fail:
         elapsed = (time.perf_counter() - started) * 1000.0
         return Verdict(False, tuple(fail.witnesses), elapsed)

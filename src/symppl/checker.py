@@ -49,6 +49,8 @@ def check(program: Program) -> list[str]:
             case EVar(name):
                 if name not in scope and name != "data":
                     diags.append(f"unbound variable {name}")
+                elif name not in scope and current is not None:
+                    diags.append(f"function {current} uses data, which is bound only in main")
             case ETuple(items) | EList(items):
                 for x in items:
                     check_expr(x, scope, current)

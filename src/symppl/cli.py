@@ -2,7 +2,8 @@
 
 Subcommands: ``analyze``, ``run``, ``gen-data``, ``bench``,
 ``enumerate-plans``.  Exit codes: 0 ok, 1 usage error, 2 analyze verdict
-is unsatisfiable, 3 runtime error.
+is unsatisfiable, 3 runtime error or a program the analysis cannot
+interpret.
 """
 
 from __future__ import annotations
@@ -138,12 +139,8 @@ def cmd_run(args) -> int:
     data = _load_data(args, args.benchmark)
     backend = _backend(args.method)
     t0 = time.perf_counter()
-    try:
-        mix = run_model(program, args.particles, args.seed, backend, data,
-                        strict_casts=args.strict_casts)
-    except (CastError, DegenerateWeights, EvalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    mix = run_model(program, args.particles, args.seed, backend, data,
+                    strict_casts=args.strict_casts)
     out = _mixture_to_json(mix)
     out["particles"] = args.particles
     out["seed"] = args.seed
@@ -208,10 +205,11 @@ def cmd_bench(args) -> int:
     spec = bm.BENCHMARKS[args.benchmark]
     plans = [int(p) for p in args.plans.split(",")]
     particle_counts = [int(p) for p in args.particles.split(",")]
+    program = spec.program()
+    planned = [_planned(program, plan) for plan in plans]
     if not args.allow_casts:
-        program = spec.program()
-        for plan in plans:
-            if not analyze(apply_plan(program, plan), args.method).satisfiable:
+        for plan, prog in zip(plans, planned):
+            if not analyze(prog, args.method).satisfiable:
                 print(f"error: plan {plan} is unsatisfiable under {args.method} "
                       "(use --allow-casts to run anyway)", file=sys.stderr)
                 return 1
@@ -329,6 +327,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except (CastError, DegenerateWeights, EvalError) as exc:  # EvalError covers AnalysisError
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except BrokenPipeError:
         return 0
 

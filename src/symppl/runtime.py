@@ -15,6 +15,9 @@ List elements are evaluated only where they are used (``cons`` evaluates
 its head, ``hd`` the element it returns, a fold each element as it is
 consumed), so the cost of one step does not grow with the lists a model
 carries along.
+
+``Evaluator._run`` is the package's only evaluation loop: the analysis
+(``analysis.AbsInterp``) runs it over abstract values.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from .sym import (
     add,
     cmp,
     div,
+    free_vars,
     ite,
     make_dist,
     moments,
@@ -171,14 +175,28 @@ class Particle:
 
 
 class Evaluator:
-    """Evaluates particles of one program under one backend."""
+    """Evaluates particles of one program under one backend.
+
+    A domain (concrete here, abstract in ``analysis.AbsInterp``) supplies
+    its value constructors as class attributes and the hooks below, which
+    sit only at nodes that call out anyway: ``if``, ``let <-``,
+    ``observe``, ``fold``, ``map`` and ``resample``.
+    """
+
+    Const = VConst
+    Tup = VTup
+    Lst = VLst
+    RV = VRV
+    ite = staticmethod(ite)
+    fv = staticmethod(free_vars)
+    bind = staticmethod(match_pattern)
 
     def __init__(self, program: Program, backend: Backend):
         self.program = program
         self.backend = backend
         self.impure = impure_functions(program)
 
-    # --- helpers ---
+    # --- domain hooks ---
 
     def _eval_op(self, op: str, args: list[Val], p: Particle) -> Val:
         g = p.state
@@ -221,24 +239,50 @@ class Evaluator:
                 return VLst(tuple(VConst(float(i)) for i in range(int(lo.v), int(hi.v))))
         raise EvalError(f"unknown operator {op}")
 
-    def _apply_map(self, fname: str, lst: Val, p: Particle) -> Val:
+    def _force(self, v: Val, p: Particle) -> VConst:
+        return value_star(v, p.state, self.backend, p.rng, p.casts)
+
+    def _assume(self, ann: Annotation, d: Distr, p: Particle, label: str, site: int | None) -> int:
+        return self.backend.assume(ann, d, p.state, p.rng, p.casts, label=label)
+
+    def _value(self, rid: int, p: Particle) -> Val:
+        return self.backend.value(rid, p.state, p.rng, p.casts)
+
+    def _observe(self, rid: int, c: VConst, p: Particle) -> None:
+        p.logw += self.backend.observe(rid, c.v, p.state, p.rng, p.casts)
+
+    def _resample(self, site: int, p: Particle):
+        p.checkpoint = site
+        return EVal(VConst(None)), True
+
+    def _map_items(self, lst: Val, p: Particle) -> tuple[Val, ...]:
         if not isinstance(lst, VLst):
             raise EvalError("map over a non-list value")
+        return lst.items
+
+    def _fold(self, fname: str, lst: Val, init: Val, p: Particle):
+        if not isinstance(lst, VLst):
+            raise EvalError("fold over a non-list value")
+        return self._fold_from(fname, lst.items, 0, init, p)
+
+    # --- shared steps ---
+
+    def _apply_map(self, fname: str, lst: Val, p: Particle) -> Val:
         f = self.program.function(fname)
         out = []
-        for el in lst.items:
-            r, interrupted = self._run(f.body, match_pattern(f.param, el), p)
+        for el in self._map_items(lst, p):
+            r, interrupted = self._run(f.body, self.bind(f.param, el), p)
             if interrupted:
                 raise EvalError("resample inside map is not supported")
             out.append(r)
-        return VLst(tuple(out))
+        return self.Lst(tuple(out))
 
     def _fold_from(self, fname: str, items: tuple[Val, ...], pos: int, acc: Val, p: Particle):
         """Runs the steps of a fold from ``items[pos]`` on; like ``_run``."""
         f = self.program.function(fname)
         for pos in range(pos, len(items)):
             head = p.state.eval_value(items[pos])
-            acc, interrupted = self._run(f.body, match_pattern(f.param, VTup((head, acc))), p)
+            acc, interrupted = self._run(f.body, self.bind(f.param, self.Tup((head, acc))), p)
             if interrupted:
                 return EFoldRest(fname, items, pos + 1, acc), True
         return acc, False
@@ -271,7 +315,7 @@ class Evaluator:
                 case EVal(v):
                     return v, False
                 case EConst(c):
-                    return VConst(c), False
+                    return self.Const(c), False
                 case EVar(name):
                     try:
                         return env[name], False
@@ -284,13 +328,13 @@ class Evaluator:
                         if interrupted:
                             raise EvalError("resample in tuple position")
                         vals.append(v)
-                    return VTup(tuple(vals)), False
+                    return self.Tup(tuple(vals)), False
                 case EList(items):
                     vals = []
                     for x in items:
                         v, _ = self._run(x, env, p)
                         vals.append(v)
-                    return VLst(tuple(vals)), False
+                    return self.Lst(tuple(vals)), False
                 case EOp("map", (EVar(fname), lst_e)):
                     lst, _ = self._run(lst_e, env, p)
                     return self._apply_map(fname, lst, p), False
@@ -303,60 +347,52 @@ class Evaluator:
                 case ECall(fname, arg):
                     v, _ = self._run(arg, env, p)
                     f = self.program.function(fname)
-                    e, env = f.body, match_pattern(f.param, v)
+                    e, env = f.body, self.bind(f.param, v)
                 case EIf(ce, te, oe):
                     cv, _ = self._run(ce, env, p)
                     cv = p.state.eval_value(cv)
-                    if not isinstance(cv, VConst) and is_pure(te, self.impure) and is_pure(oe, self.impure):
-                        tv, _ = self._run(te, env, p)
-                        ov, _ = self._run(oe, env, p)
-                        return ite(cv, tv, ov), False
-                    c = value_star(cv, p.state, self.backend, p.rng, p.casts)
-                    e = te if c.v else oe
+                    if not isinstance(cv, self.Const):
+                        if self.fv(cv) and is_pure(te, self.impure) and is_pure(oe, self.impure):
+                            tv, _ = self._run(te, env, p)
+                            ov, _ = self._run(oe, env, p)
+                            return self.ite(cv, tv, ov), False
+                        cv = self._force(cv, p)
+                        if not isinstance(cv, self.Const):  # an abstract value can stay unknown
+                            return self._join_branches(te, oe, env, p), False
+                    e = te if cv.v else oe
                 case ELet(pat, bound, body):
                     r, interrupted = self._run(bound, env, p)
                     if interrupted:
                         names = pattern_vars(pat)
                         rest = {k: v for k, v in env.items() if k not in names}
                         return ELet(pat, r, subst(body, rest)), True
-                    e, env = body, env | match_pattern(pat, r)
-                case ELetRV(ann, name, dist, args, body):
+                    e, env = body, env | self.bind(pat, r)
+                case ELetRV(ann, name, dist, args, body, site):
                     argv = []
                     for x in args:
                         v, _ = self._run(x, env, p)
                         argv.append(p.state.eval_value(v))
-                    d = make_dist(dist, tuple(argv))
-                    rid = self.backend.assume(ann, d, p.state, p.rng, p.casts, label=name)
-                    if ann is Annotation.SAMPLE:
-                        bound_v: Val = self.backend.value(rid, p.state, p.rng, p.casts)
-                    else:
-                        bound_v = VRV(rid)
+                    rid = self._assume(ann, make_dist(dist, tuple(argv)), p, name, site)
+                    bound_v = self._value(rid, p) if ann is Annotation.SAMPLE else self.RV(rid)
                     e, env = body, {**env, name: bound_v}
                 case EObserve(dist, args, value_e):
                     argv = []
                     for x in args:
                         v, _ = self._run(x, env, p)
                         argv.append(p.state.eval_value(v))
-                    d = make_dist(dist, tuple(argv))
-                    rid = self.backend.assume(Annotation.NONE, d, p.state, p.rng, p.casts,
-                                              label="obs")
+                    rid = self._assume(Annotation.NONE, make_dist(dist, tuple(argv)), p, "obs", None)
                     ve, _ = self._run(value_e, env, p)
-                    c = value_star(ve, p.state, self.backend, p.rng, p.casts)
-                    w = self.backend.observe(rid, c.v, p.state, p.rng, p.casts)
-                    p.logw += w
-                    return VConst(None), False
+                    self._observe(rid, self._force(ve, p), p)
+                    return self.Const(None), False
                 case EResample(site):
-                    p.checkpoint = site
-                    return EVal(VConst(None)), True
+                    return self._resample(site, p)
                 case EFold(fname, lst_e, init_e):
                     lst, _ = self._run(lst_e, env, p)
                     lst = p.state.eval_value(lst)
                     init, interrupted = self._run(init_e, env, p)
                     if interrupted:
                         raise EvalError("resample in fold initializer")
-                    if not isinstance(lst, VLst):
-                        raise EvalError("fold over a non-list value")
-                    return self._fold_from(fname, lst.items, 0, init, p)
+                    return self._fold(fname, lst, init, p)
                 case EFoldRest(fname, items, pos, acc_e):
                     acc, interrupted = self._run(acc_e, env, p)
                     if interrupted:

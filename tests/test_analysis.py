@@ -140,3 +140,62 @@ def test_verdict_timing_reported():
     prog = apply_plan(BENCHMARKS["noise"].program(), 3)
     v = analyze(prog, "ssi")
     assert v.satisfiable and v.elapsed_ms > 0.0
+
+
+# SHA-256 of the (model, plan, method, satisfiable, witnesses) rows of every
+# shipped model, plan and backend, recorded while the analysis still had its
+# own substituting evaluator.
+VERDICTS_DIGEST = "571fbaa9e12abd7ba6ed9a9579e8ae037b5d528f68b34bc346089ffbb840e169"
+
+
+def test_verdicts_match_recorded_digest():
+    import hashlib
+
+    rows = []
+    for name in sorted(BENCHMARKS):
+        prog = BENCHMARKS[name].program()
+        for plan in range(2 ** len(rv_sites(prog))):
+            planned = apply_plan(prog, plan)
+            for method in ("ssi", "ds"):
+                v = analyze(planned, method)
+                rows.append((name, plan, method, v.satisfiable, v.witnesses))
+    assert len(rows) == 552
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == VERDICTS_DIGEST
+
+
+ONE_LOOP_PROGRAM = """\
+let inc = fun (z) -> z + 1.
+let step = fun (z, acc) -> let y = inc(z) in acc + y
+let known = fold(step, [1., 2., 3.], 0.) in
+let xs = List.map(inc, [known]) in
+let x <- gaussian(List.hd(xs), 1.) in
+let total = fold(step, data, x) in
+if total < 0. then total else known
+"""
+
+
+@pytest.mark.parametrize("method", ["ssi", "ds"])
+def test_analysis_runs_the_runtime_loop(method, monkeypatch):
+    from symppl import analysis, runtime
+
+    assert issubclass(analysis.AbsInterp, runtime.Evaluator)
+    assert not {"run", "_run"} & set(vars(analysis.AbsInterp))
+    top_level: list = []
+    depth = [0]
+    real = runtime.subst
+
+    def counted(e, bindings):
+        if not depth[0]:
+            top_level.append(e)
+        depth[0] += 1
+        try:
+            return real(e, bindings)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(runtime, "subst", counted)
+    monkeypatch.setattr(analysis, "esubst", counted)
+    for prog in (parse(ONE_LOOP_PROGRAM), apply_plan(BENCHMARKS["slam"].program(), 0)):
+        top_level.clear()
+        analyze(prog, method)
+        assert top_level == [prog.main]  # only closing main over data

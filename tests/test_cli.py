@@ -106,11 +106,26 @@ def test_enumerate_plans():
     assert out["total_plans"] == 4 and out["sites"] == ["b", "a"]
 
 
-@pytest.mark.parametrize("command", ["run", "analyze"])
+@pytest.mark.parametrize("command", ["run", "analyze", "bench"])
 def test_plan_out_of_range_is_a_usage_error(command):
-    r = run_cli(command, str(MODELS / "noise.si"), "--plan", "99")
+    if command == "bench":
+        r = run_cli(command, "noise", "--plans", "99", "--trials", "1")
+    else:
+        r = run_cli(command, str(MODELS / "noise.si"), "--plan", "99")
     assert r.returncode == 1
     assert r.stderr == "error: plan 99 out of range for 3 sites\n"
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["run", "analyze"])
+def test_data_outside_main_is_a_usage_error(command, tmp_path):
+    src = tmp_path / "data.si"
+    src.write_text("let f = fun (z) -> let n = len(data) in z + n\n"
+                   "let y = f(1.) in\n"
+                   "y\n")
+    r = run_cli(command, str(src))
+    assert r.returncode == 1
+    assert r.stderr == "error: function f uses data, which is bound only in main\n"
     assert r.stdout == ""
 
 
@@ -220,3 +235,29 @@ def test_run_output_matches_recorded_digest(name, plan, method, digest, capsys):
     result = json.loads(out)
     result.pop("wall_ms")
     assert hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest() == digest
+
+
+ANALYSIS_LIMITS = {
+    "map over an unknown list is unsupported":
+        "let f = fun (z) -> z + 1.\nlet ys = List.map(f, data) in ys\n",
+    "pattern arity mismatch": "let (a, b) = (1., 2., 3.) in a\n",
+}
+
+
+@pytest.mark.parametrize("plans", [["--plan", "0"], ["--all-plans"]])
+@pytest.mark.parametrize("limit", sorted(ANALYSIS_LIMITS))
+def test_analysis_limit_is_one_error_line(limit, plans, tmp_path, capsys):
+    src = tmp_path / "limit.si"
+    src.write_text(ANALYSIS_LIMITS[limit])
+    code, out, err = main_out(capsys, "analyze", str(src), *plans)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {limit}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("plans", [["--plan", "0"], ["--all-plans"]])
+def test_unconverged_fold_fixpoint_is_one_error_line(plans, capsys, monkeypatch):
+    from symppl import analysis
+
+    monkeypatch.setattr(analysis, "FOLD_ITER_LIMIT", 0)
+    code, out, err = main_out(capsys, "analyze", str(MODELS / "noise.si"), *plans)
+    assert (code, out, err) == (3, "", "error: fold fixpoint did not converge\n")

@@ -55,6 +55,14 @@ def test_check_unbound_variable():
     assert any("unbound variable y" in d for d in check(parse("y")))
 
 
+def test_check_rejects_data_outside_main():
+    prog = parse("let f = fun (z) -> let n = len(data) in z + n\n"
+                 "let y = f(1.) in\n"
+                 "y\n")
+    assert check(prog) == ["function f uses data, which is bound only in main"]
+    assert check(parse("let n = len(data) in n")) == []
+
+
 RESAMPLING_F = "let f = fun (a) -> let () = resample() in a\n"
 
 
