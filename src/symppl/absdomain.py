@@ -4,10 +4,17 @@ The domain mirrors the runtime forms and adds three unknowns: ``UnkC``
 (some constant), ``EUnk(S)`` (some expression over a variable set), and
 ``TopE`` (any expression).  Distributions are the runtime's forms over
 abstract parameters plus ``DUnk(S)``/``TopD``, and the delayed-sampling
-node lattice gets ``TopN``.  ``UnkC`` counts as a constant.  Joins recurse through matching heads, collapse mismatches to
-``EUnk`` over the free variables of both sides, widen scalar expressions
-deeper than ``DEPTH_LIMIT``, and (inside fold fixpoints) widen ``EUnk``
-sets with ``SET_LIMIT`` or more variables to ``TopE``.
+nodes are ``ds``'s plus ``ATopN``.  ``UnkC`` counts as a constant.
+Joins recurse through matching heads, collapse mismatches to ``EUnk``
+over the free variables of both sides, widen scalar expressions deeper
+than ``DEPTH_LIMIT``, and (inside fold fixpoints) widen ``EUnk`` sets
+with ``SET_LIMIT`` or more variables to ``TopE``.
+
+``AbsState`` is the state the ``ssi`` and ``ds`` backends run over during
+the analysis.  It supplies the abstract side of their domain hooks:
+``ALGEBRA`` for the conjugacy rules, ``fv_distr`` (which knows
+``ADUnk``), a cast that fails, forced samples and observations that are
+some constant, and ``give_up``, which over-approximates with ``set_top``.
 """
 
 from __future__ import annotations
@@ -15,10 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .conjugacy import Algebra
+from .ds import InitN, MargN, MargRootN, RealizedN
 from .lang import Annotation
 from .sym import (
     _CMP,
+    Algebra,
     DDelta,
     DMixIte,
     Distr,
@@ -137,48 +145,29 @@ class ADSampledDelta(Distr):
 @dataclass(frozen=True, slots=True)
 class ADUnk(Distr):
     fv: frozenset[int]
+    unknown = True
 
 
 @dataclass(frozen=True, slots=True)
 class ATopD(Distr):
-    pass
+    unknown = True
 
 
 TOP_D = ATopD()
 
 
-# Delayed-sampling abstract node lattice.
-
-
-@dataclass(frozen=True, slots=True)
-class AMargRoot:
-    children: frozenset[int]
-
-
-@dataclass(frozen=True, slots=True)
-class AMarg:
-    parent: int
-    prior: Distr
-    children: frozenset[int]
-
-
-@dataclass(frozen=True, slots=True)
-class AInit:
-    parent: int
-    children: frozenset[int]
-
-
-@dataclass(frozen=True, slots=True)
-class ARealized:
-    pass
+# The delayed-sampling node lattice: ``ds``'s nodes and a top.
 
 
 @dataclass(frozen=True, slots=True)
 class ATopN:
     children: frozenset[int]
 
+    def with_children(self, children: frozenset[int]) -> "ATopN":
+        return ATopN(children)
 
-AbsNode = AMargRoot | AMarg | AInit | ARealized | ATopN
+
+AbsNode = MargRootN | MargN | InitN | RealizedN | ATopN
 
 
 # --- constructors with folding ---
@@ -584,9 +573,18 @@ class AbsState:
     Ids are drawn from one global counter per analysis so "ascending id"
     orderings are meaningful; each id remembers its declaration site for
     the rename alignment fallback.
+
+    The backends of ``ssi`` and ``ds`` run over this state as over the
+    runtime's ``SymState``, with this domain's hooks: a forced sample or an
+    observation is some constant, a cast is a failure, and where the
+    runtime would raise on a broken invariant the state gives up by
+    over-approximating.
     """
 
     __slots__ = ("entries", "sites", "labels", "counter")
+
+    alg = ALGEBRA  # the value operations of the conjugacy rules
+    distr_fv = staticmethod(fv_distr)
 
     def __init__(self, counter: list[int] | None = None,
                  sites: dict[int, str] | None = None,
@@ -605,7 +603,7 @@ class AbsState:
               site: str, label: str = "") -> int:
         rid = self.counter[0]
         self.counter[0] += 1
-        self.entries[rid] = AbsEntry(ann, distr, node)
+        self.entries[rid] = AbsEntry(ann, widen_distr(distr), node)
         self.sites[rid] = site
         self.labels[rid] = label or site
         return rid
@@ -646,6 +644,25 @@ class AbsState:
 
     def witness(self, rid: int) -> tuple[str, str]:
         return (self.sites.get(rid, "?"), self.labels.get(rid, str(rid)))
+
+    # --- the backends' domain hooks ---
+
+    def cast(self, rid: int, casts) -> None:
+        raise AnalysisFail([self.witness(rid)])
+
+    def forced(self, rid: int, rng) -> tuple[Distr, AbsVal]:
+        return ADSampledDelta(UNK), UNK
+
+    def observed(self, rid: int, value: AbsVal) -> tuple[float, Distr]:
+        return 0.0, DDelta(value if rv_free(value) else UNK)
+
+    def give_up(self, rids: list[int], why: str) -> None:
+        """Over-approximate ``rids`` where the runtime would raise ``why``.
+        A realized variable cannot be widened back: that is a failure."""
+        for r in rids:
+            if isinstance(self.node(r), RealizedN):
+                raise AnalysisFail([self.witness(r)])
+            set_top(self, r)
 
     # --- evaluation (delta substitution, mixture collapse) ---
 
@@ -703,11 +720,38 @@ class AbsState:
                       and self.realized_value(p) is None)
 
 
+def set_top(g: AbsState, rid: int) -> None:
+    """Over-approximate a variable and its ancestry to the top elements.
+
+    Fails if any touched variable carries a symbolic annotation.
+    """
+    worklist = [rid]
+    seen: set[int] = set()
+    while worklist:
+        r = worklist.pop()
+        if r in seen or r not in g.entries:
+            continue
+        seen.add(r)
+        entry = g.entries[r]
+        if entry.ann is Annotation.SYMBOLIC:
+            raise AnalysisFail([g.witness(r)])
+        worklist.extend(p for p in fv_distr(entry.distr) if p != r)
+        worklist.extend(p for p in node_fv(entry.node) if p != r)
+        node = entry.node
+        if node is not None:
+            for c in node.children:
+                ce = g.entries.get(c)
+                if ce is not None and isinstance(ce.node, MargN):
+                    worklist.append(c)
+            g.set_node(r, ATopN(node.children))
+        g.set_distr(r, ATopD())
+
+
 def node_fv(node: AbsNode | None) -> frozenset[int]:
     match node:
-        case AMarg(parent, prior, _):
+        case MargN(parent, prior, _):
             return frozenset((parent,)) | fv_distr(prior)
-        case AInit(parent, _):
+        case InitN(parent, _):
             return frozenset((parent,))
         case _:
             return frozenset()
@@ -744,10 +788,6 @@ def abs_weak_eq(g1: AbsState, g2: AbsState, e: AbsVal) -> bool:
 # --- delayed-sampling node join ---
 
 
-def _node_children(node: AbsNode) -> frozenset[int]:
-    return node.children if not isinstance(node, ARealized) else frozenset()
-
-
 def join_node(a: AbsNode | None, b: AbsNode | None, escalate: list[int]) -> AbsNode | None:
     """Join per the node lattice; mismatches become TopN and are queued for
     escalation (parents and marginalized children must be topped too)."""
@@ -756,22 +796,22 @@ def join_node(a: AbsNode | None, b: AbsNode | None, escalate: list[int]) -> AbsN
     if a is None or b is None:
         return a if b is None else b
     match a, b:
-        case (AMargRoot(c1), AMargRoot(c2)):
-            return AMargRoot(c1 | c2)
-        case (AInit(p1, c1), AInit(p2, c2)) if p1 == p2:
-            return AInit(p1, c1 | c2)
-        case (AMarg(p1, d1, c1), AMarg(p2, d2, c2)) if p1 == p2:
-            return AMarg(p1, join_distr(d1, d2), c1 | c2)
+        case (MargRootN(c1), MargRootN(c2)):
+            return MargRootN(c1 | c2)
+        case (InitN(p1, c1), InitN(p2, c2)) if p1 == p2:
+            return InitN(p1, c1 | c2)
+        case (MargN(p1, d1, c1), MargN(p2, d2, c2)) if p1 == p2:
+            return MargN(p1, join_distr(d1, d2), c1 | c2)
         case (ATopN(c1), ATopN(c2)):
             return ATopN(c1 | c2)
-        case (ARealized(), ATopN(c)) | (ATopN(c), ARealized()):
+        case (RealizedN(), ATopN(c)) | (ATopN(c), RealizedN()):
             return ATopN(c)
         case (ATopN(c1), other) | (other, ATopN(c1)):
             escalate.extend(node_fv(other))
-            return ATopN(c1 | _node_children(other))
+            return ATopN(c1 | other.children)
     escalate.extend(node_fv(a))
     escalate.extend(node_fv(b))
-    return ATopN(_node_children(a) | _node_children(b))
+    return ATopN(a.children | b.children)
 
 
 def _escalate_topn(g: AbsState, worklist: list[int]) -> None:
@@ -789,11 +829,11 @@ def _escalate_topn(g: AbsState, worklist: list[int]) -> None:
         node = entry.node
         if node is None or isinstance(node, ATopN):
             continue
-        children = _node_children(node)
+        children = node.children
         worklist.extend(node_fv(node))
         for c in children:
             cn = g.entries.get(c)
-            if cn is not None and isinstance(cn.node, AMarg):
+            if cn is not None and isinstance(cn.node, MargN):
                 worklist.append(c)
         g.set_node(rid, ATopN(children))
 
@@ -972,13 +1012,13 @@ def rename_node(node: AbsNode | None, sigma: dict[int, int]) -> AbsNode | None:
     if node is None or not sigma:
         return node
     match node:
-        case AMargRoot(c):
-            return AMargRoot(frozenset(sigma.get(r, r) for r in c))
-        case AMarg(p, d, c):
-            return AMarg(sigma.get(p, p), rename_distr(d, sigma), frozenset(sigma.get(r, r) for r in c))
-        case AInit(p, c):
-            return AInit(sigma.get(p, p), frozenset(sigma.get(r, r) for r in c))
-        case ARealized():
+        case MargRootN(c):
+            return MargRootN(frozenset(sigma.get(r, r) for r in c))
+        case MargN(p, d, c):
+            return MargN(sigma.get(p, p), rename_distr(d, sigma), frozenset(sigma.get(r, r) for r in c))
+        case InitN(p, c):
+            return InitN(sigma.get(p, p), frozenset(sigma.get(r, r) for r in c))
+        case RealizedN():
             return node
         case ATopN(c):
             return ATopN(frozenset(sigma.get(r, r) for r in c))

@@ -7,11 +7,16 @@ branches of an ``if`` whose forced condition stays unknown, the fixpoint
 of a fold over a list of unknown length, and the abstract backends.
 ``main`` is closed over an unknown ``data`` with ``runtime.subst``, as
 ``run_model`` closes it over the data, and one abstract particle runs it;
-``resample`` is a no-op and there are no weights.  Forcing a variable
-whose abstract annotation is SYMBOLIC aborts with failure, as does any
-lattice escalation that touches a symbolic variable.  The verdict is
-deterministic.  A program the analysis cannot interpret raises
-``AnalysisError``.
+``resample`` is a no-op and there are no weights.
+
+The abstract backends are the runtime's: ``AbsSsi`` and ``AbsDs`` bind
+``ssi``'s and ``ds``'s own functions, which run over an
+``absdomain.AbsState`` whose hooks make a forced sample some constant, a
+cast a failure, and a broken backend invariant an over-approximation.  So
+forcing a variable whose abstract annotation is SYMBOLIC aborts with
+failure, as does any lattice escalation that touches a symbolic variable.
+The verdict is deterministic.  A program the analysis cannot interpret
+raises ``AnalysisError``.
 """
 
 from __future__ import annotations
@@ -19,27 +24,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from . import absdomain as ad
-from . import conjugacy
 from .absdomain import (
-    ALGEBRA,
     AbsState,
     AbsVal,
     AConst,
     AEUnk,
     ALst,
-    AMarg,
-    AMargRoot,
-    AInit,
-    ARealized,
     ARV,
     ATopE,
-    ATopN,
     ATup,
     AnalysisFail,
-    ADSampledDelta,
-    ADUnk,
-    ATopD,
     TOP_E,
     UNK,
     aadd,
@@ -51,13 +45,13 @@ from .absdomain import (
     abs_weak_eq,
     contains_top,
     fv,
-    fv_distr,
     rename_join,
-    rv_free,
 )
+from .ds import DsBackend
 from .lang import Annotation, Expr, Pattern, Program, PTuple, PUnit, PVar, PWild
-from .runtime import Evaluator, subst as esubst
-from .sym import DDelta, Distr, EvalError
+from .runtime import Evaluator, pattern_mismatch, subst as esubst
+from .ssi import SsiBackend
+from .sym import Distr, EvalError
 
 FOLD_ITER_LIMIT = 1000
 
@@ -73,261 +67,31 @@ class Verdict:
     elapsed_ms: float = 0.0
 
 
-def set_top(g: AbsState, rid: int) -> None:
-    """Over-approximate a variable and its ancestry to the top elements.
-
-    Fails if any touched variable carries a symbolic annotation.
-    """
-    worklist = [rid]
-    seen: set[int] = set()
-    while worklist:
-        r = worklist.pop()
-        if r in seen or r not in g.entries:
-            continue
-        seen.add(r)
-        entry = g.entries[r]
-        if entry.ann is Annotation.SYMBOLIC:
-            raise AnalysisFail([g.witness(r)])
-        worklist.extend(p for p in fv_distr(entry.distr) if p != r)
-        worklist.extend(p for p in ad.node_fv(entry.node) if p != r)
-        node = entry.node
-        if node is not None:
-            for c in ad._node_children(node):
-                ce = g.entries.get(c)
-                if ce is not None and isinstance(ce.node, AMarg):
-                    worklist.append(c)
-            g.set_node(r, ATopN(ad._node_children(node)))
-        g.set_distr(r, ATopD())
-
-
-class AbsSwapFailed(Exception):
-    def __init__(self, parent: int, child: int):
-        self.parent = parent
-        self.child = child
-
-
 class AbsSsi:
+    """The SSI backend over the abstract state: ``ssi``'s functions, bound
+    under this class's own names so the analysis never calls through
+    ``SsiBackend``."""
+
     name = "ssi"
-
-    def assume(self, ann: Annotation, dist: Distr, g: AbsState, site: str, label: str) -> int:
-        return g.fresh(ann, ad.widen_distr(g.eval_distr(dist)), None, site, label)
-
-    def value(self, rid: int, g: AbsState) -> AbsVal:
-        c = g.realized_value(rid)
-        if c is not None:
-            return c
-        if g.ann(rid) is Annotation.SYMBOLIC:
-            raise AnalysisFail([g.witness(rid)])
-        self.hoist(rid, g)
-        g.set_distr(rid, ADSampledDelta(UNK))
-        return UNK
-
-    def observe(self, rid: int, value: AbsVal, g: AbsState) -> None:
-        self.hoist(rid, g)
-        g.set_distr(rid, DDelta(value if rv_free(value) else UNK))
-
-    def swap(self, x1: int, x2: int, g: AbsState) -> bool:
-        prior = g.eval_distr(g.distr(x1))
-        cond = g.eval_distr(g.distr(x2))
-        if isinstance(prior, (ADUnk, ATopD)):
-            set_top(g, x1)
-            return False
-        marg = conjugacy.marginal(prior, cond, x1, ALGEBRA)
-        if marg is None:
-            return False
-        post = conjugacy.posterior(prior, cond, x1, ARV(x2), ALGEBRA)
-        if post is None:
-            return False
-        g.set_distr(x2, marg)
-        g.set_distr(x1, post)
-        return True
-
-    def hoist(self, rid: int, g: AbsState) -> None:
-        for _ in range(10000):
-            try:
-                self._hoist_helper(rid, [], g, frozenset())
-                return
-            except AbsSwapFailed as fail:
-                self.value(fail.parent, g)
-                g.refresh(fail.child)
-        raise AnalysisFail([g.witness(rid)])  # hoist did not converge
-
-    def _hoist_helper(self, cur: int, roots: list[int], g: AbsState,
-                      visiting: frozenset[int]) -> None:
-        if cur in visiting:
-            # dependency cycle introduced by a merging join; over-approximate
-            set_top(g, cur)
-            return
-        parents = _abs_topo(g.parents(cur), g)
-        inner = list(roots)
-        for p in parents:
-            if p not in roots:
-                self._hoist_helper(p, inner, g, visiting | {cur})
-                inner.append(p)
-        for p in reversed(parents):
-            if p not in roots:
-                if not self.swap(p, cur, g):
-                    raise AbsSwapFailed(p, cur)
-
-
-def _abs_topo(rids: list[int], g: AbsState) -> list[int]:
-    anc = {r: ad.abs_reachable(g.parents(r), g) for r in rids}
-    remaining = sorted(rids)
-    out: list[int] = []
-    while remaining:
-        for r in remaining:
-            if not any(q in anc[r] for q in remaining if q != r):
-                out.append(r)
-                remaining.remove(r)
-                break
-        else:  # cycle introduced by joins; fall back to id order
-            out.extend(remaining)
-            break
-    return out
+    assume = SsiBackend.assume
+    value = SsiBackend.value
+    observe = SsiBackend.observe
+    hoist = SsiBackend.hoist
 
 
 class AbsDs:
+    """The delayed-sampling backend over the abstract state: ``ds``'s
+    functions, bound under this class's own names."""
+
     name = "ds"
-
-    def assume(self, ann: Annotation, dist: Distr, g: AbsState, site: str, label: str) -> int:
-        dist, keeper = self._conjugate_dist(dist, g)
-        rid = g.fresh(ann, ad.widen_distr(dist), None, site, label)
-        if keeper is None:
-            g.set_node(rid, AMargRoot(frozenset()))
-        else:
-            g.set_node(rid, AInit(keeper, frozenset()))
-            ke = g.entries[keeper]
-            if ke.node is not None and not isinstance(ke.node, ARealized):
-                g.set_node(keeper, _node_with_children(ke.node, ad._node_children(ke.node) | {rid}))
-        return rid
-
-    def _conjugate_dist(self, dist: Distr, g: AbsState) -> tuple[Distr, int | None]:
-        dist = g.eval_distr(dist)
-        parents = sorted(p for p in fv_distr(dist) if p in g.entries and g.realized_value(p) is None)
-        if not parents:
-            return dist, None
-        keeper = None
-        for p in parents:
-            others = frozenset(q for q in parents if q != p)
-            prior = g.eval_distr(g.distr(p))
-            if isinstance(prior, (ADUnk, ATopD)):
-                continue
-            if conjugacy.match_case(prior, dist, p, allow=others, alg=ALGEBRA) is not None:
-                keeper = p
-                break
-        for p in parents:
-            if p != keeper:
-                self.value(p, g)
-        dist = g.eval_distr(dist)
-        if keeper is not None:
-            prior = g.eval_distr(g.distr(keeper))
-            if conjugacy.match_case(prior, dist, keeper, alg=ALGEBRA) is None:
-                self.value(keeper, g)
-                dist = g.eval_distr(dist)
-                keeper = None
-        return dist, keeper
-
-    def value(self, rid: int, g: AbsState) -> AbsVal:
-        c = g.realized_value(rid)
-        if c is not None:
-            return c
-        if g.ann(rid) is Annotation.SYMBOLIC:
-            raise AnalysisFail([g.witness(rid)])
-        self.graft(rid, g)
-        self.realize(rid, ADSampledDelta(UNK), g)
-        return UNK
-
-    def observe(self, rid: int, value: AbsVal, g: AbsState) -> None:
-        self.graft(rid, g)
-        self.realize(rid, DDelta(value if rv_free(value) else UNK), g)
-
-    def graft(self, rid: int, g: AbsState) -> None:
-        node = g.node(rid)
-        match node:
-            case AMargRoot(_) | AMarg(_, _, _):
-                marg_children = [c for c in node.children
-                                 if c in g.entries and isinstance(g.node(c), AMarg)]
-                if len(marg_children) > 1:
-                    for c in marg_children:
-                        set_top(g, c)
-                elif marg_children:
-                    self.prune(marg_children[0], g)
-            case AInit(parent, _):
-                self.graft(parent, g)
-                self.marginalize(rid, g)
-            case ATopN(_):
-                set_top(g, rid)
-            case ARealized():
-                raise AnalysisFail([g.witness(rid)])
-            case None:
-                pass
-
-    def prune(self, rid: int, g: AbsState) -> None:
-        node = g.node(rid)
-        if isinstance(node, AMarg):
-            marg_children = [c for c in node.children
-                             if c in g.entries and isinstance(g.node(c), AMarg)]
-            if len(marg_children) > 1:
-                for c in marg_children:
-                    set_top(g, c)
-            elif marg_children:
-                self.prune(marg_children[0], g)
-        self.value(rid, g)
-
-    def marginalize(self, rid: int, g: AbsState) -> None:
-        node = g.node(rid)
-        if not isinstance(node, AInit):
-            return
-        prior = g.eval_distr(g.distr(node.parent))
-        cond = g.eval_distr(g.distr(rid))
-        marg = conjugacy.marginal(prior, cond, node.parent, ALGEBRA)
-        if marg is None:
-            set_top(g, rid)
-            set_top(g, node.parent)
-            return
-        g.set_distr(rid, g.eval_distr(marg))
-        g.set_node(rid, AMarg(node.parent, cond, node.children))
-
-    def realize(self, rid: int, d: Distr, g: AbsState) -> None:
-        node = g.node(rid)
-        g.set_distr(rid, d)
-        g.set_node(rid, ARealized())
-        if isinstance(node, AMarg):
-            parent = node.parent
-            if parent in g.entries:
-                prior = g.eval_distr(g.distr(parent))
-                value = g.realized_value(rid) or UNK
-                if isinstance(prior, (ADUnk, ATopD)):
-                    set_top(g, parent)
-                else:
-                    post = conjugacy.posterior(prior, g.eval_distr(node.prior), parent, value, ALGEBRA)
-                    if post is None:
-                        set_top(g, parent)
-                    else:
-                        g.set_distr(parent, g.eval_distr(post))
-                pe = g.entries[parent]
-                if pe.node is not None and not isinstance(pe.node, ARealized):
-                    g.set_node(parent, _node_with_children(pe.node, ad._node_children(pe.node) - {rid}))
-        if node is not None and not isinstance(node, ARealized):
-            for c in ad._node_children(node):
-                ce = g.entries.get(c)
-                if ce is not None and isinstance(ce.node, AInit):
-                    g.refresh(c)
-                    g.set_node(c, AMargRoot(ce.node.children))
-
-
-def _node_with_children(node, children: frozenset[int]):
-    match node:
-        case AMargRoot(_):
-            return AMargRoot(children)
-        case AMarg(p, d, _):
-            return AMarg(p, d, children)
-        case AInit(p, _):
-            return AInit(p, children)
-        case ATopN(_):
-            return ATopN(children)
-        case _:
-            return node
+    assume = DsBackend.assume
+    _conjugate_dist = DsBackend._conjugate_dist
+    value = DsBackend.value
+    observe = DsBackend.observe
+    graft = DsBackend.graft
+    prune = DsBackend.prune
+    marginalize = DsBackend.marginalize
+    realize = DsBackend.realize
 
 
 # --- abstract interpreter ---
@@ -355,16 +119,19 @@ def _abs_match(pat: Pattern, v: AbsVal) -> dict[str, AbsVal]:
                         for q in items:
                             go(q, TOP_E)
                     case _:
-                        raise AnalysisError(f"pattern arity mismatch: {p} vs {x}")
+                        raise AnalysisError(pattern_mismatch(p, x, ATup, ALst))
     go(pat, v)
     return out
 
 
 @dataclass(slots=True)
 class AbsParticle:
-    """The analysis's one particle: a state, with no weight and no pause."""
+    """The analysis's one particle: a state, with no weight, no pause, no
+    generator and no cast log."""
 
     state: AbsState
+    rng = None
+    casts = None
 
 
 class AbsInterp(Evaluator):
@@ -402,11 +169,8 @@ class AbsInterp(Evaluator):
 
     def _assume(self, ann: Annotation, d: Distr, p: AbsParticle, label: str,
                 site: int | None) -> int:
-        return self.backend.assume(ann, d, p.state, site="obs" if site is None else f"rv:{site}",
-                                   label=label)
-
-    def _value(self, rid: int, p: AbsParticle) -> AbsVal:
-        return self.backend.value(rid, p.state)
+        return self.backend.assume(ann, d, p.state, label=label,
+                                   site="obs" if site is None else f"rv:{site}")
 
     def _observe(self, rid: int, c: AbsVal, p: AbsParticle) -> None:
         self.backend.observe(rid, c, p.state)

@@ -53,6 +53,15 @@ def _planned(program, plan: int | None):
     return apply_plan(program, plan)
 
 
+def _int_list(text: str, flag: str) -> list[int]:
+    """Comma-separated integers; exits with the usage-error code otherwise."""
+    try:
+        return [int(p) for p in text.split(",")]
+    except ValueError:
+        print(f"error: {flag} takes comma-separated integers, not {text!r}", file=sys.stderr)
+        raise SystemExit(1) from None
+
+
 def _backend(method: str):
     return SsiBackend() if method == "ssi" else DsBackend()
 
@@ -203,8 +212,8 @@ def cmd_bench(args) -> int:
         print(f"error: unknown benchmark {args.benchmark}", file=sys.stderr)
         return 1
     spec = bm.BENCHMARKS[args.benchmark]
-    plans = [int(p) for p in args.plans.split(",")]
-    particle_counts = [int(p) for p in args.particles.split(",")]
+    plans = _int_list(args.plans, "--plans")
+    particle_counts = _int_list(args.particles, "--particles")
     program = spec.program()
     planned = [_planned(program, plan) for plan in plans]
     if not args.allow_casts:

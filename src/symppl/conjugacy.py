@@ -12,9 +12,10 @@ Four supported pairs:
   resolved by enumerating the parent.
 
 This is the only rule table.  The runtime applies it to concrete values
-(``CONCRETE``, the default) and the analysis to abstract ones
-(``absdomain.ALGEBRA``); each passes the value operations as an
-``Algebra``, so the analysis accepts exactly the pairs the runtime does.
+(``sym.CONCRETE``, the default) and the analysis to abstract ones
+(``absdomain.ALGEBRA``); each passes the value operations as a
+``sym.Algebra``, so the analysis accepts exactly the pairs the runtime
+does.  The backends take the algebra from their state (``g.alg``).
 
 ``posterior`` expressions reference the child through ``child_ref``, which
 is the child variable during a swap and a realized constant during a
@@ -23,11 +24,9 @@ delayed-sampling realize.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Callable
-
 from .sym import (
+    CONCRETE,
+    Algebra,
     DBernoulli,
     DBeta,
     DInvGamma,
@@ -35,68 +34,6 @@ from .sym import (
     DNormal,
     DStudentT,
     Distr,
-    EvalError,
-    VAdd,
-    VConst,
-    VDiv,
-    VMul,
-    VRV,
-    VSub,
-    Val,
-    add,
-    div,
-    free_vars,
-    mul,
-    sub,
-    subst_rv,
-)
-
-
-@dataclass(frozen=True, slots=True)
-class Algebra:
-    """The value operations the rules use, for one value domain.
-
-    ``const``/``rv`` build a constant and a variable reference; ``add`` ..
-    ``div`` are the smart constructors, and ``div_total`` is a division
-    that never fails (it conditions on a zero-probability branch).  ``fv``
-    gives a value's random variables, ``has_top`` whether it may hide
-    unknown ones, ``subst_rv(v, rid, c)`` replaces a variable, ``arith``
-    maps each arithmetic node class (fields ``left``/``right``) to its
-    operator, and ``t_scale(a, b)`` is the Student-t scale of an
-    invgamma-variance marginal, or None when it has no closed form.
-    """
-
-    const: Callable
-    rv: Callable
-    add: Callable
-    sub: Callable
-    mul: Callable
-    div: Callable
-    div_total: Callable
-    fv: Callable
-    has_top: Callable
-    subst_rv: Callable
-    arith: dict
-    t_scale: Callable
-
-
-def _safe_div(num: Val, den: Val) -> Val:
-    try:
-        return div(num, den)
-    except EvalError:
-        return VConst(0.0)  # conditioning on a zero-probability branch
-
-
-def _t_scale(a: Val, b: Val) -> Val | None:
-    if isinstance(a, VConst) and isinstance(b, VConst):
-        return VConst(math.sqrt(b.v / a.v))
-    return None
-
-
-CONCRETE = Algebra(
-    const=VConst, rv=VRV, add=add, sub=sub, mul=mul, div=div, div_total=_safe_div,
-    fv=free_vars, has_top=lambda v: False, subst_rv=subst_rv,
-    arith={VAdd: "+", VSub: "-", VMul: "*", VDiv: "/"}, t_scale=_t_scale,
 )
 
 

@@ -4,34 +4,38 @@ Each variable is Initialized (conditional on one conjugate parent),
 Marginalized (marginal available; optional original parent retained so a
 later realize can condition it), or Realized.  ``graft`` turns a variable
 into a terminal marginalized node, pruning marginalized subtrees by
-sampling.
+sampling (Murray et al., AISTATS 2018).
+
+This is the only implementation of graft, prune, marginalize, realize and
+the choice of a conjugate parent.  ``DsBackend`` runs it over a particle's
+``SymState``; the analysis binds the same functions on ``analysis.AbsDs``
+and runs them over an ``absdomain.AbsState``, whose node lattice adds only
+``ATopN``.  The state supplies the domain: the rules' algebra (``g.alg``),
+free variables, casts, forced samples, observations, and ``give_up``
+where an invariant is broken (the runtime raises, the analysis
+over-approximates).  Graft and prune walk the forest with loops, so a
+chain of any length costs no Python stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import conjugacy
 from .interface import CastLog
 from .lang import Annotation
-from .sym import (
-    DDelta,
-    DSampledDelta,
-    Distr,
-    EvalError,
-    SymState,
-    VConst,
-    distr_rvs,
-    draw,
-    score,
-)
+from .sym import DDelta, Distr, EvalError, SymState, VConst
 
 
 @dataclass(frozen=True, slots=True)
 class MargRootN:
     children: frozenset[int]
+
+    def with_children(self, children: frozenset[int]) -> "MargRootN":
+        return MargRootN(children)
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,52 +44,46 @@ class MargN:
     prior: Distr  # conditional distribution recorded at marginalize time
     children: frozenset[int]
 
+    def with_children(self, children: frozenset[int]) -> "MargN":
+        return MargN(self.parent, self.prior, children)
+
 
 @dataclass(frozen=True, slots=True)
 class InitN:
     parent: int
     children: frozenset[int]
 
+    def with_children(self, children: frozenset[int]) -> "InitN":
+        return InitN(self.parent, children)
+
 
 @dataclass(frozen=True, slots=True)
 class RealizedN:
-    pass
+    children: ClassVar[frozenset[int]] = frozenset()
+
+    def with_children(self, children: frozenset[int]) -> "RealizedN":
+        return self
 
 
 DsNode = MargRootN | MargN | InitN | RealizedN
 
 
-def _children(node: DsNode) -> frozenset[int]:
-    return node.children if not isinstance(node, RealizedN) else frozenset()
-
-
-def _with_children(node: DsNode, children: frozenset[int]) -> DsNode:
-    match node:
-        case MargRootN(_):
-            return MargRootN(children)
-        case MargN(p, d, _):
-            return MargN(p, d, children)
-        case InitN(p, _):
-            return InitN(p, children)
-        case RealizedN():
-            return node
-    raise TypeError(node)
-
-
 def _add_child(g: SymState, parent: int, child: int) -> None:
     node = g.node(parent)
-    g.set_node(parent, _with_children(node, _children(node) | {child}))
+    g.set_node(parent, node.with_children(node.children | {child}))
 
 
 def _drop_child(g: SymState, parent: int, child: int) -> None:
     node = g.node(parent)
-    g.set_node(parent, _with_children(node, _children(node) - {child}))
+    g.set_node(parent, node.with_children(node.children - {child}))
 
 
 def marginalized_child(g: SymState, node: DsNode) -> int | None:
-    marg = [c for c in _children(node) if isinstance(g.node(c), MargN)]
+    """The node's one marginalized child; with several, gives up on them."""
+    marg = [c for c in node.children if c in g.entries and isinstance(g.node(c), MargN)]
     if len(marg) > 1:
-        raise EvalError("multiple marginalized children (forest invariant broken)")
+        g.give_up(marg, "multiple marginalized children (forest invariant broken)")
+        return None
     return marg[0] if marg else None
 
 
@@ -101,7 +99,7 @@ def validate_forest(g: SymState) -> None:
                 pnode = g.node(parent)
                 if isinstance(pnode, RealizedN):
                     raise EvalError(f"{rid} linked under realized parent {parent}")
-                if rid not in _children(pnode):
+                if rid not in pnode.children:
                     raise EvalError(f"{rid} missing from parent {parent} child set")
             case _:
                 pass
@@ -111,28 +109,27 @@ class DsBackend:
     name = "ds"
 
     def assume(self, ann: Annotation, dist: Distr, g: SymState,
-               rng: np.random.Generator, casts: CastLog, label: str = "") -> int:
+               rng: np.random.Generator | None = None, casts: CastLog | None = None,
+               label: str = "", site: str = "") -> int:
         dist, parent = self._conjugate_dist(dist, g, rng, casts)
-        rid = g.fresh(ann, dist, node=None, label=label)
-        if parent is None:
-            g.set_node(rid, MargRootN(frozenset()))
-        else:
-            g.set_node(rid, InitN(parent, frozenset()))
+        node = MargRootN(frozenset()) if parent is None else InitN(parent, frozenset())
+        rid = g.fresh(ann, dist, node, label=label, site=site)
+        if parent is not None:
             _add_child(g, parent, rid)
         return rid
 
-    def _conjugate_dist(self, dist: Distr, g: SymState,
-                        rng: np.random.Generator, casts: CastLog) -> tuple[Distr, int | None]:
+    def _conjugate_dist(self, dist: Distr, g: SymState, rng: np.random.Generator | None,
+                        casts: CastLog | None) -> tuple[Distr, int | None]:
         """Force parents until at most one conjugate parent remains."""
         dist = g.eval_distr(dist)
-        parents = sorted(distr_rvs(dist))
+        parents = sorted(p for p in g.distr_fv(dist) if p in g.entries)
         if not parents:
             return dist, None
         keeper = None
         for p in parents:
             others = frozenset(q for q in parents if q != p)
             prior = g.eval_distr(g.distr(p))
-            if conjugacy.match_case(prior, dist, p, allow=others) is not None:
+            if conjugacy.match_case(prior, dist, p, allow=others, alg=g.alg) is not None:
                 keeper = p
                 break
         for p in parents:
@@ -141,29 +138,29 @@ class DsBackend:
         dist = g.eval_distr(dist)
         if keeper is not None:
             prior = g.eval_distr(g.distr(keeper))
-            if conjugacy.match_case(prior, dist, keeper) is None:
+            if conjugacy.match_case(prior, dist, keeper, alg=g.alg) is None:
                 self.value(keeper, g, rng, casts)
                 dist = g.eval_distr(dist)
                 keeper = None
         return dist, keeper
 
-    def value(self, rid: int, g: SymState,
-              rng: np.random.Generator, casts: CastLog) -> VConst:
+    def value(self, rid: int, g: SymState, rng: np.random.Generator | None = None,
+              casts: CastLog | None = None) -> VConst:
         c = g.realized_value(rid)
         if c is not None:
             return c
         if g.ann(rid) is Annotation.SYMBOLIC:
-            casts.record(rid, g.label(rid))
+            g.cast(rid, casts)
         self.graft(rid, g, rng, casts)
-        v = draw(g.eval_distr(g.distr(rid)), rng)
-        self.realize(rid, DSampledDelta(v), g)
-        return VConst(v)
+        d, v = g.forced(rid, rng)
+        self.realize(rid, d, g)
+        return v
 
     def observe(self, rid: int, value: float | bool, g: SymState,
-                rng: np.random.Generator, casts: CastLog) -> float:
+                rng: np.random.Generator | None = None, casts: CastLog | None = None) -> float:
         self.graft(rid, g, rng, casts)
-        w = score(g.eval_distr(g.distr(rid)), value)
-        self.realize(rid, DDelta(VConst(value)), g)
+        w, d = g.observed(rid, value)
+        self.realize(rid, d, g)
         return w
 
     def marginal_of(self, rid: int, g: SymState,
@@ -175,29 +172,39 @@ class DsBackend:
             self.graft(rid, g, rng, casts)
         return g.eval_distr(g.distr(rid))
 
-    def graft(self, rid: int, g: SymState,
-              rng: np.random.Generator, casts: CastLog) -> None:
+    def graft(self, rid: int, g: SymState, rng: np.random.Generator | None = None,
+              casts: CastLog | None = None) -> None:
+        """Make ``rid`` a terminal marginalized node: climb its initialized
+        ancestors, prune the marginalized child of the first marginalized
+        one, then marginalize back down."""
+        chain = []
         node = g.node(rid)
-        match node:
-            case MargRootN(_) | MargN(_, _, _):
-                mc = marginalized_child(g, node)
-                if mc is not None:
-                    self.prune(mc, g, rng, casts)
-            case InitN(parent, _):
-                self.graft(parent, g, rng, casts)
-                self.marginalize(rid, g)
-            case _:
-                raise EvalError(f"graft on realized variable {rid}")
+        while isinstance(node, InitN):
+            chain.append(rid)
+            rid = node.parent
+            node = g.node(rid)
+        if isinstance(node, (MargRootN, MargN)):
+            mc = marginalized_child(g, node)
+            if mc is not None:
+                self.prune(mc, g, rng, casts)
+        else:
+            g.give_up([rid], f"graft on realized variable {rid}")
+        for c in reversed(chain):
+            self.marginalize(c, g)
 
-    def prune(self, rid: int, g: SymState,
-              rng: np.random.Generator, casts: CastLog) -> None:
-        node = g.node(rid)
-        if not isinstance(node, MargN):
-            raise EvalError(f"prune on non-marginalized variable {rid}")
-        mc = marginalized_child(g, node)
-        if mc is not None:
-            self.prune(mc, g, rng, casts)
-        self.value(rid, g, rng, casts)
+    def prune(self, rid: int, g: SymState, rng: np.random.Generator | None = None,
+              casts: CastLog | None = None) -> None:
+        """Sample the marginalized path below and including ``rid``,
+        deepest first."""
+        path = []
+        while rid is not None:
+            node = g.node(rid)
+            if not isinstance(node, MargN):
+                raise EvalError(f"prune on non-marginalized variable {rid}")
+            path.append(rid)
+            rid = marginalized_child(g, node)
+        for r in reversed(path):
+            self.value(r, g, rng, casts)
 
     def marginalize(self, rid: int, g: SymState) -> None:
         node = g.node(rid)
@@ -205,9 +212,10 @@ class DsBackend:
             raise EvalError(f"marginalize on non-initialized variable {rid}")
         prior = g.eval_distr(g.distr(node.parent))
         cond = g.eval_distr(g.distr(rid))
-        marg = conjugacy.marginal(prior, cond, node.parent)
+        marg = conjugacy.marginal(prior, cond, node.parent, g.alg)
         if marg is None:
-            raise EvalError(f"conjugacy lost marginalizing {rid}")
+            g.give_up([rid, node.parent], f"conjugacy lost marginalizing {rid}")
+            return
         g.set_distr(rid, g.eval_distr(marg))
         g.set_node(rid, MargN(node.parent, cond, node.children))
 
@@ -223,12 +231,13 @@ class DsBackend:
             parent = node.parent
             prior = g.eval_distr(g.distr(parent))
             post = conjugacy.posterior(prior, g.eval_distr(node.prior), parent,
-                                       g.realized_value(rid))
+                                       g.realized_value(rid), g.alg)
             if post is None:
-                raise EvalError(f"conjugacy lost realizing {rid}")
-            g.set_distr(parent, g.eval_distr(post))
+                g.give_up([parent], f"conjugacy lost realizing {rid}")
+            else:
+                g.set_distr(parent, g.eval_distr(post))
             _drop_child(g, parent, rid)
-        for c in _children(node):
+        for c in node.children:
             cnode = g.node(c)
             if isinstance(cnode, InitN):
                 g.refresh(c)

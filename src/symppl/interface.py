@@ -49,10 +49,14 @@ class CastLog:
 
 
 class Backend(Protocol):
+    """``ssi.SsiBackend`` and ``ds.DsBackend``.  The analysis runs the same
+    methods over an abstract state, with no generator and no cast log."""
+
     name: str
 
     def assume(self, ann: Annotation, dist: Distr, g: SymState,
-               rng: np.random.Generator, casts: CastLog, label: str = "") -> int: ...
+               rng: np.random.Generator, casts: CastLog, label: str = "",
+               site: str = "") -> int: ...
 
     def observe(self, rid: int, value: float | bool, g: SymState,
                 rng: np.random.Generator, casts: CastLog) -> float: ...

@@ -53,6 +53,7 @@ from .lang import (
     PWild,
     pattern_vars,
 )
+from .parser import print_pattern
 from .sym import (
     Distr,
     EvalError,
@@ -131,6 +132,17 @@ def subst(e: Expr, bindings: dict[str, Val]) -> Expr:
     raise TypeError(e)
 
 
+def pattern_mismatch(pat: PTuple, v, tup: type, lst: type) -> str:
+    """The error for a tuple pattern that does not bind ``v``: the pattern
+    in source syntax and the shape of the value, in the domain whose tuple
+    and list classes are ``tup`` and ``lst``."""
+    if isinstance(v, tup):
+        shape = f"a {len(v.items)}-tuple"
+    else:
+        shape = "a list" if isinstance(v, lst) else "a scalar"
+    return f"pattern arity mismatch: {print_pattern(pat)} does not match {shape}"
+
+
 def match_pattern(pat: Pattern, v: Val) -> dict[str, Val]:
     match pat:
         case PVar(name):
@@ -139,7 +151,7 @@ def match_pattern(pat: Pattern, v: Val) -> dict[str, Val]:
             return {}
         case PTuple(items):
             if not isinstance(v, VTup) or len(v.items) != len(items):
-                raise EvalError(f"pattern arity mismatch: {pat} vs {v}")
+                raise EvalError(pattern_mismatch(pat, v, VTup, VLst))
             out: dict[str, Val] = {}
             for q, x in zip(items, v.items):
                 out.update(match_pattern(q, x))

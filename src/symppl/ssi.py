@@ -1,9 +1,17 @@
 """Semi-symbolic backend: swap-based conjugacy with hoisting.
 
 ``hoist`` makes a variable a root by hoisting its parents in topological
-order and then reversing each parent edge with ``swap``.  A failed swap
-forces the offending parent to a sample and retries; forcing a
-symbolic-annotated variable is a dynamic encoding cast.
+order and then reversing each parent edge with ``swap`` (Atkinson et al.,
+OOPSLA 2022).  A failed swap forces the offending parent to a sample and
+retries; forcing a symbolic-annotated variable is a dynamic encoding cast.
+
+This is the only implementation of hoist, swap and the parent order.
+``SsiBackend`` runs it over a particle's ``SymState``; the analysis binds
+the same functions on ``analysis.AbsSsi`` and runs them over an
+``absdomain.AbsState``.  The state supplies the domain: the rules'
+algebra (``g.alg``), free variables, casts, forced samples, observations,
+and ``give_up`` where an invariant is broken (the runtime raises, the
+analysis over-approximates).
 
 Hoisting runs on an explicit stack, and ordering a single parent needs no
 ancestor search, so hoisting through a chain of length T costs O(T) time
@@ -17,25 +25,7 @@ import numpy as np
 from . import conjugacy
 from .interface import CastLog
 from .lang import Annotation
-from .sym import (
-    DDelta,
-    DSampledDelta,
-    Distr,
-    EvalError,
-    SymState,
-    VConst,
-    VRV,
-    draw,
-    reachable,
-    score,
-)
-
-
-class SwapFailed(Exception):
-    def __init__(self, parent: int, child: int):
-        super().__init__(f"no conjugacy between {parent} and {child}")
-        self.parent = parent
-        self.child = child
+from .sym import DDelta, Distr, EvalError, SymState, VConst, reachable
 
 
 def topo_sort(rids: list[int], g: SymState) -> list[int]:
@@ -43,7 +33,9 @@ def topo_sort(rids: list[int], g: SymState) -> list[int]:
 
     Each time, takes the smallest remaining id with no ancestor among the
     remaining ids.  Each ancestor search stops once it has found every
-    other member of ``rids``.
+    other member of ``rids``.  Members on a dependency cycle, which only
+    the analysis's joins can make, keep id order; ``hoist`` meets the
+    cycle itself.
     """
     if len(rids) <= 1:
         return list(rids)
@@ -58,7 +50,7 @@ def topo_sort(rids: list[int], g: SymState) -> list[int]:
                 remaining.remove(r)
                 break
         else:
-            raise EvalError("cycle among parents")
+            return out + remaining
     return out
 
 
@@ -66,14 +58,18 @@ def swap(x1: int, x2: int, g: SymState) -> bool:
     """Reverse the dependency of ``x2`` on ``x1``, preserving the joint.
 
     On success ``x2`` holds the marginal and ``x1`` the conditional given
-    ``x2``; returns False (state untouched) when no conjugacy applies.
+    ``x2``; returns False (state untouched, unless ``x1``'s distribution is
+    unknown and the state gives up on it) when no conjugacy applies.
     """
     prior = g.eval_distr(g.distr(x1))
     cond = g.eval_distr(g.distr(x2))
-    marg = conjugacy.marginal(prior, cond, x1)
+    if prior.unknown:
+        g.give_up([x1], f"unknown distribution of {x1}")
+        return False
+    marg = conjugacy.marginal(prior, cond, x1, g.alg)
     if marg is None:
         return False
-    post = conjugacy.posterior(prior, cond, x1, VRV(x2))
+    post = conjugacy.posterior(prior, cond, x1, g.alg.rv(x2), g.alg)
     if post is None:
         return False
     g.set_distr(x2, marg)
@@ -88,30 +84,69 @@ def intervene(rid: int, d: Distr, g: SymState) -> None:
     g.set_distr(rid, d)
 
 
+def _make_root(rid: int, g: SymState) -> tuple[int, int] | None:
+    """Make ``rid`` a root: hoist its parents, ancestors first, then
+    reverse each parent edge with ``swap``.  Returns the ``(parent, child)``
+    edge of the first failed swap, or None.
+
+    A frame is ``[cur, roots, parents, inner_roots, next]``: ``roots`` are
+    the variables the enclosing frames have already made roots, and
+    ``inner_roots`` adds those this frame has hoisted so far.  A parent
+    already on the stack closes a dependency cycle: the state gives up on
+    it and it counts as hoisted.
+    """
+    stack = [[rid, [], topo_sort(g.parents(rid), g), [], 0]]
+    on_stack = {rid}
+    while stack:
+        frame = stack[-1]
+        cur, roots, parents, inner_roots, i = frame
+        if i < len(parents):
+            frame[4] = i + 1
+            p = parents[i]
+            if p in roots:
+                continue
+            if p in on_stack:
+                g.give_up([p], f"dependency cycle through variable {p}")
+                inner_roots.append(p)
+                continue
+            on_stack.add(p)
+            stack.append([p, inner_roots, topo_sort(g.parents(p), g), list(inner_roots), 0])
+            continue
+        for p in reversed(parents):
+            if p not in roots and not swap(p, cur, g):
+                return p, cur
+        stack.pop()
+        on_stack.discard(cur)
+        if stack:
+            stack[-1][3].append(cur)
+    return None
+
+
 class SsiBackend:
     name = "ssi"
 
     def assume(self, ann: Annotation, dist: Distr, g: SymState,
-               rng: np.random.Generator, casts: CastLog, label: str = "") -> int:
-        return g.fresh(ann, g.eval_distr(dist), node=None, label=label)
+               rng: np.random.Generator | None = None, casts: CastLog | None = None,
+               label: str = "", site: str = "") -> int:
+        return g.fresh(ann, g.eval_distr(dist), None, label=label, site=site)
 
-    def value(self, rid: int, g: SymState,
-              rng: np.random.Generator, casts: CastLog) -> VConst:
+    def value(self, rid: int, g: SymState, rng: np.random.Generator | None = None,
+              casts: CastLog | None = None) -> VConst:
         c = g.realized_value(rid)
         if c is not None:
             return c
         if g.ann(rid) is Annotation.SYMBOLIC:
-            casts.record(rid, g.label(rid))
+            g.cast(rid, casts)
         self.hoist(rid, g, rng, casts)
-        v = draw(g.eval_distr(g.distr(rid)), rng)
-        intervene(rid, DSampledDelta(v), g)
-        return VConst(v)
+        d, v = g.forced(rid, rng)
+        intervene(rid, d, g)
+        return v
 
     def observe(self, rid: int, value: float | bool, g: SymState,
-                rng: np.random.Generator, casts: CastLog) -> float:
+                rng: np.random.Generator | None = None, casts: CastLog | None = None) -> float:
         self.hoist(rid, g, rng, casts)
-        w = score(g.eval_distr(g.distr(rid)), value)
-        intervene(rid, DDelta(VConst(value)), g)
+        w, d = g.observed(rid, value)
+        intervene(rid, d, g)
         return w
 
     def marginal_of(self, rid: int, g: SymState,
@@ -122,39 +157,14 @@ class SsiBackend:
         self.hoist(rid, g, rng, casts)
         return g.eval_distr(g.distr(rid))
 
-    def hoist(self, rid: int, g: SymState,
-              rng: np.random.Generator, casts: CastLog) -> None:
-        while True:
-            try:
-                self._hoist_helper(rid, g)
-                return
-            except SwapFailed as fail:
-                self.value(fail.parent, g, rng, casts)
-                g.refresh(fail.child)
+    def hoist(self, rid: int, g: SymState, rng: np.random.Generator | None = None,
+              casts: CastLog | None = None) -> None:
+        """Make ``rid`` a root, forcing each parent whose swap fails.
 
-    def _hoist_helper(self, rid: int, g: SymState) -> None:
-        """Make ``rid`` a root: hoist its parents, ancestors first, then
-        reverse each parent edge with ``swap``.
-
-        A frame is ``[cur, roots, parents, inner_roots, next]``: ``roots``
-        are the variables the enclosing frames have already made roots, and
-        ``inner_roots`` adds those this frame has hoisted so far.
+        Each retry realizes the failing parent (or raises), and
+        ``parents`` drops realized variables, so the retries end.
         """
-        stack = [[rid, [], topo_sort(g.parents(rid), g), [], 0]]
-        while stack:
-            frame = stack[-1]
-            cur, roots, parents, inner_roots, i = frame
-            if i < len(parents):
-                frame[4] = i + 1
-                p = parents[i]
-                if p not in roots:
-                    stack.append([p, inner_roots, topo_sort(g.parents(p), g),
-                                  list(inner_roots), 0])
-                continue
-            for p in reversed(parents):
-                if p not in roots:
-                    if not swap(p, cur, g):
-                        raise SwapFailed(p, cur)
-            stack.pop()
-            if stack:
-                stack[-1][3].append(cur)
+        while (failed := _make_root(rid, g)) is not None:
+            parent, child = failed
+            self.value(parent, g, rng, casts)
+            g.refresh(child)

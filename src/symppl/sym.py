@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import Callable
 
 import numpy as np
 
@@ -320,7 +321,11 @@ def subst_rv(v: Val, rid: int, replacement: Val, _memo: dict | None = None) -> V
 
 
 class Distr:
+    """A distribution form.  ``unknown`` marks the analysis's forms that
+    stand for some distribution it cannot name; the rules read none."""
+
     __slots__ = ()
+    unknown = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -438,6 +443,57 @@ def make_dist(name: str, args: tuple[Val, ...]) -> Distr:
     raise ValueError(name)
 
 
+# --- the value operations of the conjugacy rules ---
+
+
+@dataclass(frozen=True, slots=True)
+class Algebra:
+    """The value operations the rules use, for one value domain.
+
+    ``const``/``rv`` build a constant and a variable reference; ``add`` ..
+    ``div`` are the smart constructors, and ``div_total`` is a division
+    that never fails (it conditions on a zero-probability branch).  ``fv``
+    gives a value's random variables, ``has_top`` whether it may hide
+    unknown ones, ``subst_rv(v, rid, c)`` replaces a variable, ``arith``
+    maps each arithmetic node class (fields ``left``/``right``) to its
+    operator, and ``t_scale(a, b)`` is the Student-t scale of an
+    invgamma-variance marginal, or None when it has no closed form.
+    """
+
+    const: Callable
+    rv: Callable
+    add: Callable
+    sub: Callable
+    mul: Callable
+    div: Callable
+    div_total: Callable
+    fv: Callable
+    has_top: Callable
+    subst_rv: Callable
+    arith: dict
+    t_scale: Callable
+
+
+def _safe_div(num: Val, den: Val) -> Val:
+    try:
+        return div(num, den)
+    except EvalError:
+        return VConst(0.0)  # conditioning on a zero-probability branch
+
+
+def _t_scale(a: Val, b: Val) -> Val | None:
+    if isinstance(a, VConst) and isinstance(b, VConst):
+        return VConst(math.sqrt(b.v / a.v))
+    return None
+
+
+CONCRETE = Algebra(
+    const=VConst, rv=VRV, add=add, sub=sub, mul=mul, div=div, div_total=_safe_div,
+    fv=free_vars, has_top=lambda v: False, subst_rv=subst_rv,
+    arith={VAdd: "+", VSub: "-", VMul: "*", VDiv: "/"}, t_scale=_t_scale,
+)
+
+
 # --- symbolic state ---
 
 
@@ -454,9 +510,17 @@ class SymState:
 
     Entries are immutable; the mapping itself is owned by one particle and
     mutated in place.  ``copy`` is a cheap shallow copy.
+
+    The backends (``ssi``, ``ds``) run over this state and over the
+    analysis's ``absdomain.AbsState``; each state supplies its domain
+    through ``alg``, ``distr_fv``, ``cast``, ``forced``, ``observed`` and
+    ``give_up``.
     """
 
     __slots__ = ("entries", "_next")
+
+    alg = CONCRETE  # the value operations of the conjugacy rules
+    distr_fv = staticmethod(distr_rvs)
 
     def __init__(self) -> None:
         self.entries: dict[int, Entry] = {}
@@ -469,7 +533,9 @@ class SymState:
         return g
 
     def fresh(self, ann: Annotation, distr: Distr, node: object | None = None,
-              label: str = "") -> int:
+              label: str = "", site: str = "") -> int:
+        """A new variable.  ``site``, its program point, is kept only by
+        the analysis's state, for witnesses."""
         for rid in distr_rvs(distr):
             if rid not in self.entries:
                 raise EvalError(f"distribution references unknown variable {rid}")
@@ -517,6 +583,26 @@ class SymState:
         """Live random variables referenced by this entry's distribution."""
         d = self.eval_distr(self.entries[rid].distr)
         return [p for p in distr_rvs(d) if p != rid]
+
+    # --- the backends' domain hooks ---
+
+    def cast(self, rid: int, casts) -> None:
+        """A symbolic-annotated variable is about to be forced."""
+        casts.record(rid, self.label(rid))
+
+    def forced(self, rid: int, rng: np.random.Generator) -> tuple[Distr, Val]:
+        """A sample of a root: its delta and its value."""
+        v = draw(self.eval_distr(self.distr(rid)), rng)
+        return DSampledDelta(v), VConst(v)
+
+    def observed(self, rid: int, value: float | bool) -> tuple[float, Distr]:
+        """A root observed at ``value``: the log-weight and its delta."""
+        return score(self.eval_distr(self.distr(rid)), value), DDelta(VConst(value))
+
+    def give_up(self, rids: list[int], why: str) -> None:
+        """A backend invariant is broken; the analysis over-approximates
+        ``rids`` here instead."""
+        raise EvalError(why)
 
     # --- evaluation ---
 
@@ -607,7 +693,7 @@ def reachable(roots, *states: SymState, until: set[int] | None = None) -> set[in
             missing -= 1
         for g in states:
             if rid in g.entries:
-                frontier.extend(distr_rvs(g.entries[rid].distr))
+                frontier.extend(g.distr_fv(g.entries[rid].distr))
     return seen
 
 

@@ -4,17 +4,23 @@ import pytest
 
 from symppl import apply_plan, parse, rv_sites
 from symppl.absdomain import (
+    AAdd,
     ADUnk,
     AConst,
+    AMul,
     AbsState,
     AnalysisFail,
     ARV,
     ATopD,
+    ATopN,
     UNK,
+    set_top,
 )
-from symppl.analysis import AbsSsi, analyze, set_top
+from symppl.analysis import AbsDs, AbsSsi, analyze
 from symppl.benchmarks import BENCHMARKS
+from symppl.ds import InitN, MargN, MargRootN, RealizedN
 from symppl.lang import Annotation
+from symppl.ssi import swap
 from symppl.sym import DNormal
 
 # identified / total satisfiable counts to reproduce, per backend
@@ -104,12 +110,11 @@ def test_set_top_escalates_through_unknown_distribution():
 
 def test_swap_on_unknown_prior_sets_top_and_fails_symbolic():
     g = AbsState()
-    backend = AbsSsi()
     x3 = g.fresh(Annotation.SYMBOLIC, DNormal(AConst(1.0), AConst(1.0)), None, "rv:3", "x3")
     x1 = g.fresh(Annotation.NONE, ADUnk(frozenset({x3})), None, "rv:1", "x1")
     x2 = g.fresh(Annotation.NONE, DNormal(ARV(x1), AConst(1.0)), None, "rv:2", "x2")
     with pytest.raises(AnalysisFail):
-        backend.swap(x1, x2, g)
+        swap(x1, x2, g)
 
 
 def test_set_top_without_symbolic_just_tops():
@@ -122,15 +127,15 @@ def test_set_top_without_symbolic_just_tops():
 
 
 def test_node_join_mismatch_escalates_to_symbolic_failure():
-    from symppl.absdomain import AInit, AMarg, AMargRoot, join_states
+    from symppl.absdomain import join_states
 
     g1 = AbsState()
-    x1 = g1.fresh(Annotation.NONE, DNormal(AConst(0.0), AConst(1.0)), AMargRoot(frozenset()), "rv:1", "x1")
-    x2 = g1.fresh(Annotation.NONE, DNormal(ARV(x1), AConst(1.0)), AInit(x1, frozenset()), "rv:2", "x2")
-    x3 = g1.fresh(Annotation.SYMBOLIC, DNormal(ARV(x2), AConst(1.0)), AInit(x2, frozenset()), "rv:3", "x3")
+    x1 = g1.fresh(Annotation.NONE, DNormal(AConst(0.0), AConst(1.0)), MargRootN(frozenset()), "rv:1", "x1")
+    x2 = g1.fresh(Annotation.NONE, DNormal(ARV(x1), AConst(1.0)), InitN(x1, frozenset()), "rv:2", "x2")
+    x3 = g1.fresh(Annotation.SYMBOLIC, DNormal(ARV(x2), AConst(1.0)), InitN(x2, frozenset()), "rv:3", "x3")
     g2 = g1.copy()
-    g2.set_node(x2, AMarg(x1, DNormal(ARV(x1), AConst(1.0)), frozenset({x3})))
-    g2.set_node(x3, AMarg(x2, DNormal(ARV(x2), AConst(1.0)), frozenset()))
+    g2.set_node(x2, MargN(x1, DNormal(ARV(x1), AConst(1.0)), frozenset({x3})))
+    g2.set_node(x3, MargN(x2, DNormal(ARV(x2), AConst(1.0)), frozenset()))
     with pytest.raises(AnalysisFail) as exc:
         join_states(g1, g2, in_fold=False)
     assert ("rv:3", "x3") in exc.value.witnesses
@@ -199,3 +204,198 @@ def test_analysis_runs_the_runtime_loop(method, monkeypatch):
         top_level.clear()
         analyze(prog, method)
         assert top_level == [prog.main]  # only closing main over data
+
+
+# --- where the analysis over-approximates and the runtime raises ---
+# One test per case in which the abstract backends give up: each pins the
+# witnesses of the failure, or the top elements the state ends with.
+
+
+def _entry(g, rid):
+    return type(g.distr(rid)).__name__, type(g.node(rid)).__name__
+
+
+def test_hoist_over_unknown_prior_forces_it():
+    g = AbsState()
+    x1 = g.fresh(Annotation.NONE, ATopD(), None, "rv:1", "x1")
+    x2 = g.fresh(Annotation.NONE, DNormal(ARV(x1), AConst(1.0)), None, "rv:2", "x2")
+    AbsSsi().hoist(x2, g)
+    assert g.realized_value(x1) == UNK
+    assert g.parents(x2) == []
+    assert g.distr(x2) == DNormal(UNK, AConst(1.0))
+
+
+def test_hoist_under_unknown_distribution_forces_symbolic_ancestor():
+    g = AbsState()
+    x3 = g.fresh(Annotation.SYMBOLIC, DNormal(AConst(1.0), AConst(1.0)), None, "rv:3", "x3")
+    x1 = g.fresh(Annotation.NONE, ADUnk(frozenset({x3})), None, "rv:1", "x1")
+    x2 = g.fresh(Annotation.NONE, DNormal(ARV(x1), AConst(1.0)), None, "rv:2", "x2")
+    with pytest.raises(AnalysisFail) as exc:
+        AbsSsi().value(x2, g)
+    assert exc.value.witnesses == [("rv:3", "x3")]
+
+
+def _cycle(ann_a, ann_b):
+    """a and b each conditioned on the other, as a merging join can leave them."""
+    g = AbsState()
+    a, b = 0, 1
+    g.fresh(ann_a, DNormal(ARV(b), AConst(1.0)), None, "rv:0", "a")
+    g.fresh(ann_b, DNormal(ARV(a), AConst(1.0)), None, "rv:1", "b")
+    return g, a, b
+
+
+def test_hoist_through_dependency_cycle_tops_it():
+    g, a, b = _cycle(Annotation.NONE, Annotation.SAMPLE)
+    c = g.fresh(Annotation.NONE, DNormal(ARV(a), AConst(1.0)), None, "rv:2", "c")
+    AbsSsi().hoist(c, g)
+    assert g.realized_value(a) == UNK
+    assert isinstance(g.distr(b), ATopD)
+    assert g.parents(c) == []
+
+
+def test_hoist_through_dependency_cycle_fails_on_symbolic_member():
+    g, a, b = _cycle(Annotation.NONE, Annotation.SYMBOLIC)
+    c = g.fresh(Annotation.NONE, DNormal(ARV(a), AConst(1.0)), None, "rv:2", "c")
+    with pytest.raises(AnalysisFail) as exc:
+        AbsSsi().hoist(c, g)
+    assert exc.value.witnesses == [("rv:1", "b")]
+
+
+def test_hoist_over_cycle_among_parents():
+    g, a, b = _cycle(Annotation.SAMPLE, Annotation.SAMPLE)
+    d = g.fresh(Annotation.NONE, DNormal(AAdd(ARV(a), ARV(b)), AConst(1.0)), None, "rv:3", "d")
+    AbsSsi().hoist(d, g)
+    assert g.realized_value(a) == UNK and g.realized_value(b) == UNK
+    assert g.parents(d) == []
+
+
+def _ds_pair(parent_distr, child_cond, parent_node=None, ann=Annotation.NONE):
+    """x1 a marginalized root, x2 initialized under it."""
+    g = AbsState()
+    x1 = g.fresh(ann, parent_distr, parent_node or MargRootN(frozenset({1})), "rv:1", "x1")
+    x2 = g.fresh(Annotation.NONE, child_cond, InitN(x1, frozenset()), "rv:2", "x2")
+    return g, x1, x2
+
+
+def test_graft_without_closed_form_marginal_tops_child_and_parent():
+    g, x1, x2 = _ds_pair(DNormal(AConst(0.0), AConst(1.0)),
+                         DNormal(AMul(ARV(0), ARV(0)), AConst(1.0)))
+    AbsDs().graft(x2, g)
+    assert _entry(g, x1) == _entry(g, x2) == ("ATopD", "ATopN")
+    assert g.node(x1).children == frozenset({x2})
+
+
+def test_graft_without_closed_form_marginal_fails_on_symbolic_parent():
+    g, x1, x2 = _ds_pair(DNormal(AConst(0.0), AConst(1.0)),
+                         DNormal(AMul(ARV(0), ARV(0)), AConst(1.0)), ann=Annotation.SYMBOLIC)
+    with pytest.raises(AnalysisFail) as exc:
+        AbsDs().graft(x2, g)
+    assert exc.value.witnesses == [("rv:1", "x1")]
+
+
+def test_graft_under_unknown_prior_tops_child_and_parent():
+    g, x1, x2 = _ds_pair(ADUnk(frozenset()), DNormal(ARV(0), AConst(1.0)))
+    AbsDs().graft(x2, g)
+    assert _entry(g, x1) == _entry(g, x2) == ("ATopD", "ATopN")
+
+
+def _ds_marginalized(parent_distr, cond):
+    """x1 a marginalized root, x2 its marginalized child."""
+    g = AbsState()
+    x1 = g.fresh(Annotation.NONE, parent_distr, MargRootN(frozenset({1})), "rv:1", "x1")
+    x2 = g.fresh(Annotation.NONE, DNormal(AConst(0.0), AConst(2.0)), MargN(x1, cond, frozenset()),
+                 "rv:2", "x2")
+    return g, x1, x2
+
+
+def test_realize_without_closed_form_posterior_tops_parent():
+    g, x1, x2 = _ds_marginalized(DNormal(AConst(0.0), AConst(1.0)),
+                                 DNormal(AMul(ARV(0), ARV(0)), AConst(1.0)))
+    AbsDs().observe(x2, AConst(0.5), g)
+    assert _entry(g, x1) == ("ATopD", "ATopN")
+    assert g.node(x1).children == frozenset()
+    assert g.realized_value(x2) == AConst(0.5)
+
+
+def test_realize_under_unknown_prior_tops_parent():
+    g, x1, x2 = _ds_marginalized(ATopD(), DNormal(ARV(0), AConst(1.0)))
+    AbsDs().observe(x2, AConst(0.5), g)
+    assert _entry(g, x1) == ("ATopD", "ATopN")
+    assert g.realized_value(x2) == AConst(0.5)
+
+
+def _two_marginalized_children(ann):
+    g = AbsState()
+    x1 = g.fresh(Annotation.NONE, DNormal(AConst(0.0), AConst(1.0)),
+                 MargRootN(frozenset({1, 2})), "rv:1", "x1")
+    for i in (1, 2):
+        g.fresh(ann, DNormal(AConst(0.0), AConst(2.0)),
+                MargN(x1, DNormal(ARV(x1), AConst(1.0)), frozenset()), f"rv:{i + 1}", f"x{i + 1}")
+    return g, x1
+
+
+def test_graft_with_two_marginalized_children_tops_them():
+    g, x1 = _two_marginalized_children(Annotation.NONE)
+    AbsDs().graft(x1, g)
+    assert _entry(g, 1) == _entry(g, 2) == _entry(g, x1) == ("ATopD", "ATopN")
+
+
+def test_graft_with_two_marginalized_children_fails_on_symbolic_child():
+    g, x1 = _two_marginalized_children(Annotation.SYMBOLIC)
+    with pytest.raises(AnalysisFail) as exc:
+        AbsDs().graft(x1, g)
+    assert exc.value.witnesses == [("rv:2", "x2")]
+
+
+def test_graft_on_top_node_tops_it():
+    g = AbsState()
+    x = g.fresh(Annotation.NONE, DNormal(AConst(0.0), AConst(1.0)), ATopN(frozenset()), "rv:0", "x")
+    AbsDs().graft(x, g)
+    assert _entry(g, x) == ("ATopD", "ATopN")
+    assert AbsDs().value(x, g) == UNK
+
+
+def test_graft_on_top_node_fails_on_symbolic():
+    g = AbsState()
+    x = g.fresh(Annotation.SYMBOLIC, DNormal(AConst(0.0), AConst(1.0)), ATopN(frozenset()),
+                "rv:0", "x")
+    with pytest.raises(AnalysisFail) as exc:
+        AbsDs().graft(x, g)
+    assert exc.value.witnesses == [("rv:0", "x")]
+
+
+def test_graft_under_top_parent_tops_the_pair():
+    g, x1, x2 = _ds_pair(DNormal(AConst(0.0), AConst(1.0)), DNormal(ARV(0), AConst(1.0)),
+                         parent_node=ATopN(frozenset({1})))
+    AbsDs().graft(x2, g)
+    assert _entry(g, x1) == _entry(g, x2) == ("ATopD", "ATopN")
+
+
+def test_graft_on_realized_node_fails():
+    g = AbsState()
+    x = g.fresh(Annotation.SAMPLE, DNormal(AConst(0.0), AConst(1.0)), RealizedN(), "rv:0", "x")
+    with pytest.raises(AnalysisFail) as exc:
+        AbsDs().graft(x, g)
+    assert exc.value.witnesses == [("rv:0", "x")]
+
+
+def test_analysis_runs_the_runtime_backends():
+    # one core per algorithm: the analysis binds ssi's and ds's own functions
+    from symppl import absdomain, analysis, ds, ssi
+
+    for abs_cls, cls in ((analysis.AbsSsi, ssi.SsiBackend), (analysis.AbsDs, ds.DsBackend)):
+        bound = {k: v for k, v in vars(abs_cls).items() if callable(v)}
+        assert {"assume", "value", "observe"} <= bound.keys()
+        for name, fn in bound.items():
+            assert fn is vars(cls)[name]
+            assert fn.__module__ == cls.__module__
+    assert {"hoist"} <= vars(analysis.AbsSsi).keys()
+    assert {"graft", "prune", "marginalize", "realize"} <= vars(analysis.AbsDs).keys()
+    own = [name for name, v in vars(analysis).items()
+           if getattr(v, "__module__", None) == analysis.__name__]
+    for word in ("hoist", "swap", "topo", "graft", "prune", "marginal", "realize", "conjugate"):
+        assert not [name for name in own if word in name.lower()]
+    for name in ("AMarg", "AInit", "AMargRoot", "ARealized"):
+        assert not hasattr(absdomain, name)
+    assert (absdomain.MargRootN, absdomain.MargN, absdomain.InitN, absdomain.RealizedN) == (
+        ds.MargRootN, ds.MargN, ds.InitN, ds.RealizedN)

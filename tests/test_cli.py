@@ -261,3 +261,46 @@ def test_unconverged_fold_fixpoint_is_one_error_line(plans, capsys, monkeypatch)
     monkeypatch.setattr(analysis, "FOLD_ITER_LIMIT", 0)
     code, out, err = main_out(capsys, "analyze", str(MODELS / "noise.si"), *plans)
     assert (code, out, err) == (3, "", "error: fold fixpoint did not converge\n")
+
+
+@pytest.mark.parametrize("flag,value", [("--plans", "x"), ("--particles", "4x")])
+def test_bench_non_integer_list_is_a_usage_error(flag, value, capsys):
+    code, out, err = main_out(capsys, "bench", "noise", "--plans", "7", "--trials", "1",
+                              flag, value)
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag} takes comma-separated integers, not '{value}'\n"
+
+
+@pytest.mark.parametrize("command", ["run", "analyze"])
+def test_pattern_mismatch_names_the_pattern_and_the_shape(command, tmp_path, capsys):
+    src = tmp_path / "pattern.si"
+    src.write_text("let (a, b) = (1., 2., 3.) in a\n")
+    code, out, err = main_out(capsys, command, str(src))
+    assert (code, out) == (3, "")
+    assert err == "error: pattern arity mismatch: (a, b) does not match a 3-tuple\n"
+
+
+DEEP_CHAIN = """\
+let step = fun (i, x) ->
+  let y <- gaussian(x, 1.) in
+  y
+let x0 <- gaussian(0., 1.) in
+let xt = fold(step, List.range(0, 1500), x0) in
+let () = observe(gaussian(xt, 1.), 0.5) in
+xt
+"""
+
+
+@pytest.mark.parametrize("method", ["ssi", "ds"])
+def test_deep_chain_runs_and_analyzes_without_recursion(method, tmp_path, capsys):
+    # 1,500 linear-Gaussian steps: deeper than Python's default stack allows
+    # a recursive hoist or graft to go
+    src = tmp_path / "chain.si"
+    src.write_text(DEEP_CHAIN)
+    code, out, err = main_out(capsys, "run", str(src), "--method", method,
+                              "--particles", "2", "--seed", "0")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["casts"] == []
+    code, out, err = main_out(capsys, "analyze", str(src), "--method", method, "--plan", "0")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] == "satisfiable"
