@@ -1,14 +1,19 @@
 """Abstract values, distributions, states, and their lattice operations.
 
-The domain mirrors the runtime forms and adds three unknowns: ``UnkC``
-(some constant), ``EUnk(S)`` (some expression over a variable set), and
-``TopE`` (any expression).  Distributions are the runtime's forms over
-abstract parameters plus ``DUnk(S)``/``TopD``, and the delayed-sampling
-nodes are ``ds``'s plus ``ATopN``.  ``UnkC`` counts as a constant.
-Joins recurse through matching heads, collapse mismatches to ``EUnk``
-over the free variables of both sides, widen scalar expressions deeper
-than ``DEPTH_LIMIT``, and (inside fold fixpoints) widen ``EUnk`` sets
-with ``SET_LIMIT`` or more variables to ``TopE``.
+Abstract values are ``sym``'s value nodes plus four forms the runtime has
+no equivalent for: ``AUnkC`` (some constant), ``AEUnk(S)`` (some
+expression over a variable set), ``ATopE`` (any expression) and
+``ALst(items, tail)`` (a list with an unknown suffix over the variables
+``tail``).  ``AUnkC`` counts as a constant.  The analysis builds nodes
+through ``ALGEBRA``, its smart constructors, and walks them through
+``sym``'s child map (``children``/``rebuild``) and ``sym.free_vars``;
+each walk here keeps only its leaf and abstract-only cases.
+Distributions are the runtime's forms over abstract parameters plus
+``ADUnk(S)``/``ATopD``, and the delayed-sampling nodes are ``ds``'s plus
+``ATopN``.  Joins recurse through matching heads, collapse mismatches to
+``AEUnk`` over the free variables of both sides, widen scalar expressions
+deeper than ``DEPTH_LIMIT``, and (inside fold fixpoints) widen ``AEUnk``
+sets with ``SET_LIMIT`` or more variables to ``ATopE``.
 
 ``AbsState`` is the state the ``ssi`` and ``ds`` backends run over during
 the analysis.  It supplies the abstract side of their domain hooks:
@@ -30,8 +35,25 @@ from .sym import (
     DDelta,
     DMixIte,
     Distr,
+    VCmp,
+    VConst,
+    VIte,
+    VLst,
+    VRV,
+    VTup,
+    Val,
+    VAdd,
+    VDiv,
+    VMul,
+    VSub,
+    _List,
+    _Node,
+    _union,
+    children,
     distr_params,
+    free_vars,
     map_params,
+    rebuild,
 )
 
 DEPTH_LIMIT = 5
@@ -46,89 +68,48 @@ class AnalysisFail(Exception):
         self.witnesses = witnesses
 
 
-class AbsVal:
-    __slots__ = ()
+# Abstract-only values; the others are ``sym``'s ``VConst`` .. ``VLst``.
 
 
 @dataclass(frozen=True, slots=True)
-class AConst(AbsVal):
-    v: float | bool | None
+class AUnkC(Val):
+    """Some constant."""
 
 
 @dataclass(frozen=True, slots=True)
-class AUnkC(AbsVal):
-    pass
+class ATopE(Val):
+    """Any expression."""
 
 
 @dataclass(frozen=True, slots=True)
-class ARV(AbsVal):
-    rid: int
+class AEUnk(_Node):
+    """Some expression over the variables ``fv``."""
 
-
-@dataclass(frozen=True, slots=True)
-class AAdd(AbsVal):
-    left: AbsVal
-    right: AbsVal
-
-
-@dataclass(frozen=True, slots=True)
-class ASub(AbsVal):
-    left: AbsVal
-    right: AbsVal
-
-
-@dataclass(frozen=True, slots=True)
-class AMul(AbsVal):
-    left: AbsVal
-    right: AbsVal
-
-
-@dataclass(frozen=True, slots=True)
-class ADiv(AbsVal):
-    left: AbsVal
-    right: AbsVal
-
-
-@dataclass(frozen=True, slots=True)
-class AIte(AbsVal):
-    cond: AbsVal
-    then: AbsVal
-    orelse: AbsVal
-
-
-@dataclass(frozen=True, slots=True)
-class ACmp(AbsVal):
-    op: str
-    left: AbsVal
-    right: AbsVal
-
-
-@dataclass(frozen=True, slots=True)
-class ATup(AbsVal):
-    items: tuple[AbsVal, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class ALst(AbsVal):
-    """List with a known prefix; ``tail`` is the variable set of an unknown
-    suffix (None means the list is exactly the prefix)."""
-
-    items: tuple[AbsVal, ...]
-    tail: frozenset[int] | None = None
-
-
-@dataclass(frozen=True, slots=True)
-class AEUnk(AbsVal):
     fv: frozenset[int]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_fv", tuple(sorted(self.fv)))
+
 
 @dataclass(frozen=True, slots=True)
-class ATopE(AbsVal):
-    pass
+class ALst(_List):
+    """A list of known leading ``items`` and an unknown suffix over the
+    variables ``tail``."""
+
+    items: tuple[Val, ...]
+    tail: frozenset[int]
+
+    def __post_init__(self) -> None:
+        fv = _union([free_vars(i) for i in self.items] + [tuple(sorted(self.tail))])
+        object.__setattr__(self, "_fv", fv)
+
+    def with_items(self, items: tuple[Val, ...]) -> "ALst":
+        return ALst(items, self.tail)
 
 
 UNK = AUnkC()
 TOP_E = ATopE()
+_CONTAINERS = (VTup, _List)
 
 
 # Abstract-only distributions; the others are ``sym``'s ``DNormal`` ...
@@ -139,7 +120,7 @@ TOP_E = ATopE()
 class ADSampledDelta(Distr):
     """A variable forced to a sample: some constant drawn at run time."""
 
-    e: AbsVal
+    e: Val
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,109 +151,88 @@ class ATopN:
 AbsNode = MargRootN | MargN | InitN | RealizedN | ATopN
 
 
-# --- constructors with folding ---
+# --- the smart constructors (reached only through ``ALGEBRA``) ---
 
 
-def _is_constish(v: AbsVal) -> bool:
-    return isinstance(v, (AConst, AUnkC))
+def _is_constish(v: Val) -> bool:
+    return isinstance(v, (VConst, AUnkC))
 
 
-def _arith(cls, fold, l: AbsVal, r: AbsVal) -> AbsVal:
+def _arith(cls, fold, l: Val, r: Val) -> Val:
     if isinstance(l, ATopE) or isinstance(r, ATopE):
         return TOP_E
-    if isinstance(l, AConst) and isinstance(r, AConst):
-        return AConst(fold(l.v, r.v))
+    if isinstance(l, VConst) and isinstance(r, VConst):
+        return VConst(fold(l.v, r.v))
     if _is_constish(l) and _is_constish(r):
         return UNK
     return cls(l, r)
 
 
-def aadd(l: AbsVal, r: AbsVal) -> AbsVal:
-    if isinstance(l, AConst) and l.v == 0:
+def aadd(l: Val, r: Val) -> Val:
+    if isinstance(l, VConst) and l.v == 0:
         return r
-    if isinstance(r, AConst) and r.v == 0:
+    if isinstance(r, VConst) and r.v == 0:
         return l
-    return _arith(AAdd, lambda a, b: a + b, l, r)
+    return _arith(VAdd, lambda a, b: a + b, l, r)
 
 
-def asub(l: AbsVal, r: AbsVal) -> AbsVal:
-    if isinstance(r, AConst) and r.v == 0:
+def asub(l: Val, r: Val) -> Val:
+    if isinstance(r, VConst) and r.v == 0:
         return l
-    return _arith(ASub, lambda a, b: a - b, l, r)
+    return _arith(VSub, lambda a, b: a - b, l, r)
 
 
-def amul(l: AbsVal, r: AbsVal) -> AbsVal:
-    if isinstance(l, AConst):
+def amul(l: Val, r: Val) -> Val:
+    if isinstance(l, VConst):
         if l.v == 1:
             return r
         if l.v == 0:
-            return AConst(0.0)
-    if isinstance(r, AConst):
+            return VConst(0.0)
+    if isinstance(r, VConst):
         if r.v == 1:
             return l
         if r.v == 0:
-            return AConst(0.0)
-    return _arith(AMul, lambda a, b: a * b, l, r)
+            return VConst(0.0)
+    return _arith(VMul, lambda a, b: a * b, l, r)
 
 
-def adiv(l: AbsVal, r: AbsVal) -> AbsVal:
-    if isinstance(r, AConst) and r.v == 1:
+def adiv(l: Val, r: Val) -> Val:
+    if isinstance(r, VConst) and r.v == 1:
         return l
-    if isinstance(r, AConst) and r.v == 0:
+    if isinstance(r, VConst) and r.v == 0:
         return UNK  # a concrete run would fail; keep the analysis total
-    return _arith(ADiv, lambda a, b: a / b, l, r)
+    return _arith(VDiv, lambda a, b: a / b, l, r)
 
 
-def acmp(op: str, l: AbsVal, r: AbsVal) -> AbsVal:
+def acmp(op: str, l: Val, r: Val) -> Val:
     if isinstance(l, ATopE) or isinstance(r, ATopE):
         return TOP_E
-    if isinstance(l, AConst) and isinstance(r, AConst):
-        return AConst(_CMP[op](l.v, r.v))
+    if isinstance(l, VConst) and isinstance(r, VConst):
+        return VConst(_CMP[op](l.v, r.v))
     if _is_constish(l) and _is_constish(r):
         return UNK
-    return ACmp(op, l, r)
+    return VCmp(op, l, r)
 
 
-def aite(c: AbsVal, t: AbsVal, o: AbsVal) -> AbsVal:
+def aite(c: Val, t: Val, o: Val) -> Val:
     # ite over equal abstract branches must not collapse: the branches
     # stand for possibly-different concrete values, and dropping the
     # guard would hide its variables from the forcing analysis.
-    if isinstance(c, AConst):
+    if isinstance(c, VConst):
         return t if c.v else o
     if isinstance(c, ATopE):
         return TOP_E
     if _is_constish(c) or (isinstance(c, AEUnk) and not c.fv):
         return join_expr(t, o)
-    return AIte(c, t, o)
+    return VIte(c, t, o)
 
 
 # --- free variables, substitution, depth ---
 
 
-def fv(v: AbsVal) -> frozenset[int]:
-    match v:
-        case ARV(rid):
-            return frozenset((rid,))
-        case AEUnk(s):
-            return s
-        case AAdd(l, r) | ASub(l, r) | AMul(l, r) | ADiv(l, r):
-            return fv(l) | fv(r)
-        case ACmp(_, l, r):
-            return fv(l) | fv(r)
-        case AIte(c, t, o):
-            return fv(c) | fv(t) | fv(o)
-        case ATup(items):
-            out: frozenset[int] = frozenset()
-            for i in items:
-                out |= fv(i)
-            return out
-        case ALst(items, tail):
-            out = tail or frozenset()
-            for i in items:
-                out |= fv(i)
-            return out
-        case _:
-            return frozenset()
+def fv(v: Val) -> frozenset[int]:
+    """``sym.free_vars`` as a set."""
+    return frozenset(free_vars(v))
 
 
 def fv_distr(d: Distr) -> frozenset[int]:
@@ -284,7 +244,7 @@ def fv_distr(d: Distr) -> frozenset[int]:
     return out
 
 
-def _distr_params(d: Distr) -> tuple[AbsVal, ...]:
+def _distr_params(d: Distr) -> tuple[Val, ...]:
     match d:
         case ADSampledDelta(e):
             return (e,)
@@ -303,125 +263,68 @@ def _map_distr(d: Distr, f) -> Distr:
     return map_params(d, f)
 
 
-def contains_top(v: AbsVal) -> bool:
-    match v:
-        case ATopE():
-            return True
-        case AAdd(l, r) | ASub(l, r) | AMul(l, r) | ADiv(l, r):
-            return contains_top(l) or contains_top(r)
-        case ACmp(_, l, r):
-            return contains_top(l) or contains_top(r)
-        case AIte(c, t, o):
-            return contains_top(c) or contains_top(t) or contains_top(o)
-        case ATup(items) | ALst(items, _):
-            return any(contains_top(i) for i in items)
-        case _:
-            return False
+def contains_top(v: Val) -> bool:
+    return isinstance(v, ATopE) or any(contains_top(k) for k in children(v))
 
 
 def distr_contains_top(d: Distr) -> bool:
     return isinstance(d, ATopD) or any(contains_top(p) for p in _distr_params(d))
 
 
-def rv_free(v: AbsVal) -> bool:
+def rv_free(v: Val) -> bool:
     """No random variables can hide inside: constant-valued territory."""
-    return not fv(v) and not contains_top(v)
+    return not free_vars(v) and not contains_top(v)
 
 
-def subst(v: AbsVal, rid: int, replacement: AbsVal) -> AbsVal:
+def subst(v: Val, rid: int, replacement: Val) -> Val:
     match v:
-        case ARV(r) if r == rid:
+        case VRV(r) if r == rid:
             return replacement
         case AEUnk(s) if rid in s:
             return AEUnk(s - {rid})
-        case AAdd(l, r):
-            return aadd(subst(l, rid, replacement), subst(r, rid, replacement))
-        case ASub(l, r):
-            return asub(subst(l, rid, replacement), subst(r, rid, replacement))
-        case AMul(l, r):
-            return amul(subst(l, rid, replacement), subst(r, rid, replacement))
-        case ADiv(l, r):
-            return adiv(subst(l, rid, replacement), subst(r, rid, replacement))
-        case ACmp(op, l, r):
-            return acmp(op, subst(l, rid, replacement), subst(r, rid, replacement))
-        case AIte(c, t, o):
-            return aite(subst(c, rid, replacement), subst(t, rid, replacement),
-                        subst(o, rid, replacement))
-        case ATup(items):
-            return ATup(tuple(subst(i, rid, replacement) for i in items))
         case ALst(items, tail):
-            new_tail = tail - {rid} if tail is not None else None
-            return ALst(tuple(subst(i, rid, replacement) for i in items), new_tail)
-        case _:
-            return v
+            return ALst(tuple(subst(i, rid, replacement) for i in items), tail - {rid})
+    return rebuild(v, [subst(k, rid, replacement) for k in children(v)], ALGEBRA)
 
 
-def _t_scale(a: AbsVal, b: AbsVal) -> AbsVal:
-    if isinstance(a, AConst) and isinstance(b, AConst):
-        return AConst(math.sqrt(b.v / a.v))
+def _t_scale(a: Val, b: Val) -> Val:
+    if isinstance(a, VConst) and isinstance(b, VConst):
+        return VConst(math.sqrt(b.v / a.v))
     return UNK
 
 
-# The abstract instance of the conjugacy rules' value algebra.  Division is
-# total already; a top anywhere may hide any variable.
+# The abstract instance of the smart constructors and of the conjugacy
+# rules' value operations.  Division is total already; a top anywhere may
+# hide any variable.
 ALGEBRA = Algebra(
-    const=AConst, rv=ARV, add=aadd, sub=asub, mul=amul, div=adiv, div_total=adiv,
-    fv=fv, has_top=contains_top, subst_rv=subst,
-    arith={AAdd: "+", ASub: "-", AMul: "*", ADiv: "/"}, t_scale=_t_scale,
+    add=aadd, sub=asub, mul=amul, div=adiv, cmp=acmp, ite=aite, div_total=adiv,
+    has_top=contains_top, subst_rv=subst, t_scale=_t_scale,
 )
 
 
-def scalar_depth(v: AbsVal) -> int:
+def scalar_depth(v: Val) -> int:
     """Depth of the scalar expression tree; containers reset the count."""
+    if isinstance(v, _CONTAINERS):
+        return 0
+    kids = children(v)
+    return 1 + max(map(scalar_depth, kids)) if kids else 0
+
+
+def widen(v: Val) -> Val:
+    """Collapse scalar trees deeper than DEPTH_LIMIT to ``AEUnk``/``ATopE``."""
+    if isinstance(v, _CONTAINERS):
+        return rebuild(v, [widen(i) for i in children(v)], ALGEBRA)
+    if scalar_depth(v) > DEPTH_LIMIT:
+        return TOP_E if contains_top(v) else AEUnk(fv(v))
+    return v
+
+
+def widen_sets(v: Val) -> Val:
+    """Fold-fixpoint widening: large ``AEUnk`` variable sets become ``ATopE``."""
     match v:
-        case AAdd(l, r) | ASub(l, r) | AMul(l, r) | ADiv(l, r):
-            return 1 + max(scalar_depth(l), scalar_depth(r))
-        case ACmp(_, l, r):
-            return 1 + max(scalar_depth(l), scalar_depth(r))
-        case AIte(c, t, o):
-            return 1 + max(scalar_depth(c), scalar_depth(t), scalar_depth(o))
-        case _:
-            return 0
-
-
-def widen(v: AbsVal) -> AbsVal:
-    """Collapse scalar trees deeper than DEPTH_LIMIT to ``EUnk``/``TopE``."""
-    match v:
-        case ATup(items):
-            return ATup(tuple(widen(i) for i in items))
-        case ALst(items, tail):
-            return ALst(tuple(widen(i) for i in items), tail)
-        case _:
-            if scalar_depth(v) > DEPTH_LIMIT:
-                return TOP_E if contains_top(v) else AEUnk(fv(v))
-            return v
-
-
-def widen_sets(v: AbsVal) -> AbsVal:
-    """Fold-fixpoint widening: large ``EUnk`` variable sets become ``TopE``."""
-    match v:
-        case AEUnk(s) if len(s) >= SET_LIMIT:
+        case AEUnk(s) | ALst(_, s) if len(s) >= SET_LIMIT:
             return TOP_E
-        case AAdd(l, r):
-            return aadd(widen_sets(l), widen_sets(r))
-        case ASub(l, r):
-            return asub(widen_sets(l), widen_sets(r))
-        case AMul(l, r):
-            return amul(widen_sets(l), widen_sets(r))
-        case ADiv(l, r):
-            return adiv(widen_sets(l), widen_sets(r))
-        case ACmp(op, l, r):
-            return acmp(op, widen_sets(l), widen_sets(r))
-        case AIte(c, t, o):
-            return aite(widen_sets(c), widen_sets(t), widen_sets(o))
-        case ATup(items):
-            return ATup(tuple(widen_sets(i) for i in items))
-        case ALst(items, tail):
-            if tail is not None and len(tail) >= SET_LIMIT:
-                return TOP_E
-            return ALst(tuple(widen_sets(i) for i in items), tail)
-        case _:
-            return v
+    return rebuild(v, [widen_sets(k) for k in children(v)], ALGEBRA)
 
 
 def widen_distr(d: Distr) -> Distr:
@@ -431,7 +334,18 @@ def widen_distr(d: Distr) -> Distr:
 # --- partial order ---
 
 
-def leq_expr(a: AbsVal, b: AbsVal) -> bool:
+def _same_head(a: Val, b: Val) -> bool:
+    """Two compound values of one kind: the same node class (and a
+    comparison's operator) with as many children.  A list with an unknown
+    suffix has no head to match."""
+    if type(a) is not type(b) or not isinstance(a, _Node) or isinstance(a, (AEUnk, ALst)):
+        return False
+    if isinstance(a, VCmp) and a.op != b.op:
+        return False
+    return len(children(a)) == len(children(b))
+
+
+def leq_expr(a: Val, b: Val) -> bool:
     """Implemented preorder on abstract expressions."""
     if a == b:
         return True
@@ -440,49 +354,38 @@ def leq_expr(a: AbsVal, b: AbsVal) -> bool:
     if isinstance(a, ATopE):
         return False
     match a, b:
-        case (_, AUnkC() | ARV(_)) if not isinstance(a, (ATup, ALst)) and rv_free(a):
+        case (_, AUnkC() | VRV(_)) if not isinstance(a, _CONTAINERS) and rv_free(a):
             # a scalar free of variables and tops stands for a constant
             return True
-        case (ARV(rid), AEUnk(s)):
+        case (VRV(rid), AEUnk(s)):
             return rid in s
         case (AEUnk(s1), AEUnk(s2)):
             return s1 <= s2
-        case (AAdd(l1, r1), AAdd(l2, r2)) | (ASub(l1, r1), ASub(l2, r2)) | \
-             (AMul(l1, r1), AMul(l2, r2)) | (ADiv(l1, r1), ADiv(l2, r2)):
-            return leq_expr(l1, l2) and leq_expr(r1, r2)
-        case (ACmp(o1, l1, r1), ACmp(o2, l2, r2)):
-            return o1 == o2 and leq_expr(l1, l2) and leq_expr(r1, r2)
-        case (AIte(c1, t1, o1), AIte(c2, t2, o2)):
-            return leq_expr(c1, c2) and leq_expr(t1, t2) and leq_expr(o1, o2)
-        case (ATup(i1), ATup(i2)):
-            return len(i1) == len(i2) and all(leq_expr(x, y) for x, y in zip(i1, i2))
-        case (ALst(i1, t1), ALst(i2, t2)):
-            if t1 is None and t2 is None:
-                return len(i1) == len(i2) and all(leq_expr(x, y) for x, y in zip(i1, i2))
-            return False
         case (_, AEUnk(s)):
-            return not isinstance(a, (ATup, ALst)) and fv(a) <= s and not contains_top(a)
+            return not isinstance(a, _CONTAINERS) and fv(a) <= s and not contains_top(a)
+    if _same_head(a, b):
+        return all(leq_expr(x, y) for x, y in zip(children(a), children(b)))
     return False
 
 
 # --- join ---
 
 
-def join_expr(a: AbsVal, b: AbsVal) -> AbsVal:
+def join_expr(a: Val, b: Val) -> Val:
     if a == b:
         return a
     if isinstance(a, ATopE) or isinstance(b, ATopE):
         return TOP_E
     match a, b:
-        case (AConst(x), AConst(y)):
+        case (VConst(x), VConst(y)):
             return a if x == y else UNK
-        case (AConst(_) | AUnkC(), AUnkC()) | (AUnkC(), AConst(_)):
+        case (VConst(_) | AUnkC(), AUnkC()) | (AUnkC(), VConst(_)):
             return UNK
-        case (ARV(r1), ARV(r2)):
+        case (VRV(r1), VRV(r2)):
             return a if r1 == r2 else AEUnk(frozenset((r1, r2)))
-        case (ARV(_), AConst(_) | AUnkC()):
+        case (VRV(_), VConst(_) | AUnkC()):
             return a
-        case (AConst(_) | AUnkC(), ARV(_)):
+        case (VConst(_) | AUnkC(), VRV(_)):
             return b
         case (AEUnk(s1), AEUnk(s2)):
             return AEUnk(s1 | s2)
@@ -490,33 +393,27 @@ def join_expr(a: AbsVal, b: AbsVal) -> AbsVal:
             return TOP_E if contains_top(b) else AEUnk(s | fv(b))
         case (_, AEUnk(s)):
             return TOP_E if contains_top(a) else AEUnk(s | fv(a))
-        case (AAdd(l1, r1), AAdd(l2, r2)):
-            return widen(aadd(join_expr(l1, l2), join_expr(r1, r2)))
-        case (ASub(l1, r1), ASub(l2, r2)):
-            return widen(asub(join_expr(l1, l2), join_expr(r1, r2)))
-        case (AMul(l1, r1), AMul(l2, r2)):
-            return widen(amul(join_expr(l1, l2), join_expr(r1, r2)))
-        case (ADiv(l1, r1), ADiv(l2, r2)):
-            return widen(adiv(join_expr(l1, l2), join_expr(r1, r2)))
-        case (ACmp(o1, l1, r1), ACmp(o2, l2, r2)) if o1 == o2:
-            return widen(acmp(o1, join_expr(l1, l2), join_expr(r1, r2)))
-        case (AIte(c1, t1, o1), AIte(c2, t2, o2)):
-            return widen(aite(join_expr(c1, c2), join_expr(t1, t2), join_expr(o1, o2)))
-        case (ATup(i1), ATup(i2)) if len(i1) == len(i2):
-            return ATup(tuple(join_expr(x, y) for x, y in zip(i1, i2)))
-        case (ALst(_, _), ALst(_, _)):
+        case (_List(), _List()):
             return _join_lists(a, b)
+    if _same_head(a, b):
+        out = rebuild(a, [join_expr(x, y) for x, y in zip(children(a), children(b))], ALGEBRA)
+        return out if isinstance(a, VTup) else widen(out)
     if contains_top(a) or contains_top(b):
         return TOP_E
     return AEUnk(fv(a) | fv(b))
 
 
-def _join_lists(a: ALst, b: ALst) -> AbsVal:
-    if a.tail is None and b.tail is None and len(a.items) == len(b.items):
-        return ALst(tuple(join_expr(x, y) for x, y in zip(a.items, b.items)), None)
+def suffix_vars(v: _List) -> frozenset[int]:
+    """The variables of a list's unknown suffix; none for a known list."""
+    return v.tail if isinstance(v, ALst) else frozenset()
+
+
+def _join_lists(a: _List, b: _List) -> Val:
+    if isinstance(a, VLst) and isinstance(b, VLst) and len(a.items) == len(b.items):
+        return VLst(tuple(join_expr(x, y) for x, y in zip(a.items, b.items)))
     n = min(len(a.items), len(b.items), DEPTH_LIMIT)
     prefix = tuple(join_expr(x, y) for x, y in zip(a.items[:n], b.items[:n]))
-    rest: frozenset[int] = (a.tail or frozenset()) | (b.tail or frozenset())
+    rest = suffix_vars(a) | suffix_vars(b)
     for leftover in (a.items[n:], b.items[n:]):
         for item in leftover:
             rest |= fv(item)
@@ -583,7 +480,7 @@ class AbsState:
 
     __slots__ = ("entries", "sites", "labels", "counter")
 
-    alg = ALGEBRA  # the value operations of the conjugacy rules
+    alg = ALGEBRA  # the smart constructors, and the rules' value operations
     distr_fv = staticmethod(fv_distr)
 
     def __init__(self, counter: list[int] | None = None,
@@ -632,7 +529,7 @@ class AbsState:
         e = self.entries[rid]
         self.entries[rid] = AbsEntry(ann, e.distr, e.node)
 
-    def realized_value(self, rid: int) -> AbsVal | None:
+    def realized_value(self, rid: int) -> Val | None:
         entry = self.entries.get(rid)
         if entry is None:
             return None
@@ -650,10 +547,10 @@ class AbsState:
     def cast(self, rid: int, casts) -> None:
         raise AnalysisFail([self.witness(rid)])
 
-    def forced(self, rid: int, rng) -> tuple[Distr, AbsVal]:
+    def forced(self, rid: int, rng) -> tuple[Distr, Val]:
         return ADSampledDelta(UNK), UNK
 
-    def observed(self, rid: int, value: AbsVal) -> tuple[float, Distr]:
+    def observed(self, rid: int, value: Val) -> tuple[float, Distr]:
         return 0.0, DDelta(value if rv_free(value) else UNK)
 
     def give_up(self, rids: list[int], why: str) -> None:
@@ -666,40 +563,27 @@ class AbsState:
 
     # --- evaluation (delta substitution, mixture collapse) ---
 
-    def eval_value(self, v: AbsVal) -> AbsVal:
+    def _live(self, rids: frozenset[int]) -> frozenset[int]:
+        return frozenset(r for r in rids if self.realized_value(r) is None)
+
+    def eval_value(self, v: Val) -> Val:
         match v:
-            case ARV(rid):
+            case VRV(rid):
                 c = self.realized_value(rid)
                 return c if c is not None else v
-            case AAdd(l, r):
-                return aadd(self.eval_value(l), self.eval_value(r))
-            case ASub(l, r):
-                return asub(self.eval_value(l), self.eval_value(r))
-            case AMul(l, r):
-                return amul(self.eval_value(l), self.eval_value(r))
-            case ADiv(l, r):
-                return adiv(self.eval_value(l), self.eval_value(r))
-            case ACmp(op, l, r):
-                return acmp(op, self.eval_value(l), self.eval_value(r))
-            case AIte(c, t, o):
-                return aite(self.eval_value(c), self.eval_value(t), self.eval_value(o))
-            case ATup(items):
-                return ATup(tuple(self.eval_value(i) for i in items))
-            case ALst(items, tail):
-                if tail:
-                    tail = frozenset(r for r in tail if self.realized_value(r) is None)
-                return ALst(tuple(self.eval_value(i) for i in items), tail)
             case AEUnk(s):
-                live = frozenset(r for r in s if r not in self.entries or self.realized_value(r) is None)
-                return AEUnk(live)
-            case _:
-                return v
+                return AEUnk(self._live(s))
+            case ALst(items, tail):
+                return ALst(tuple(self.eval_value(i) for i in items), self._live(tail))
+            case _Node():
+                return rebuild(v, [self.eval_value(k) for k in children(v)], ALGEBRA)
+        return v
 
     def eval_distr(self, d: Distr) -> Distr:
         match d:
             case DMixIte(c, d1, d2):
                 c = self.eval_value(c)
-                if isinstance(c, AConst):
+                if isinstance(c, VConst):
                     return self.eval_distr(d1) if c.v else self.eval_distr(d2)
                 t = self.eval_distr(d1)
                 o = self.eval_distr(d2)
@@ -707,8 +591,7 @@ class AbsState:
                     return join_distr(t, o)
                 return DMixIte(c, t, o)
             case ADUnk(s):
-                live = frozenset(r for r in s if r not in self.entries or self.realized_value(r) is None)
-                return ADUnk(live)
+                return ADUnk(self._live(s))
         return _map_distr(d, self.eval_value)
 
     def refresh(self, rid: int) -> None:
@@ -763,7 +646,7 @@ def abs_reachable(roots, *states: AbsState) -> set[int]:
         if isinstance(r, int):
             frontier.append(r)
         else:
-            frontier.extend(fv(r))
+            frontier.extend(free_vars(r))
     seen: set[int] = set()
     while frontier:
         rid = frontier.pop()
@@ -778,7 +661,7 @@ def abs_reachable(roots, *states: AbsState) -> set[int]:
     return seen
 
 
-def abs_weak_eq(g1: AbsState, g2: AbsState, e: AbsVal) -> bool:
+def abs_weak_eq(g1: AbsState, g2: AbsState, e: Val) -> bool:
     for rid in abs_reachable([e], g1, g2):
         if g1.entries.get(rid) != g2.entries.get(rid):
             return False
@@ -871,78 +754,21 @@ def join_states(g1: AbsState, g2: AbsState, in_fold: bool) -> AbsState:
 # --- rename-join ---
 
 
-def _collect_rvs(v: AbsVal, acc: list[int], seen: set[int]) -> None:
-    match v:
-        case ARV(rid):
-            if rid not in seen:
-                seen.add(rid)
-                acc.append(rid)
-        case AEUnk(s):
-            for rid in sorted(s):
-                if rid not in seen:
-                    seen.add(rid)
-                    acc.append(rid)
-        case AAdd(l, r) | ASub(l, r) | AMul(l, r) | ADiv(l, r):
-            _collect_rvs(l, acc, seen)
-            _collect_rvs(r, acc, seen)
-        case ACmp(_, l, r):
-            _collect_rvs(l, acc, seen)
-            _collect_rvs(r, acc, seen)
-        case AIte(c, t, o):
-            _collect_rvs(c, acc, seen)
-            _collect_rvs(t, acc, seen)
-            _collect_rvs(o, acc, seen)
-        case ATup(items):
-            for i in items:
-                _collect_rvs(i, acc, seen)
-        case ALst(items, tail):
-            for i in items:
-                _collect_rvs(i, acc, seen)
-            if tail:
-                for rid in sorted(tail):
-                    if rid not in seen:
-                        seen.add(rid)
-                        acc.append(rid)
-        case _:
-            pass
-
-
-def ordered_rvs(v: AbsVal) -> list[int]:
-    acc: list[int] = []
-    _collect_rvs(v, acc, set())
-    return acc
-
-
-def _align(a: AbsVal, b: AbsVal, sigma: dict[int, int], taken: set[int]) -> None:
+def _align(a: Val, b: Val, sigma: dict[int, int], taken: set[int]) -> None:
     """Structural lockstep walk recording which of b's variables should be
     renamed onto a's variables."""
-    match a, b:
-        case (ARV(x), ARV(y)):
-            if x != y and y not in sigma and x not in taken:
-                sigma[y] = x
-                taken.add(x)
-        case (AAdd(l1, r1), AAdd(l2, r2)) | (ASub(l1, r1), ASub(l2, r2)) | \
-             (AMul(l1, r1), AMul(l2, r2)) | (ADiv(l1, r1), ADiv(l2, r2)):
-            _align(l1, l2, sigma, taken)
-            _align(r1, r2, sigma, taken)
-        case (ACmp(o1, l1, r1), ACmp(o2, l2, r2)) if o1 == o2:
-            _align(l1, l2, sigma, taken)
-            _align(r1, r2, sigma, taken)
-        case (AIte(c1, t1, o1), AIte(c2, t2, o2)):
-            _align(c1, c2, sigma, taken)
-            _align(t1, t2, sigma, taken)
-            _align(o1, o2, sigma, taken)
-        case (ATup(i1), ATup(i2)):
-            for x, y in zip(i1, i2):
-                _align(x, y, sigma, taken)
-        case (ALst(i1, _), ALst(i2, _)):
-            for x, y in zip(i1, i2):
-                _align(x, y, sigma, taken)
-        case _:
-            pass
+    if isinstance(a, VRV) and isinstance(b, VRV):
+        x, y = a.rid, b.rid
+        if x != y and y not in sigma and x not in taken:
+            sigma[y] = x
+            taken.add(x)
+    elif (type(a) is type(b) and not (isinstance(a, VCmp) and a.op != b.op)
+          or isinstance(a, _List) and isinstance(b, _List)):
+        for x, y in zip(children(a), children(b)):
+            _align(x, y, sigma, taken)
 
 
-def build_sigma(e1: AbsVal, e2: AbsVal, g1: AbsState, g2: AbsState) -> dict[int, int]:
+def build_sigma(e1: Val, e2: Val, g1: AbsState, g2: AbsState) -> dict[int, int]:
     """Renaming of g2's variables that maximizes structural agreement.
 
     A structural pass aligns same-position variables; a fallback pass then
@@ -952,11 +778,11 @@ def build_sigma(e1: AbsVal, e2: AbsVal, g1: AbsState, g2: AbsState) -> dict[int,
     taken: set[int] = set()
     _align(e1, e2, sigma, taken)
     by_site: dict[str, list[int]] = {}
-    for r in ordered_rvs(e1):
+    for r in free_vars(e1):
         if r not in taken:
             by_site.setdefault(g1.sites.get(r, "?"), []).append(r)
     leftover2: dict[str, list[int]] = {}
-    for r in ordered_rvs(e2):
+    for r in free_vars(e2):
         if r not in sigma and r not in taken:
             leftover2.setdefault(g2.sites.get(r, "?"), []).append(r)
     for site, sources in leftover2.items():
@@ -971,40 +797,28 @@ def build_sigma(e1: AbsVal, e2: AbsVal, g1: AbsState, g2: AbsState) -> dict[int,
     return {k: v for k, v in sigma.items() if k != v}
 
 
-def rename_apply(v: AbsVal, sigma: dict[int, int]) -> AbsVal:
+def _rename(rids: frozenset[int], sigma: dict[int, int]) -> frozenset[int]:
+    return frozenset(sigma.get(r, r) for r in rids)
+
+
+def rename_apply(v: Val, sigma: dict[int, int]) -> Val:
     if not sigma:
         return v
     match v:
-        case ARV(rid):
-            return ARV(sigma.get(rid, rid))
+        case VRV(rid):
+            return VRV(sigma.get(rid, rid))
         case AEUnk(s):
-            return AEUnk(frozenset(sigma.get(r, r) for r in s))
-        case AAdd(l, r):
-            return AAdd(rename_apply(l, sigma), rename_apply(r, sigma))
-        case ASub(l, r):
-            return ASub(rename_apply(l, sigma), rename_apply(r, sigma))
-        case AMul(l, r):
-            return AMul(rename_apply(l, sigma), rename_apply(r, sigma))
-        case ADiv(l, r):
-            return ADiv(rename_apply(l, sigma), rename_apply(r, sigma))
-        case ACmp(op, l, r):
-            return ACmp(op, rename_apply(l, sigma), rename_apply(r, sigma))
-        case AIte(c, t, o):
-            return AIte(rename_apply(c, sigma), rename_apply(t, sigma), rename_apply(o, sigma))
-        case ATup(items):
-            return ATup(tuple(rename_apply(i, sigma) for i in items))
+            return AEUnk(_rename(s, sigma))
         case ALst(items, tail):
-            t = frozenset(sigma.get(r, r) for r in tail) if tail is not None else None
-            return ALst(tuple(rename_apply(i, sigma) for i in items), t)
-        case _:
-            return v
+            return ALst(tuple(rename_apply(i, sigma) for i in items), _rename(tail, sigma))
+    return rebuild(v, [rename_apply(k, sigma) for k in children(v)], ALGEBRA)
 
 
 def rename_distr(d: Distr, sigma: dict[int, int]) -> Distr:
     if not sigma:
         return d
     if isinstance(d, ADUnk):
-        return ADUnk(frozenset(sigma.get(r, r) for r in d.fv))
+        return ADUnk(_rename(d.fv, sigma))
     return _map_distr(d, lambda v: rename_apply(v, sigma))
 
 
@@ -1013,19 +827,19 @@ def rename_node(node: AbsNode | None, sigma: dict[int, int]) -> AbsNode | None:
         return node
     match node:
         case MargRootN(c):
-            return MargRootN(frozenset(sigma.get(r, r) for r in c))
+            return MargRootN(_rename(c, sigma))
         case MargN(p, d, c):
-            return MargN(sigma.get(p, p), rename_distr(d, sigma), frozenset(sigma.get(r, r) for r in c))
+            return MargN(sigma.get(p, p), rename_distr(d, sigma), _rename(c, sigma))
         case InitN(p, c):
-            return InitN(sigma.get(p, p), frozenset(sigma.get(r, r) for r in c))
+            return InitN(sigma.get(p, p), _rename(c, sigma))
         case RealizedN():
             return node
         case ATopN(c):
-            return ATopN(frozenset(sigma.get(r, r) for r in c))
+            return ATopN(_rename(c, sigma))
     raise TypeError(node)
 
 
-def subst_distr(d: Distr, rid: int, replacement: AbsVal) -> Distr:
+def subst_distr(d: Distr, rid: int, replacement: Val) -> Distr:
     if isinstance(d, ADUnk):
         return ADUnk(d.fv - {rid})
     return _map_distr(d, lambda v: subst(v, rid, replacement))
@@ -1047,25 +861,11 @@ def _param_unknown_sets(d: Distr):
         yield from _expr_unknown_sets(p)
 
 
-def _expr_unknown_sets(v: AbsVal):
-    match v:
-        case AEUnk(s):
-            yield s
-        case AAdd(l, r) | ASub(l, r) | AMul(l, r) | ADiv(l, r):
-            yield from _expr_unknown_sets(l)
-            yield from _expr_unknown_sets(r)
-        case ACmp(_, l, r):
-            yield from _expr_unknown_sets(l)
-            yield from _expr_unknown_sets(r)
-        case AIte(c, t, o):
-            yield from _expr_unknown_sets(c)
-            yield from _expr_unknown_sets(t)
-            yield from _expr_unknown_sets(o)
-        case ATup(items) | ALst(items, _):
-            for i in items:
-                yield from _expr_unknown_sets(i)
-        case _:
-            pass
+def _expr_unknown_sets(v: Val):
+    if isinstance(v, AEUnk):
+        yield v.fv
+    for k in children(v):
+        yield from _expr_unknown_sets(k)
 
 
 def _check_joined_entry(g: AbsState, d: Distr) -> None:
@@ -1104,8 +904,8 @@ def rename_state(g: AbsState, sigma: dict[int, int]) -> AbsState:
     return out
 
 
-def rename_join(e1: AbsVal, e2: AbsVal, g1: AbsState, g2: AbsState,
-                in_fold: bool = False) -> tuple[AbsVal, AbsState]:
+def rename_join(e1: Val, e2: Val, g1: AbsState, g2: AbsState,
+                in_fold: bool = False) -> tuple[Val, AbsState]:
     """Align g2's fresh variables with g1's, then take least upper bounds."""
     sigma = build_sigma(e1, e2, g1, g2)
     e3 = rename_apply(e2, sigma)

@@ -1,10 +1,12 @@
 """Satisfiability analysis: abstract interpretation of annotation plans.
 
 The analysis is the runtime's evaluation loop (``runtime.Evaluator._run``)
-run over the domain of ``absdomain``.  ``AbsInterp`` supplies only that
-domain: value constructors, operators, pattern binding, the join of both
-branches of an ``if`` whose forced condition stays unknown, the fixpoint
-of a fold over a list of unknown length, and the abstract backends.
+run over the domain of ``absdomain``.  Values are ``sym``'s nodes, built
+through the state's smart constructors (``absdomain.ALGEBRA``), so
+``AbsInterp`` supplies only the rest of that domain: the list operators,
+pattern binding, the join of both branches of an ``if`` whose forced
+condition stays unknown, the fixpoint of a fold over a list of unknown
+length, and the abstract backends.
 ``main`` is closed over an unknown ``data`` with ``runtime.subst``, as
 ``run_model`` closes it over the data, and one abstract particle runs it;
 ``resample`` is a no-op and there are no weights.
@@ -26,32 +28,23 @@ from dataclasses import dataclass
 
 from .absdomain import (
     AbsState,
-    AbsVal,
-    AConst,
     AEUnk,
     ALst,
-    ARV,
     ATopE,
-    ATup,
     AnalysisFail,
     TOP_E,
     UNK,
-    aadd,
-    acmp,
-    adiv,
-    aite,
-    amul,
-    asub,
     abs_weak_eq,
     contains_top,
     fv,
     rename_join,
+    suffix_vars,
 )
 from .ds import DsBackend
 from .lang import Annotation, Expr, Pattern, Program, PTuple, PUnit, PVar, PWild
 from .runtime import Evaluator, pattern_mismatch, subst as esubst
 from .ssi import SsiBackend
-from .sym import Distr, EvalError
+from .sym import UNIT, Distr, EvalError, VConst, VLst, VTup, Val, _List, free_vars
 
 FOLD_ITER_LIMIT = 1000
 
@@ -97,11 +90,11 @@ class AbsDs:
 # --- abstract interpreter ---
 
 
-def _abs_match(pat: Pattern, v: AbsVal) -> dict[str, AbsVal]:
+def _abs_match(pat: Pattern, v: Val) -> dict[str, Val]:
     """Bind a pattern against an abstract value, projecting unknowns."""
-    out: dict[str, AbsVal] = {}
+    out: dict[str, Val] = {}
 
-    def go(p: Pattern, x: AbsVal) -> None:
+    def go(p: Pattern, x: Val) -> None:
         match p:
             case PVar(name):
                 out[name] = x
@@ -109,7 +102,7 @@ def _abs_match(pat: Pattern, v: AbsVal) -> dict[str, AbsVal]:
                 pass
             case PTuple(items):
                 match x:
-                    case ATup(vals) if len(vals) == len(items):
+                    case VTup(vals) if len(vals) == len(items):
                         for q, y in zip(items, vals):
                             go(q, y)
                     case AEUnk(s):
@@ -119,7 +112,7 @@ def _abs_match(pat: Pattern, v: AbsVal) -> dict[str, AbsVal]:
                         for q in items:
                             go(q, TOP_E)
                     case _:
-                        raise AnalysisError(pattern_mismatch(p, x, ATup, ALst))
+                        raise AnalysisError(pattern_mismatch(p, x))
     go(pat, v)
     return out
 
@@ -135,29 +128,24 @@ class AbsParticle:
 
 
 class AbsInterp(Evaluator):
-    """The runtime's evaluation loop over the abstract domain."""
+    """The runtime's evaluation loop over the abstract domain: the same
+    value nodes, built through the state's ``ALGEBRA``."""
 
-    Const = AConst
-    Tup = ATup
-    Lst = ALst
-    RV = ARV
-    ite = staticmethod(aite)
-    fv = staticmethod(fv)
     bind = staticmethod(_abs_match)
 
-    def _force(self, v: AbsVal, p: AbsParticle) -> AbsVal:
+    def _force(self, v: Val, p: AbsParticle) -> Val:
         """``value_star``: force each variable, then fold; ``UNK`` if still unknown."""
         g = p.state
         e = g.eval_value(v)
-        if isinstance(e, AConst):
+        if isinstance(e, VConst):
             return e
-        for rid in sorted(fv(e)):
+        for rid in sorted(free_vars(e)):
             if rid in g.entries:
                 self.backend.value(rid, g)
         e = g.eval_value(e)
-        return e if isinstance(e, AConst) else UNK
+        return e if isinstance(e, VConst) else UNK
 
-    def _join_branches(self, te: Expr, oe: Expr, env: dict, p: AbsParticle) -> AbsVal:
+    def _join_branches(self, te: Expr, oe: Expr, env: dict, p: AbsParticle) -> Val:
         """Both branches from copies of the state, joined."""
         p1 = AbsParticle(p.state.copy())
         tv, _ = self._run(te, env, p1)
@@ -172,99 +160,65 @@ class AbsInterp(Evaluator):
         return self.backend.assume(ann, d, p.state, label=label,
                                    site="obs" if site is None else f"rv:{site}")
 
-    def _observe(self, rid: int, c: AbsVal, p: AbsParticle) -> None:
+    def _observe(self, rid: int, c: Val, p: AbsParticle) -> None:
         self.backend.observe(rid, c, p.state)
 
     def _resample(self, site: int, p: AbsParticle):
-        return AConst(None), False
+        return UNIT, False
 
-    def _map_items(self, lst: AbsVal, p: AbsParticle) -> tuple[AbsVal, ...]:
+    def _map_items(self, lst: Val, p: AbsParticle) -> tuple[Val, ...]:
         lst = p.state.eval_value(lst)
-        if not isinstance(lst, ALst) or lst.tail is not None:
+        if not isinstance(lst, VLst):
             raise AnalysisError("map over an unknown list is unsupported")
         return lst.items
 
-    def _fold(self, fname: str, lst: AbsVal, init: AbsVal, p: AbsParticle):
-        if isinstance(lst, ALst) and lst.tail is None:
+    def _fold(self, fname: str, lst: Val, init: Val, p: AbsParticle):
+        if isinstance(lst, VLst):
             return self._fold_from(fname, lst.items, 0, init, p)
         return self.fold_fixpoint(fname, lst, init, p), False
 
-    def _eval_op(self, op: str, args: list[AbsVal], p: AbsParticle) -> AbsVal:
+    def _list_op(self, op: str, args: list[Val], p: AbsParticle) -> Val:
+        """The list operators, over lists whose length may be unknown."""
         a = [p.state.eval_value(x) for x in args]
+        lst = a[0]
         match op:
-            case "+":
-                return aadd(a[0], a[1])
-            case "-":
-                return asub(a[0], a[1])
-            case "*":
-                return amul(a[0], a[1])
-            case "/":
-                return adiv(a[0], a[1])
-            case "=" | "!=" | "<" | "<=":
-                return acmp(op, a[0], a[1])
-            case "not":
-                return aite(a[0], AConst(False), AConst(True))
             case "cons":
-                hd, tl = a[0], a[1]
-                match tl:
-                    case ALst(items, tail):
-                        return ALst((hd,) + items, tail)
-                    case AEUnk(s):
-                        return ALst((hd,), s)
-                    case ATopE():
-                        return TOP_E
-                    case _:
-                        return AEUnk(fv(hd) | fv(tl))
-            case "hd":
-                match a[0]:
-                    case ALst(items, tail):
-                        if items:
-                            return items[0]
-                        return AEUnk(tail or frozenset())
-                    case AEUnk(s):
-                        return AEUnk(s)
-                    case _:
-                        return TOP_E
-            case "tl":
-                match a[0]:
-                    case ALst(items, tail):
-                        if items:
-                            return ALst(items[1:], tail)
-                        return a[0]
-                    case AEUnk(s):
-                        return AEUnk(s)
-                    case _:
-                        return TOP_E
+                hd, tl = a
+                if isinstance(tl, _List):
+                    return tl.with_items((hd,) + tl.items)
+                if isinstance(tl, AEUnk):
+                    return ALst((hd,), tl.fv)
+                return TOP_E if isinstance(tl, ATopE) else AEUnk(fv(hd) | fv(tl))
+            case "hd" if isinstance(lst, _List):
+                if lst.items:
+                    return lst.items[0]
+                return AEUnk(suffix_vars(lst))
+            case "tl" if isinstance(lst, _List):
+                return lst.with_items(lst.items[1:])
+            case "hd" | "tl":
+                return lst if isinstance(lst, AEUnk) else TOP_E
+            case "rev" if isinstance(lst, VLst):
+                return VLst(tuple(reversed(lst.items)))
             case "rev":
-                match a[0]:
-                    case ALst(items, None):
-                        return ALst(tuple(reversed(items)), None)
-                    case _:
-                        return AEUnk(fv(a[0])) if not contains_top(a[0]) else TOP_E
+                return TOP_E if contains_top(lst) else AEUnk(fv(lst))
             case "len":
-                match a[0]:
-                    case ALst(items, None):
-                        return AConst(float(len(items)))
-                    case _:
-                        return UNK
-            case "range":
-                lo, hi = a[0], a[1]
-                if isinstance(lo, AConst) and isinstance(hi, AConst):
-                    return ALst(tuple(AConst(float(i)) for i in range(int(lo.v), int(hi.v))), None)
-                return AEUnk(frozenset())
-        raise EvalError(f"unknown operator {op}")
+                return VConst(float(len(lst.items))) if isinstance(lst, VLst) else UNK
+        lo, hi = a  # range
+        if isinstance(lo, VConst) and isinstance(hi, VConst):
+            return VLst(tuple(VConst(float(i)) for i in range(int(lo.v), int(hi.v))))
+        return AEUnk(frozenset())
 
-    def fold_fixpoint(self, fname: str, lst: AbsVal, acc: AbsVal, p: AbsParticle) -> AbsVal:
+    def fold_fixpoint(self, fname: str, lst: Val, acc: Val, p: AbsParticle) -> Val:
         """A fold over a list of unknown length: the step joined into the
         accumulator until the accumulator and the state stop changing."""
         g = p.state
-        elem: AbsVal = TOP_E if contains_top(lst) else AEUnk(fv(lst))
+        elem: Val = TOP_E if contains_top(lst) else AEUnk(fv(lst))
         f = self.program.function(fname)
         for _ in range(FOLD_ITER_LIMIT):
             it = AbsParticle(g.copy())
-            vf, _ = self._run(f.body, _abs_match(f.param, ATup((elem, acc))), it)
+            vf, _ = self._run(f.body, _abs_match(f.param, VTup((elem, acc))), it)
             vj, gj = rename_join(acc, vf, g, it.state, in_fold=True)
-            if vj == acc and abs_weak_eq(g, gj, ATup((lst, vj))):
+            if vj == acc and abs_weak_eq(g, gj, VTup((lst, vj))):
                 return acc
             acc = vj
             g.entries = gj.entries

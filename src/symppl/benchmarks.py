@@ -289,7 +289,7 @@ def truth_rows(spec: BenchmarkSpec, truth: dict, timesteps: int) -> list[tuple]:
 def read_csv(path: str) -> list[tuple[float, ...]]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        next(reader, None)  # the header; an empty file has none
         return [tuple(float(x) for x in row) for row in reader]
 
 

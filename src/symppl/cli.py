@@ -15,6 +15,7 @@ import signal
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from typing import NoReturn
 
 import numpy as np
 
@@ -22,17 +23,29 @@ from . import benchmarks as bm
 from .analysis import analyze
 from .checker import MAX_PLAN_SITES, apply_plan, check, plan_annotations, rv_sites
 from .interface import CastError
-from .parser import parse, print_program
+from .parser import ParseError, parse, print_program
 from .runtime import DegenerateWeights, Mixture, run_model
 from .ds import DsBackend
 from .ssi import SsiBackend
 from .sym import Distr, EvalError, distr_to_json
 
 
+def _usage_error(message: str) -> NoReturn:
+    """Reports ``message`` as one ``error:`` line; exits with the usage-error code."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(1)
+
+
 def _load_program(path: str):
-    with open(path) as fh:
-        source = fh.read()
-    program = parse(source)
+    try:
+        with open(path) as fh:
+            source = fh.read()
+    except OSError as exc:
+        _usage_error(f"cannot read {path}: {exc.strerror or exc}")
+    try:
+        program = parse(source)
+    except ParseError as exc:
+        _usage_error(f"{path}:{exc}")
     diags = check(program)
     if diags:
         for d in diags:
@@ -48,8 +61,7 @@ def _planned(program, plan: int | None):
         return program
     k = len(rv_sites(program))
     if not 0 <= plan < 2**k:
-        print(f"error: plan {plan} out of range for {k} sites", file=sys.stderr)
-        raise SystemExit(1)
+        _usage_error(f"plan {plan} out of range for {k} sites")
     return apply_plan(program, plan)
 
 
@@ -58,8 +70,7 @@ def _int_list(text: str, flag: str) -> list[int]:
     try:
         return [int(p) for p in text.split(",")]
     except ValueError:
-        print(f"error: {flag} takes comma-separated integers, not {text!r}", file=sys.stderr)
-        raise SystemExit(1) from None
+        _usage_error(f"{flag} takes comma-separated integers, not {text!r}")
 
 
 def _backend(method: str):
@@ -125,11 +136,23 @@ def cmd_analyze(args) -> int:
     return 0 if verdict.satisfiable else 2
 
 
+def _benchmark(name: str) -> bm.BenchmarkSpec:
+    if name not in bm.BENCHMARKS:
+        _usage_error(f"unknown benchmark {name}")
+    return bm.BENCHMARKS[name]
+
+
 def _load_data(args, benchmark: str | None):
+    spec = _benchmark(benchmark) if benchmark is not None else None
     if args.data:
-        rows = bm.read_csv(args.data)
-        if benchmark is not None:
-            return bm.BENCHMARKS[benchmark].data_value(rows)
+        try:
+            rows = bm.read_csv(args.data)
+        except OSError as exc:
+            _usage_error(f"cannot read {args.data}: {exc.strerror or exc}")
+        except ValueError as exc:
+            _usage_error(f"{args.data}: {exc}")
+        if spec is not None:
+            return spec.data_value(rows)
         from .sym import VConst, VLst, VTup
 
         if rows and len(rows[0]) == 1:
@@ -160,10 +183,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    if args.benchmark not in bm.BENCHMARKS:
-        print(f"error: unknown benchmark {args.benchmark}", file=sys.stderr)
-        return 1
-    spec = bm.BENCHMARKS[args.benchmark]
+    spec = _benchmark(args.benchmark)
     rows, truth = bm.generate(args.benchmark, args.seed, args.timesteps, args.variant)
     prefix = args.out or args.benchmark
     bm.write_csv(f"{prefix}_data.csv", list(spec.data_columns), rows)
@@ -208,10 +228,7 @@ def _bench_trial(payload):
 
 
 def cmd_bench(args) -> int:
-    if args.benchmark not in bm.BENCHMARKS:
-        print(f"error: unknown benchmark {args.benchmark}", file=sys.stderr)
-        return 1
-    spec = bm.BENCHMARKS[args.benchmark]
+    spec = _benchmark(args.benchmark)
     plans = _int_list(args.plans, "--plans")
     particle_counts = _int_list(args.particles, "--particles")
     program = spec.program()

@@ -11,11 +11,12 @@ Four supported pairs:
 * bernoulli-bernoulli: Bernoulli parent inside the child's probability,
   resolved by enumerating the parent.
 
-This is the only rule table.  The runtime applies it to concrete values
-(``sym.CONCRETE``, the default) and the analysis to abstract ones
-(``absdomain.ALGEBRA``); each passes the value operations as a
-``sym.Algebra``, so the analysis accepts exactly the pairs the runtime
-does.  The backends take the algebra from their state (``g.alg``).
+This is the only rule table.  Both sides build and read ``sym``'s value
+nodes; the runtime applies the rules through its smart constructors
+(``sym.CONCRETE``, the default) and the analysis through its own
+(``absdomain.ALGEBRA``), each a ``sym.Algebra``, so the analysis accepts
+exactly the pairs the runtime does.  The backends take the algebra from
+their state (``g.alg``).
 
 ``posterior`` expressions reference the child through ``child_ref``, which
 is the child variable during a swap and a realized constant during a
@@ -25,6 +26,7 @@ delayed-sampling realize.
 from __future__ import annotations
 
 from .sym import (
+    ARITH,
     CONCRETE,
     Algebra,
     DBernoulli,
@@ -34,11 +36,14 @@ from .sym import (
     DNormal,
     DStudentT,
     Distr,
+    VConst,
+    VRV,
+    free_vars,
 )
 
 
 def _free(v, allow: frozenset[int], alg: Algebra) -> bool:
-    return all(r in allow for r in alg.fv(v)) and not alg.has_top(v)
+    return all(r in allow for r in free_vars(v)) and not alg.has_top(v)
 
 
 def affine_of(e, rid: int, alg: Algebra = CONCRETE):
@@ -46,11 +51,11 @@ def affine_of(e, rid: int, alg: Algebra = CONCRETE):
 
     Coefficients may reference other live variables.
     """
-    if rid not in alg.fv(e):
-        return None if alg.has_top(e) else (alg.const(0.0), e)
-    op = alg.arith.get(type(e))
+    if rid not in free_vars(e):
+        return None if alg.has_top(e) else (VConst(0.0), e)
+    op = ARITH.get(type(e))
     if op is None:
-        return (alg.const(1.0), alg.const(0.0)) if e == alg.rv(rid) else None
+        return (VConst(1.0), VConst(0.0)) if e == VRV(rid) else None
     cl, cr = affine_of(e.left, rid, alg), affine_of(e.right, rid, alg)
     if cl is None or cr is None:
         return None
@@ -59,7 +64,7 @@ def affine_of(e, rid: int, alg: Algebra = CONCRETE):
         return (alg.add(a1, a2), alg.add(b1, b2))
     if op == "-":
         return (alg.sub(a1, a2), alg.sub(b1, b2))
-    zero = alg.const(0.0)
+    zero = VConst(0.0)
     if op == "*":
         if a1 == zero:
             return (alg.mul(b1, a2), alg.mul(b1, b2))
@@ -89,21 +94,21 @@ def match_case(prior: Distr, cond: Distr, par: int,
             if (
                 _free(var0, allow, alg)
                 and _free(var, allow, alg)
-                and par in alg.fv(mu)
+                and par in free_vars(mu)
                 and affine_of(mu, par, alg) is not None
             ):
                 return LINEAR_GAUSSIAN
         case DBeta(a, b), DBernoulli(p):
-            if p == alg.rv(par) and _free(a, allow, alg) and _free(b, allow, alg):
+            if p == VRV(par) and _free(a, allow, alg) and _free(b, allow, alg):
                 return BETA_BERNOULLI
         case DInvGamma(a, b), DNormal(mu, var):
-            if (var == alg.rv(par) and _free(mu, allow, alg) and _free(a, allow, alg)
+            if (var == VRV(par) and _free(mu, allow, alg) and _free(a, allow, alg)
                     and _free(b, allow, alg)):
                 return INVGAMMA_VARIANCE
         case DBernoulli(_), DBernoulli(p2):
             # the parent's own probability may reference other live
             # variables; enumeration only substitutes the parent
-            if par in alg.fv(p2):
+            if par in free_vars(p2):
                 return BERNOULLI_BERNOULLI
     return None
 
@@ -118,9 +123,9 @@ def _gaussian_parts(prior: DNormal, cond: DNormal, par: int, alg: Algebra):
 def _enumerate_parent(prior: DBernoulli, cond: DBernoulli, par: int, alg: Algebra):
     """The child's probability given a true parent, and its marginal."""
     p1 = prior.p
-    p_t = alg.subst_rv(cond.p, par, alg.const(True))
-    p_f = alg.subst_rv(cond.p, par, alg.const(False))
-    return p_t, alg.add(alg.mul(p1, p_t), alg.mul(alg.sub(alg.const(1.0), p1), p_f))
+    p_t = alg.subst_rv(cond.p, par, VConst(True))
+    p_f = alg.subst_rv(cond.p, par, VConst(False))
+    return p_t, alg.add(alg.mul(p1, p_t), alg.mul(alg.sub(VConst(1.0), p1), p_f))
 
 
 def marginal(prior: Distr, cond: Distr, par: int, alg: Algebra = CONCRETE) -> Distr | None:
@@ -136,7 +141,7 @@ def marginal(prior: Distr, cond: Distr, par: int, alg: Algebra = CONCRETE) -> Di
         scale = alg.t_scale(prior.a, prior.b)
         if scale is None:
             return None
-        return DStudentT(cond.mu, alg.mul(alg.const(2.0), prior.a), scale)
+        return DStudentT(cond.mu, alg.mul(VConst(2.0), prior.a), scale)
     if case == BERNOULLI_BERNOULLI:
         return DBernoulli(_enumerate_parent(prior, cond, par, alg)[1])
     return None
@@ -146,7 +151,7 @@ def posterior(prior: Distr, cond: Distr, par: int, child_ref,
               alg: Algebra = CONCRETE) -> Distr | None:
     """Parent's distribution conditioned on the child taking ``child_ref``."""
     case = match_case(prior, cond, par, alg=alg)
-    one = alg.const(1.0)
+    one = VConst(1.0)
     if case == LINEAR_GAUSSIAN:
         a, b, mu01, var01, var = _gaussian_parts(prior, cond, par, alg)
         var02 = alg.div(one, alg.add(alg.div(one, var01), alg.div(one, var)))
@@ -157,8 +162,8 @@ def posterior(prior: Distr, cond: Distr, par: int, child_ref,
         return DMixIte(child_ref, DBeta(alg.add(a, one), b), DBeta(a, alg.add(b, one)))
     if case == INVGAMMA_VARIANCE:
         resid = alg.sub(child_ref, cond.mu)
-        return DInvGamma(alg.add(prior.a, alg.const(0.5)),
-                         alg.add(prior.b, alg.div(alg.mul(resid, resid), alg.const(2.0))))
+        return DInvGamma(alg.add(prior.a, VConst(0.5)),
+                         alg.add(prior.b, alg.div(alg.mul(resid, resid), VConst(2.0))))
     if case == BERNOULLI_BERNOULLI:
         p_t, marg = _enumerate_parent(prior, cond, par, alg)
         pos_t = alg.div_total(alg.mul(prior.p, p_t), marg)

@@ -22,7 +22,9 @@ from .sym import (
     VLst,
     VRV,
     VTup,
+    check_params,
     free_rvs,
+    shape,
 )
 
 
@@ -76,7 +78,7 @@ def value_star(v: Val, g: SymState, backend: Backend,
         backend.value(rid, g, rng, casts)
     e = g.eval_value(e)
     if not isinstance(e, VConst):
-        raise EvalError(f"expression did not reduce to a constant: {e}")
+        raise EvalError(f"expression did not reduce to a constant: {shape(e)}")
     return e
 
 
@@ -86,7 +88,8 @@ def distribution(v: Val, g: SymState, backend: Backend,
 
     Returns a tree mirroring the value: tuples/lists of ``Distr``.  Any
     sampling needed to extract output marginals is recorded in ``casts``,
-    which callers keep separate from the semantic cast log.
+    which callers keep separate from the semantic cast log.  A marginal
+    with a constant parameter outside its domain is an ``EvalError``.
     """
     match v:
         case VConst(_):
@@ -96,7 +99,7 @@ def distribution(v: Val, g: SymState, backend: Backend,
         case VLst(items):
             return [distribution(x, g, backend, rng, casts) for x in items]
         case VRV(rid):
-            return backend.marginal_of(rid, g, rng, casts)
+            return check_params(backend.marginal_of(rid, g, rng, casts))
         case _:
             c = value_star(v, g, backend, rng, casts)
             return DDelta(c)

@@ -55,6 +55,9 @@ from .lang import (
 )
 from .parser import print_pattern
 from .sym import (
+    FALSE,
+    TRUE,
+    UNIT,
     Distr,
     EvalError,
     SymState,
@@ -63,16 +66,14 @@ from .sym import (
     VRV,
     VTup,
     Val,
-    add,
-    cmp,
-    div,
     free_vars,
-    ite,
     make_dist,
     moments,
-    mul,
-    sub,
+    shape,
 )
+
+
+LIST_OPS = frozenset({"cons", "hd", "tl", "rev", "len", "range"})
 
 
 class DegenerateWeights(Exception):
@@ -132,15 +133,10 @@ def subst(e: Expr, bindings: dict[str, Val]) -> Expr:
     raise TypeError(e)
 
 
-def pattern_mismatch(pat: PTuple, v, tup: type, lst: type) -> str:
+def pattern_mismatch(pat: PTuple, v: Val) -> str:
     """The error for a tuple pattern that does not bind ``v``: the pattern
-    in source syntax and the shape of the value, in the domain whose tuple
-    and list classes are ``tup`` and ``lst``."""
-    if isinstance(v, tup):
-        shape = f"a {len(v.items)}-tuple"
-    else:
-        shape = "a list" if isinstance(v, lst) else "a scalar"
-    return f"pattern arity mismatch: {print_pattern(pat)} does not match {shape}"
+    in source syntax and the shape of the value."""
+    return f"pattern arity mismatch: {print_pattern(pat)} does not match {shape(v)}"
 
 
 def match_pattern(pat: Pattern, v: Val) -> dict[str, Val]:
@@ -151,7 +147,7 @@ def match_pattern(pat: Pattern, v: Val) -> dict[str, Val]:
             return {}
         case PTuple(items):
             if not isinstance(v, VTup) or len(v.items) != len(items):
-                raise EvalError(pattern_mismatch(pat, v, VTup, VLst))
+                raise EvalError(pattern_mismatch(pat, v))
             out: dict[str, Val] = {}
             for q, x in zip(items, v.items):
                 out.update(match_pattern(q, x))
@@ -189,18 +185,14 @@ class Particle:
 class Evaluator:
     """Evaluates particles of one program under one backend.
 
-    A domain (concrete here, abstract in ``analysis.AbsInterp``) supplies
-    its value constructors as class attributes and the hooks below, which
-    sit only at nodes that call out anyway: ``if``, ``let <-``,
-    ``observe``, ``fold``, ``map`` and ``resample``.
+    Both domains (concrete here, abstract in ``analysis.AbsInterp``) build
+    ``sym``'s value nodes, through the smart constructors of the particle
+    state's ``alg``.  A domain supplies its pattern binding (``bind``), its
+    list operators and the hooks below, which sit only at nodes that call
+    out anyway: ``if``, ``let <-``, ``observe``, ``fold``, ``map`` and
+    ``resample``.
     """
 
-    Const = VConst
-    Tup = VTup
-    Lst = VLst
-    RV = VRV
-    ite = staticmethod(ite)
-    fv = staticmethod(free_vars)
     bind = staticmethod(match_pattern)
 
     def __init__(self, program: Program, backend: Backend):
@@ -210,7 +202,7 @@ class Evaluator:
 
     # --- domain hooks ---
 
-    def _eval_op(self, op: str, args: list[Val], p: Particle) -> Val:
+    def _list_op(self, op: str, args: list[Val], p: Particle) -> Val:
         g = p.state
         match op:
             case "cons":
@@ -230,26 +222,10 @@ class Evaluator:
                 return VLst(tuple(reversed(_as_list(args[0], g, "rev of a non-list value").items)))
             case "len":
                 return VConst(float(len(_as_list(args[0], g, "len of a non-list value").items)))
-        a = [g.eval_value(x) for x in args]
-        match op:
-            case "+":
-                return add(a[0], a[1])
-            case "-":
-                return sub(a[0], a[1])
-            case "*":
-                return mul(a[0], a[1])
-            case "/":
-                return div(a[0], a[1])
-            case "=" | "!=" | "<" | "<=":
-                return cmp(op, a[0], a[1])
-            case "not":
-                return ite(a[0], VConst(False), VConst(True))
-            case "range":
-                lo, hi = a[0], a[1]
-                if not (isinstance(lo, VConst) and isinstance(hi, VConst)):
-                    raise EvalError("range bounds must be constants")
-                return VLst(tuple(VConst(float(i)) for i in range(int(lo.v), int(hi.v))))
-        raise EvalError(f"unknown operator {op}")
+        lo, hi = (g.eval_value(x) for x in args)  # range
+        if not (isinstance(lo, VConst) and isinstance(hi, VConst)):
+            raise EvalError("range bounds must be constants")
+        return VLst(tuple(VConst(float(i)) for i in range(int(lo.v), int(hi.v))))
 
     def _force(self, v: Val, p: Particle) -> VConst:
         return value_star(v, p.state, self.backend, p.rng, p.casts)
@@ -265,7 +241,7 @@ class Evaluator:
 
     def _resample(self, site: int, p: Particle):
         p.checkpoint = site
-        return EVal(VConst(None)), True
+        return EVal(UNIT), True
 
     def _map_items(self, lst: Val, p: Particle) -> tuple[Val, ...]:
         if not isinstance(lst, VLst):
@@ -279,6 +255,27 @@ class Evaluator:
 
     # --- shared steps ---
 
+    def _eval_op(self, op: str, args: list[Val], p: Particle) -> Val:
+        if op in LIST_OPS:
+            return self._list_op(op, args, p)
+        g = p.state
+        a = [g.eval_value(x) for x in args]
+        alg = g.alg
+        match op:
+            case "+":
+                return alg.add(a[0], a[1])
+            case "-":
+                return alg.sub(a[0], a[1])
+            case "*":
+                return alg.mul(a[0], a[1])
+            case "/":
+                return alg.div(a[0], a[1])
+            case "=" | "!=" | "<" | "<=":
+                return alg.cmp(op, a[0], a[1])
+            case "not":
+                return alg.ite(a[0], FALSE, TRUE)
+        raise EvalError(f"unknown operator {op}")
+
     def _apply_map(self, fname: str, lst: Val, p: Particle) -> Val:
         f = self.program.function(fname)
         out = []
@@ -287,14 +284,14 @@ class Evaluator:
             if interrupted:
                 raise EvalError("resample inside map is not supported")
             out.append(r)
-        return self.Lst(tuple(out))
+        return VLst(tuple(out))
 
     def _fold_from(self, fname: str, items: tuple[Val, ...], pos: int, acc: Val, p: Particle):
         """Runs the steps of a fold from ``items[pos]`` on; like ``_run``."""
         f = self.program.function(fname)
         for pos in range(pos, len(items)):
             head = p.state.eval_value(items[pos])
-            acc, interrupted = self._run(f.body, self.bind(f.param, self.Tup((head, acc))), p)
+            acc, interrupted = self._run(f.body, self.bind(f.param, VTup((head, acc))), p)
             if interrupted:
                 return EFoldRest(fname, items, pos + 1, acc), True
         return acc, False
@@ -327,7 +324,7 @@ class Evaluator:
                 case EVal(v):
                     return v, False
                 case EConst(c):
-                    return self.Const(c), False
+                    return VConst(c), False
                 case EVar(name):
                     try:
                         return env[name], False
@@ -340,13 +337,13 @@ class Evaluator:
                         if interrupted:
                             raise EvalError("resample in tuple position")
                         vals.append(v)
-                    return self.Tup(tuple(vals)), False
+                    return VTup(tuple(vals)), False
                 case EList(items):
                     vals = []
                     for x in items:
                         v, _ = self._run(x, env, p)
                         vals.append(v)
-                    return self.Lst(tuple(vals)), False
+                    return VLst(tuple(vals)), False
                 case EOp("map", (EVar(fname), lst_e)):
                     lst, _ = self._run(lst_e, env, p)
                     return self._apply_map(fname, lst, p), False
@@ -363,13 +360,13 @@ class Evaluator:
                 case EIf(ce, te, oe):
                     cv, _ = self._run(ce, env, p)
                     cv = p.state.eval_value(cv)
-                    if not isinstance(cv, self.Const):
-                        if self.fv(cv) and is_pure(te, self.impure) and is_pure(oe, self.impure):
+                    if not isinstance(cv, VConst):
+                        if free_vars(cv) and is_pure(te, self.impure) and is_pure(oe, self.impure):
                             tv, _ = self._run(te, env, p)
                             ov, _ = self._run(oe, env, p)
-                            return self.ite(cv, tv, ov), False
+                            return p.state.alg.ite(cv, tv, ov), False
                         cv = self._force(cv, p)
-                        if not isinstance(cv, self.Const):  # an abstract value can stay unknown
+                        if not isinstance(cv, VConst):  # an abstract value can stay unknown
                             return self._join_branches(te, oe, env, p), False
                     e = te if cv.v else oe
                 case ELet(pat, bound, body):
@@ -385,7 +382,7 @@ class Evaluator:
                         v, _ = self._run(x, env, p)
                         argv.append(p.state.eval_value(v))
                     rid = self._assume(ann, make_dist(dist, tuple(argv)), p, name, site)
-                    bound_v = self._value(rid, p) if ann is Annotation.SAMPLE else self.RV(rid)
+                    bound_v = self._value(rid, p) if ann is Annotation.SAMPLE else VRV(rid)
                     e, env = body, {**env, name: bound_v}
                 case EObserve(dist, args, value_e):
                     argv = []
@@ -395,7 +392,7 @@ class Evaluator:
                     rid = self._assume(Annotation.NONE, make_dist(dist, tuple(argv)), p, "obs", None)
                     ve, _ = self._run(value_e, env, p)
                     self._observe(rid, self._force(ve, p), p)
-                    return self.Const(None), False
+                    return UNIT, False
                 case EResample(site):
                     return self._resample(site, p)
                 case EFold(fname, lst_e, init_e):
@@ -482,7 +479,8 @@ def run_model(program: Program, n_particles: int, seed: int, backend: Backend,
     components = []
     casts: list[tuple[int, str]] = []
     out_casts = 0
-    for w, p in zip(probs, particles):
+    for i, w in enumerate(probs):
+        p, particles[i] = particles[i], None  # extraction grows a state: free each once read
         out_log = CastLog()
         tree = distribution(p.value, p.state, backend, p.rng, out_log)
         components.append((w, tree))

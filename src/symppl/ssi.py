@@ -25,7 +25,7 @@ import numpy as np
 from . import conjugacy
 from .interface import CastLog
 from .lang import Annotation
-from .sym import DDelta, Distr, EvalError, SymState, VConst, reachable
+from .sym import DDelta, Distr, EvalError, SymState, VConst, VRV, reachable
 
 
 def topo_sort(rids: list[int], g: SymState) -> list[int]:
@@ -69,7 +69,7 @@ def swap(x1: int, x2: int, g: SymState) -> bool:
     marg = conjugacy.marginal(prior, cond, x1, g.alg)
     if marg is None:
         return False
-    post = conjugacy.posterior(prior, cond, x1, g.alg.rv(x2), g.alg)
+    post = conjugacy.posterior(prior, cond, x1, VRV(x2), g.alg)
     if post is None:
         return False
     g.set_distr(x2, marg)

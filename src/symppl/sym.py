@@ -1,8 +1,13 @@
-"""Runtime symbolic values, distributions, and the per-particle state.
+"""Symbolic values, distributions, and the per-particle state.
 
-Values double as symbolic expressions over random variables.  Smart
-constructors fold constants and drop arithmetic identities so stored
-expressions stay small; ``eval_value`` additionally substitutes realized
+Values double as symbolic expressions over random variables.  The node
+classes serve the runtime and the analysis alike: ``children`` and
+``rebuild`` are the one child map every structural walk recurses through,
+and ``free_vars`` is the one free-variable walk.  Each value domain builds
+nodes through its own smart constructors, an ``Algebra``: the concrete ones
+(``add`` .. ``ite``) fold constants, drop arithmetic identities and
+hash-cons, so stored expressions stay small; the analysis's are
+``absdomain.ALGEBRA``.  ``eval_value`` additionally substitutes realized
 random variables.
 """
 
@@ -11,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -28,9 +34,17 @@ class Val:
 
 class _Node(Val):
     """A compound value.  Nodes are immutable, so each caches its free
-    variables (``_fv``, set on first use by ``free_vars``)."""
+    variables (``_fv``, set on first use by ``free_vars``, or when built for
+    the analysis's nodes that hide variables)."""
 
     __slots__ = ("_fv",)
+
+
+class _List(_Node):
+    """A list value: ``VLst``, or the analysis's list with an unknown
+    suffix.  ``with_items`` rebuilds it around new items."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,21 +101,18 @@ class VTup(_Node):
 
 
 @dataclass(frozen=True, slots=True)
-class VLst(_Node):
+class VLst(_List):
+    """A list of known length."""
+
     items: tuple[Val, ...]
+
+    def with_items(self, items: tuple[Val, ...]) -> "VLst":
+        return VLst(items)
 
 
 UNIT = VConst(None)
 TRUE = VConst(True)
 FALSE = VConst(False)
-
-
-def const(v: float | bool | None) -> VConst:
-    return VConst(v)
-
-
-def is_const(v: Val) -> bool:
-    return isinstance(v, VConst)
 
 
 # Hash-consing: the smart constructors intern their results so structurally
@@ -240,6 +251,49 @@ def ite(c: Val, t: Val, o: Val) -> Val:
     return _node_ite(c, t, o)
 
 
+# The child fields of each scalar node class, left to right.
+_CHILD_FIELDS = {cls: attrgetter("left", "right") for cls in (VAdd, VSub, VMul, VDiv, VCmp)}
+_CHILD_FIELDS[VIte] = attrgetter("cond", "then", "orelse")
+
+
+def children(v: Val) -> tuple[Val, ...]:
+    """A node's child values, left to right; ``()`` for a leaf."""
+    fields = _CHILD_FIELDS.get(type(v))
+    if fields is not None:
+        return fields(v)
+    return v.items if isinstance(v, (VTup, _List)) else ()
+
+
+def rebuild(v: Val, kids, alg: "Algebra") -> Val:
+    """``v`` over new children, built by ``alg``'s constructors; a leaf as
+    it is.  Tuples and lists are rebuilt as they are."""
+    match v:
+        case VAdd():
+            return alg.add(*kids)
+        case VSub():
+            return alg.sub(*kids)
+        case VMul():
+            return alg.mul(*kids)
+        case VDiv():
+            return alg.div(*kids)
+        case VCmp(op):
+            return alg.cmp(op, *kids)
+        case VIte():
+            return alg.ite(*kids)
+        case VTup():
+            return VTup(tuple(kids))
+        case _List():
+            return v.with_items(tuple(kids))
+    return v
+
+
+def shape(v: Val) -> str:
+    """How diagnostics name a value: by its shape, not its contents."""
+    if isinstance(v, VTup):
+        return f"a {len(v.items)}-tuple"
+    return "a list" if isinstance(v, _List) else "a scalar"
+
+
 def free_vars(v: Val) -> tuple[int, ...]:
     """Random variables referenced by a value, in first-occurrence order.
 
@@ -255,15 +309,7 @@ def free_vars(v: Val) -> tuple[int, ...]:
         return v._fv
     except AttributeError:
         pass
-    match v:
-        case VAdd(l, r) | VSub(l, r) | VMul(l, r) | VDiv(l, r) | VCmp(_, l, r):
-            fv = _union([free_vars(l), free_vars(r)])
-        case VIte(c, t, o):
-            fv = _union([free_vars(c), free_vars(t), free_vars(o)])
-        case VTup(items) | VLst(items):
-            fv = _union([free_vars(i) for i in items])
-        case _:
-            raise TypeError(v)
+    fv = _union([free_vars(k) for k in children(v)])
     object.__setattr__(v, "_fv", fv)
     return fv
 
@@ -286,34 +332,16 @@ def free_rvs(v: Val) -> list[int]:
 
 
 def subst_rv(v: Val, rid: int, replacement: Val, _memo: dict | None = None) -> Val:
+    if isinstance(v, VRV):
+        return replacement if v.rid == rid else v
+    if not isinstance(v, _Node):
+        return v
     if _memo is None:
         _memo = {}
-    hit = _memo.get(id(v))
-    if hit is not None:
-        return hit
-    match v:
-        case VRV(r) if r == rid:
-            out = replacement
-        case VAdd(l, r):
-            out = add(subst_rv(l, rid, replacement, _memo), subst_rv(r, rid, replacement, _memo))
-        case VSub(l, r):
-            out = sub(subst_rv(l, rid, replacement, _memo), subst_rv(r, rid, replacement, _memo))
-        case VMul(l, r):
-            out = mul(subst_rv(l, rid, replacement, _memo), subst_rv(r, rid, replacement, _memo))
-        case VDiv(l, r):
-            out = div(subst_rv(l, rid, replacement, _memo), subst_rv(r, rid, replacement, _memo))
-        case VCmp(op, l, r):
-            out = cmp(op, subst_rv(l, rid, replacement, _memo), subst_rv(r, rid, replacement, _memo))
-        case VIte(c, t, o):
-            out = ite(subst_rv(c, rid, replacement, _memo), subst_rv(t, rid, replacement, _memo),
-                      subst_rv(o, rid, replacement, _memo))
-        case VTup(items):
-            out = VTup(tuple(subst_rv(i, rid, replacement, _memo) for i in items))
-        case VLst(items):
-            out = VLst(tuple(subst_rv(i, rid, replacement, _memo) for i in items))
-        case _:
-            out = v
-    _memo[id(v)] = out
+    out = _memo.get(id(v))
+    if out is None:
+        out = _memo[id(v)] = rebuild(
+            v, [subst_rv(k, rid, replacement, _memo) for k in children(v)], CONCRETE)
     return out
 
 
@@ -448,30 +476,31 @@ def make_dist(name: str, args: tuple[Val, ...]) -> Distr:
 
 @dataclass(frozen=True, slots=True)
 class Algebra:
-    """The value operations the rules use, for one value domain.
+    """The smart constructors of one value domain, and the value operations
+    the conjugacy rules need beyond the shared node classes.
 
-    ``const``/``rv`` build a constant and a variable reference; ``add`` ..
-    ``div`` are the smart constructors, and ``div_total`` is a division
-    that never fails (it conditions on a zero-probability branch).  ``fv``
-    gives a value's random variables, ``has_top`` whether it may hide
-    unknown ones, ``subst_rv(v, rid, c)`` replaces a variable, ``arith``
-    maps each arithmetic node class (fields ``left``/``right``) to its
-    operator, and ``t_scale(a, b)`` is the Student-t scale of an
-    invgamma-variance marginal, or None when it has no closed form.
+    ``add`` .. ``ite`` build nodes (``rebuild`` calls them), and
+    ``div_total`` is a division that never fails (it conditions on a
+    zero-probability branch).  ``has_top`` says whether a value may hide
+    unknown variables, ``subst_rv(v, rid, c)`` replaces a variable, and
+    ``t_scale(a, b)`` is the Student-t scale of an invgamma-variance
+    marginal, or None when it has no closed form.
     """
 
-    const: Callable
-    rv: Callable
     add: Callable
     sub: Callable
     mul: Callable
     div: Callable
+    cmp: Callable
+    ite: Callable
     div_total: Callable
-    fv: Callable
     has_top: Callable
     subst_rv: Callable
-    arith: dict
     t_scale: Callable
+
+
+# The operator of each arithmetic node class; each has fields ``left``/``right``.
+ARITH = {VAdd: "+", VSub: "-", VMul: "*", VDiv: "/"}
 
 
 def _safe_div(num: Val, den: Val) -> Val:
@@ -488,9 +517,8 @@ def _t_scale(a: Val, b: Val) -> Val | None:
 
 
 CONCRETE = Algebra(
-    const=VConst, rv=VRV, add=add, sub=sub, mul=mul, div=div, div_total=_safe_div,
-    fv=free_vars, has_top=lambda v: False, subst_rv=subst_rv,
-    arith={VAdd: "+", VSub: "-", VMul: "*", VDiv: "/"}, t_scale=_t_scale,
+    add=add, sub=sub, mul=mul, div=div, cmp=cmp, ite=ite, div_total=_safe_div,
+    has_top=lambda v: False, subst_rv=subst_rv, t_scale=_t_scale,
 )
 
 
@@ -519,7 +547,7 @@ class SymState:
 
     __slots__ = ("entries", "_next")
 
-    alg = CONCRETE  # the value operations of the conjugacy rules
+    alg = CONCRETE  # the smart constructors, and the rules' value operations
     distr_fv = staticmethod(distr_rvs)
 
     def __init__(self) -> None:
@@ -607,37 +635,17 @@ class SymState:
     # --- evaluation ---
 
     def eval_value(self, v: Val, _memo: dict | None = None) -> Val:
+        if isinstance(v, VRV):
+            c = self.realized_value(v.rid)
+            return c if c is not None else v
+        if not isinstance(v, _Node):
+            return v
         if _memo is None:
             _memo = {}
-        hit = _memo.get(id(v))
-        if hit is not None:
-            return hit
-        match v:
-            case VConst(_):
-                out = v
-            case VRV(rid):
-                c = self.realized_value(rid)
-                out = c if c is not None else v
-            case VAdd(l, r):
-                out = add(self.eval_value(l, _memo), self.eval_value(r, _memo))
-            case VSub(l, r):
-                out = sub(self.eval_value(l, _memo), self.eval_value(r, _memo))
-            case VMul(l, r):
-                out = mul(self.eval_value(l, _memo), self.eval_value(r, _memo))
-            case VDiv(l, r):
-                out = div(self.eval_value(l, _memo), self.eval_value(r, _memo))
-            case VCmp(op, l, r):
-                out = cmp(op, self.eval_value(l, _memo), self.eval_value(r, _memo))
-            case VIte(c, t, o):
-                out = ite(self.eval_value(c, _memo), self.eval_value(t, _memo),
-                          self.eval_value(o, _memo))
-            case VTup(items):
-                out = VTup(tuple(self.eval_value(i, _memo) for i in items))
-            case VLst(items):
-                out = VLst(tuple(self.eval_value(i, _memo) for i in items))
-            case _:
-                raise TypeError(v)
-        _memo[id(v)] = out
+        out = _memo.get(id(v))
+        if out is None:
+            out = _memo[id(v)] = rebuild(
+                v, [self.eval_value(k, _memo) for k in children(v)], CONCRETE)
         return out
 
     def eval_distr(self, d: Distr) -> Distr:
@@ -711,35 +719,47 @@ def weak_eq(g1: SymState, g2: SymState, e: Val) -> bool:
 LOG_2PI = math.log(2.0 * math.pi)
 
 
+def _nonpositive(*params: Val) -> bool:
+    return any(isinstance(x, VConst) and x.v <= 0 for x in params)
+
+
+def check_params(d: Distr) -> Distr:
+    """``d`` itself, unless a constant parameter lies outside its domain:
+    then ``EvalError``.  Scoring, sampling and output extraction all check
+    through here."""
+    match d:
+        case DNormal(_, VConst(var)) if var <= 0:
+            raise EvalError(f"gaussian variance must be positive, got {var}")
+        case DBernoulli(VConst(p)) if not 0.0 <= p <= 1.0:
+            raise EvalError(f"bernoulli probability out of range: {p}")
+        case DInvGamma(a, b) if _nonpositive(a, b):
+            raise EvalError("invgamma parameters must be positive")
+        case DBeta(a, b) if _nonpositive(a, b):
+            raise EvalError("beta parameters must be positive")
+        case DStudentT(_, dof, scale) if _nonpositive(dof, scale):
+            raise EvalError("student_t parameters must be positive")
+    return d
+
+
 def score(d: Distr, value: float | bool) -> float:
     """Natural-log density (or mass) of a constant-parameter distribution."""
-    match d:
+    match check_params(d):
         case DNormal(VConst(mu), VConst(var)):
-            if var <= 0:
-                raise EvalError(f"gaussian variance must be positive, got {var}")
             return -0.5 * (LOG_2PI + math.log(var)) - (value - mu) ** 2 / (2.0 * var)
         case DBernoulli(VConst(p)):
-            if not 0.0 <= p <= 1.0:
-                raise EvalError(f"bernoulli probability out of range: {p}")
             if value:
                 return math.log(p) if p > 0 else -math.inf
             return math.log1p(-p) if p < 1 else -math.inf
         case DInvGamma(VConst(a), VConst(b)):
-            if a <= 0 or b <= 0:
-                raise EvalError("invgamma parameters must be positive")
             if value <= 0:
                 return -math.inf
             return a * math.log(b) - math.lgamma(a) - (a + 1.0) * math.log(value) - b / value
         case DBeta(VConst(a), VConst(b)):
-            if a <= 0 or b <= 0:
-                raise EvalError("beta parameters must be positive")
             if not 0.0 < value < 1.0:
                 return -math.inf
             logbeta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
             return (a - 1.0) * math.log(value) + (b - 1.0) * math.log1p(-value) - logbeta
         case DStudentT(VConst(loc), VConst(dof), VConst(scale)):
-            if dof <= 0 or scale <= 0:
-                raise EvalError("student_t parameters must be positive")
             z = (value - loc) / scale
             return (
                 math.lgamma((dof + 1.0) / 2.0)
@@ -757,14 +777,10 @@ def score(d: Distr, value: float | bool) -> float:
 
 def draw(d: Distr, rng: np.random.Generator) -> float | bool:
     """Sample from a constant-parameter distribution."""
-    match d:
+    match check_params(d):
         case DNormal(VConst(mu), VConst(var)):
-            if var <= 0:
-                raise EvalError(f"gaussian variance must be positive, got {var}")
             return float(rng.normal(mu, math.sqrt(var)))
         case DBernoulli(VConst(p)):
-            if not 0.0 <= p <= 1.0:
-                raise EvalError(f"bernoulli probability out of range: {p}")
             return bool(rng.random() < p)
         case DInvGamma(VConst(a), VConst(b)):
             return float(1.0 / rng.gamma(a, 1.0 / b))
@@ -832,20 +848,9 @@ def val_to_json(v: Val):
             return x
         case VRV(rid):
             return {"rv": rid}
-        case VAdd(l, r):
-            return {"op": "+", "args": [val_to_json(l), val_to_json(r)]}
-        case VSub(l, r):
-            return {"op": "-", "args": [val_to_json(l), val_to_json(r)]}
-        case VMul(l, r):
-            return {"op": "*", "args": [val_to_json(l), val_to_json(r)]}
-        case VDiv(l, r):
-            return {"op": "/", "args": [val_to_json(l), val_to_json(r)]}
-        case VCmp(op, l, r):
-            return {"op": op, "args": [val_to_json(l), val_to_json(r)]}
-        case VIte(c, t, o):
-            return {"op": "ite", "args": [val_to_json(c), val_to_json(t), val_to_json(o)]}
         case VTup(items):
             return {"tuple": [val_to_json(i) for i in items]}
         case VLst(items):
             return [val_to_json(i) for i in items]
-    raise TypeError(v)
+    op = v.op if isinstance(v, VCmp) else "ite" if isinstance(v, VIte) else ARITH[type(v)]
+    return {"op": op, "args": [val_to_json(k) for k in children(v)]}

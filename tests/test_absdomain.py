@@ -9,14 +9,7 @@ import random
 import pytest
 
 from symppl.absdomain import (
-    AAdd,
-    AConst,
-    ADiv,
     AEUnk,
-    AIte,
-    AMul,
-    ARV,
-    ASub,
     ATopE,
     AbsState,
     AUnkC,
@@ -33,7 +26,7 @@ from symppl.absdomain import (
     widen_sets,
 )
 from symppl.lang import Annotation
-from symppl.sym import DNormal
+from symppl.sym import DNormal, VAdd, VConst, VMul, VRV
 
 
 def random_expr(rng: random.Random, depth: int = 3):
@@ -45,11 +38,11 @@ def random_expr(rng: random.Random, depth: int = 3):
     if depth == 0 or roll < 0.35:
         leaf = rng.random()
         if leaf < 0.35:
-            return AConst(float(rng.randint(0, 3)))
+            return VConst(float(rng.randint(0, 3)))
         if leaf < 0.5:
             return UNK
         if leaf < 0.8:
-            return ARV(rng.randint(0, 2))
+            return VRV(rng.randint(0, 2))
         return AEUnk(frozenset(rng.sample(range(3), rng.randint(0, 2))))
     ctor = rng.choice([aadd, asub, amul, adiv, "ite"])
     if ctor == "ite":
@@ -89,35 +82,35 @@ def test_join_is_upper_bound_idempotent_commutative():
 
 
 def test_partial_order_examples():
-    assert leq_expr(AConst(3.0), UNK)
+    assert leq_expr(VConst(3.0), UNK)
     assert leq_expr(AEUnk(frozenset({1})), AEUnk(frozenset({1, 2})))
-    assert not leq_expr(ARV(1), ARV(2))
-    assert leq_expr(ARV(1), AEUnk(frozenset({1})))
+    assert not leq_expr(VRV(1), VRV(2))
+    assert leq_expr(VRV(1), AEUnk(frozenset({1})))
     assert leq_expr(AEUnk(frozenset({1})), TOP_E)
-    assert leq_expr(UNK, ARV(1))
+    assert leq_expr(UNK, VRV(1))
 
 
 def test_join_worked_example():
     # join of (X1 + 1) and (X2 + 2) keeps the operator structure
-    a = AAdd(ARV(1), AConst(1.0))
-    b = AAdd(ARV(2), AConst(2.0))
+    a = VAdd(VRV(1), VConst(1.0))
+    b = VAdd(VRV(2), VConst(2.0))
     j = join_expr(a, b)
-    assert j == AAdd(AEUnk(frozenset({1, 2})), UNK)
+    assert j == VAdd(AEUnk(frozenset({1, 2})), UNK)
 
 
 def test_join_structural_mismatch_collapses():
-    a = AMul(UNK, ARV(1))
-    b = AAdd(AMul(UNK, ARV(1)), UNK)
+    a = VMul(UNK, VRV(1))
+    b = VAdd(VMul(UNK, VRV(1)), UNK)
     assert join_expr(a, b) == AEUnk(frozenset({1}))
 
 
 def test_widen_depth_cap():
-    e = ARV(0)
+    e = VRV(0)
     for _ in range(DEPTH_LIMIT):
-        e = AAdd(e, AConst(1.0))
+        e = VAdd(e, VConst(1.0))
     assert scalar_depth(e) == DEPTH_LIMIT
     assert widen(e) == e  # at the threshold: kept
-    deeper = AAdd(e, AConst(1.0))
+    deeper = VAdd(e, VConst(1.0))
     assert widen(deeper) == AEUnk(frozenset({0}))
 
 
@@ -132,14 +125,14 @@ def test_rename_join_example():
     # joining X1+1 under {X1 -> N(1,1)} with X2+2 under {X2 -> N(0,1)}
     # renames X2 to X1, giving X1+UnkC with X1 -> N(UnkC, 1)
     g1 = AbsState()
-    x1 = g1.fresh(Annotation.SYMBOLIC, DNormal(AConst(1.0), AConst(1.0)), None, "rv:0", "x1")
+    x1 = g1.fresh(Annotation.SYMBOLIC, DNormal(VConst(1.0), VConst(1.0)), None, "rv:0", "x1")
     g2 = AbsState(g1.counter, g1.sites, g1.labels)
-    x2 = g2.fresh(Annotation.SYMBOLIC, DNormal(AConst(0.0), AConst(1.0)), None, "rv:0", "x2")
-    e1 = AAdd(ARV(x1), AConst(1.0))
-    e2 = AAdd(ARV(x2), AConst(2.0))
+    x2 = g2.fresh(Annotation.SYMBOLIC, DNormal(VConst(0.0), VConst(1.0)), None, "rv:0", "x2")
+    e1 = VAdd(VRV(x1), VConst(1.0))
+    e2 = VAdd(VRV(x2), VConst(2.0))
     joined, gj = rename_join(e1, e2, g1, g2)
-    assert joined == AAdd(ARV(x1), UNK)
-    assert gj.entries[x1].distr == DNormal(UNK, AConst(1.0))
+    assert joined == VAdd(VRV(x1), UNK)
+    assert gj.entries[x1].distr == DNormal(UNK, VConst(1.0))
 
 
 def test_join_with_top_absorbs():

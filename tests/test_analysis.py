@@ -4,13 +4,9 @@ import pytest
 
 from symppl import apply_plan, parse, rv_sites
 from symppl.absdomain import (
-    AAdd,
     ADUnk,
-    AConst,
-    AMul,
     AbsState,
     AnalysisFail,
-    ARV,
     ATopD,
     ATopN,
     UNK,
@@ -21,7 +17,7 @@ from symppl.benchmarks import BENCHMARKS
 from symppl.ds import InitN, MargN, MargRootN, RealizedN
 from symppl.lang import Annotation
 from symppl.ssi import swap
-from symppl.sym import DNormal
+from symppl.sym import DNormal, VAdd, VConst, VMul, VRV
 
 # identified / total satisfiable counts to reproduce, per backend
 PRECISION_TABLE = {
@@ -85,7 +81,7 @@ def test_analysis_deterministic():
 def test_abstract_value_fails_on_symbolic():
     g = AbsState()
     backend = AbsSsi()
-    rid = g.fresh(Annotation.SYMBOLIC, DNormal(AConst(0.0), AConst(1.0)), None, "rv:0", "x")
+    rid = g.fresh(Annotation.SYMBOLIC, DNormal(VConst(0.0), VConst(1.0)), None, "rv:0", "x")
     with pytest.raises(AnalysisFail):
         backend.value(rid, g)
 
@@ -93,7 +89,7 @@ def test_abstract_value_fails_on_symbolic():
 def test_abstract_value_on_sample_root():
     g = AbsState()
     backend = AbsSsi()
-    rid = g.fresh(Annotation.SAMPLE, DNormal(AConst(0.0), AConst(1.0)), None, "rv:0", "x")
+    rid = g.fresh(Annotation.SAMPLE, DNormal(VConst(0.0), VConst(1.0)), None, "rv:0", "x")
     assert backend.value(rid, g) == UNK
     assert g.realized_value(rid) is not None
 
@@ -101,7 +97,7 @@ def test_abstract_value_on_sample_root():
 def test_set_top_escalates_through_unknown_distribution():
     # parent has an unknown distribution over a symbolic ancestor: failure
     g = AbsState()
-    x3 = g.fresh(Annotation.SYMBOLIC, DNormal(AConst(1.0), AConst(1.0)), None, "rv:3", "x3")
+    x3 = g.fresh(Annotation.SYMBOLIC, DNormal(VConst(1.0), VConst(1.0)), None, "rv:3", "x3")
     x1 = g.fresh(Annotation.NONE, ADUnk(frozenset({x3})), None, "rv:1", "x1")
     with pytest.raises(AnalysisFail) as exc:
         set_top(g, x1)
@@ -110,16 +106,16 @@ def test_set_top_escalates_through_unknown_distribution():
 
 def test_swap_on_unknown_prior_sets_top_and_fails_symbolic():
     g = AbsState()
-    x3 = g.fresh(Annotation.SYMBOLIC, DNormal(AConst(1.0), AConst(1.0)), None, "rv:3", "x3")
+    x3 = g.fresh(Annotation.SYMBOLIC, DNormal(VConst(1.0), VConst(1.0)), None, "rv:3", "x3")
     x1 = g.fresh(Annotation.NONE, ADUnk(frozenset({x3})), None, "rv:1", "x1")
-    x2 = g.fresh(Annotation.NONE, DNormal(ARV(x1), AConst(1.0)), None, "rv:2", "x2")
+    x2 = g.fresh(Annotation.NONE, DNormal(VRV(x1), VConst(1.0)), None, "rv:2", "x2")
     with pytest.raises(AnalysisFail):
         swap(x1, x2, g)
 
 
 def test_set_top_without_symbolic_just_tops():
     g = AbsState()
-    x3 = g.fresh(Annotation.SAMPLE, DNormal(AConst(1.0), AConst(1.0)), None, "rv:3", "x3")
+    x3 = g.fresh(Annotation.SAMPLE, DNormal(VConst(1.0), VConst(1.0)), None, "rv:3", "x3")
     x1 = g.fresh(Annotation.NONE, ADUnk(frozenset({x3})), None, "rv:1", "x1")
     set_top(g, x1)
     assert isinstance(g.distr(x1), ATopD)
@@ -130,12 +126,12 @@ def test_node_join_mismatch_escalates_to_symbolic_failure():
     from symppl.absdomain import join_states
 
     g1 = AbsState()
-    x1 = g1.fresh(Annotation.NONE, DNormal(AConst(0.0), AConst(1.0)), MargRootN(frozenset()), "rv:1", "x1")
-    x2 = g1.fresh(Annotation.NONE, DNormal(ARV(x1), AConst(1.0)), InitN(x1, frozenset()), "rv:2", "x2")
-    x3 = g1.fresh(Annotation.SYMBOLIC, DNormal(ARV(x2), AConst(1.0)), InitN(x2, frozenset()), "rv:3", "x3")
+    x1 = g1.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)), MargRootN(frozenset()), "rv:1", "x1")
+    x2 = g1.fresh(Annotation.NONE, DNormal(VRV(x1), VConst(1.0)), InitN(x1, frozenset()), "rv:2", "x2")
+    x3 = g1.fresh(Annotation.SYMBOLIC, DNormal(VRV(x2), VConst(1.0)), InitN(x2, frozenset()), "rv:3", "x3")
     g2 = g1.copy()
-    g2.set_node(x2, MargN(x1, DNormal(ARV(x1), AConst(1.0)), frozenset({x3})))
-    g2.set_node(x3, MargN(x2, DNormal(ARV(x2), AConst(1.0)), frozenset()))
+    g2.set_node(x2, MargN(x1, DNormal(VRV(x1), VConst(1.0)), frozenset({x3})))
+    g2.set_node(x3, MargN(x2, DNormal(VRV(x2), VConst(1.0)), frozenset()))
     with pytest.raises(AnalysisFail) as exc:
         join_states(g1, g2, in_fold=False)
     assert ("rv:3", "x3") in exc.value.witnesses
@@ -218,18 +214,18 @@ def _entry(g, rid):
 def test_hoist_over_unknown_prior_forces_it():
     g = AbsState()
     x1 = g.fresh(Annotation.NONE, ATopD(), None, "rv:1", "x1")
-    x2 = g.fresh(Annotation.NONE, DNormal(ARV(x1), AConst(1.0)), None, "rv:2", "x2")
+    x2 = g.fresh(Annotation.NONE, DNormal(VRV(x1), VConst(1.0)), None, "rv:2", "x2")
     AbsSsi().hoist(x2, g)
     assert g.realized_value(x1) == UNK
     assert g.parents(x2) == []
-    assert g.distr(x2) == DNormal(UNK, AConst(1.0))
+    assert g.distr(x2) == DNormal(UNK, VConst(1.0))
 
 
 def test_hoist_under_unknown_distribution_forces_symbolic_ancestor():
     g = AbsState()
-    x3 = g.fresh(Annotation.SYMBOLIC, DNormal(AConst(1.0), AConst(1.0)), None, "rv:3", "x3")
+    x3 = g.fresh(Annotation.SYMBOLIC, DNormal(VConst(1.0), VConst(1.0)), None, "rv:3", "x3")
     x1 = g.fresh(Annotation.NONE, ADUnk(frozenset({x3})), None, "rv:1", "x1")
-    x2 = g.fresh(Annotation.NONE, DNormal(ARV(x1), AConst(1.0)), None, "rv:2", "x2")
+    x2 = g.fresh(Annotation.NONE, DNormal(VRV(x1), VConst(1.0)), None, "rv:2", "x2")
     with pytest.raises(AnalysisFail) as exc:
         AbsSsi().value(x2, g)
     assert exc.value.witnesses == [("rv:3", "x3")]
@@ -239,14 +235,14 @@ def _cycle(ann_a, ann_b):
     """a and b each conditioned on the other, as a merging join can leave them."""
     g = AbsState()
     a, b = 0, 1
-    g.fresh(ann_a, DNormal(ARV(b), AConst(1.0)), None, "rv:0", "a")
-    g.fresh(ann_b, DNormal(ARV(a), AConst(1.0)), None, "rv:1", "b")
+    g.fresh(ann_a, DNormal(VRV(b), VConst(1.0)), None, "rv:0", "a")
+    g.fresh(ann_b, DNormal(VRV(a), VConst(1.0)), None, "rv:1", "b")
     return g, a, b
 
 
 def test_hoist_through_dependency_cycle_tops_it():
     g, a, b = _cycle(Annotation.NONE, Annotation.SAMPLE)
-    c = g.fresh(Annotation.NONE, DNormal(ARV(a), AConst(1.0)), None, "rv:2", "c")
+    c = g.fresh(Annotation.NONE, DNormal(VRV(a), VConst(1.0)), None, "rv:2", "c")
     AbsSsi().hoist(c, g)
     assert g.realized_value(a) == UNK
     assert isinstance(g.distr(b), ATopD)
@@ -255,7 +251,7 @@ def test_hoist_through_dependency_cycle_tops_it():
 
 def test_hoist_through_dependency_cycle_fails_on_symbolic_member():
     g, a, b = _cycle(Annotation.NONE, Annotation.SYMBOLIC)
-    c = g.fresh(Annotation.NONE, DNormal(ARV(a), AConst(1.0)), None, "rv:2", "c")
+    c = g.fresh(Annotation.NONE, DNormal(VRV(a), VConst(1.0)), None, "rv:2", "c")
     with pytest.raises(AnalysisFail) as exc:
         AbsSsi().hoist(c, g)
     assert exc.value.witnesses == [("rv:1", "b")]
@@ -263,7 +259,7 @@ def test_hoist_through_dependency_cycle_fails_on_symbolic_member():
 
 def test_hoist_over_cycle_among_parents():
     g, a, b = _cycle(Annotation.SAMPLE, Annotation.SAMPLE)
-    d = g.fresh(Annotation.NONE, DNormal(AAdd(ARV(a), ARV(b)), AConst(1.0)), None, "rv:3", "d")
+    d = g.fresh(Annotation.NONE, DNormal(VAdd(VRV(a), VRV(b)), VConst(1.0)), None, "rv:3", "d")
     AbsSsi().hoist(d, g)
     assert g.realized_value(a) == UNK and g.realized_value(b) == UNK
     assert g.parents(d) == []
@@ -278,23 +274,23 @@ def _ds_pair(parent_distr, child_cond, parent_node=None, ann=Annotation.NONE):
 
 
 def test_graft_without_closed_form_marginal_tops_child_and_parent():
-    g, x1, x2 = _ds_pair(DNormal(AConst(0.0), AConst(1.0)),
-                         DNormal(AMul(ARV(0), ARV(0)), AConst(1.0)))
+    g, x1, x2 = _ds_pair(DNormal(VConst(0.0), VConst(1.0)),
+                         DNormal(VMul(VRV(0), VRV(0)), VConst(1.0)))
     AbsDs().graft(x2, g)
     assert _entry(g, x1) == _entry(g, x2) == ("ATopD", "ATopN")
     assert g.node(x1).children == frozenset({x2})
 
 
 def test_graft_without_closed_form_marginal_fails_on_symbolic_parent():
-    g, x1, x2 = _ds_pair(DNormal(AConst(0.0), AConst(1.0)),
-                         DNormal(AMul(ARV(0), ARV(0)), AConst(1.0)), ann=Annotation.SYMBOLIC)
+    g, x1, x2 = _ds_pair(DNormal(VConst(0.0), VConst(1.0)),
+                         DNormal(VMul(VRV(0), VRV(0)), VConst(1.0)), ann=Annotation.SYMBOLIC)
     with pytest.raises(AnalysisFail) as exc:
         AbsDs().graft(x2, g)
     assert exc.value.witnesses == [("rv:1", "x1")]
 
 
 def test_graft_under_unknown_prior_tops_child_and_parent():
-    g, x1, x2 = _ds_pair(ADUnk(frozenset()), DNormal(ARV(0), AConst(1.0)))
+    g, x1, x2 = _ds_pair(ADUnk(frozenset()), DNormal(VRV(0), VConst(1.0)))
     AbsDs().graft(x2, g)
     assert _entry(g, x1) == _entry(g, x2) == ("ATopD", "ATopN")
 
@@ -303,34 +299,34 @@ def _ds_marginalized(parent_distr, cond):
     """x1 a marginalized root, x2 its marginalized child."""
     g = AbsState()
     x1 = g.fresh(Annotation.NONE, parent_distr, MargRootN(frozenset({1})), "rv:1", "x1")
-    x2 = g.fresh(Annotation.NONE, DNormal(AConst(0.0), AConst(2.0)), MargN(x1, cond, frozenset()),
+    x2 = g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(2.0)), MargN(x1, cond, frozenset()),
                  "rv:2", "x2")
     return g, x1, x2
 
 
 def test_realize_without_closed_form_posterior_tops_parent():
-    g, x1, x2 = _ds_marginalized(DNormal(AConst(0.0), AConst(1.0)),
-                                 DNormal(AMul(ARV(0), ARV(0)), AConst(1.0)))
-    AbsDs().observe(x2, AConst(0.5), g)
+    g, x1, x2 = _ds_marginalized(DNormal(VConst(0.0), VConst(1.0)),
+                                 DNormal(VMul(VRV(0), VRV(0)), VConst(1.0)))
+    AbsDs().observe(x2, VConst(0.5), g)
     assert _entry(g, x1) == ("ATopD", "ATopN")
     assert g.node(x1).children == frozenset()
-    assert g.realized_value(x2) == AConst(0.5)
+    assert g.realized_value(x2) == VConst(0.5)
 
 
 def test_realize_under_unknown_prior_tops_parent():
-    g, x1, x2 = _ds_marginalized(ATopD(), DNormal(ARV(0), AConst(1.0)))
-    AbsDs().observe(x2, AConst(0.5), g)
+    g, x1, x2 = _ds_marginalized(ATopD(), DNormal(VRV(0), VConst(1.0)))
+    AbsDs().observe(x2, VConst(0.5), g)
     assert _entry(g, x1) == ("ATopD", "ATopN")
-    assert g.realized_value(x2) == AConst(0.5)
+    assert g.realized_value(x2) == VConst(0.5)
 
 
 def _two_marginalized_children(ann):
     g = AbsState()
-    x1 = g.fresh(Annotation.NONE, DNormal(AConst(0.0), AConst(1.0)),
+    x1 = g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)),
                  MargRootN(frozenset({1, 2})), "rv:1", "x1")
     for i in (1, 2):
-        g.fresh(ann, DNormal(AConst(0.0), AConst(2.0)),
-                MargN(x1, DNormal(ARV(x1), AConst(1.0)), frozenset()), f"rv:{i + 1}", f"x{i + 1}")
+        g.fresh(ann, DNormal(VConst(0.0), VConst(2.0)),
+                MargN(x1, DNormal(VRV(x1), VConst(1.0)), frozenset()), f"rv:{i + 1}", f"x{i + 1}")
     return g, x1
 
 
@@ -349,7 +345,7 @@ def test_graft_with_two_marginalized_children_fails_on_symbolic_child():
 
 def test_graft_on_top_node_tops_it():
     g = AbsState()
-    x = g.fresh(Annotation.NONE, DNormal(AConst(0.0), AConst(1.0)), ATopN(frozenset()), "rv:0", "x")
+    x = g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)), ATopN(frozenset()), "rv:0", "x")
     AbsDs().graft(x, g)
     assert _entry(g, x) == ("ATopD", "ATopN")
     assert AbsDs().value(x, g) == UNK
@@ -357,7 +353,7 @@ def test_graft_on_top_node_tops_it():
 
 def test_graft_on_top_node_fails_on_symbolic():
     g = AbsState()
-    x = g.fresh(Annotation.SYMBOLIC, DNormal(AConst(0.0), AConst(1.0)), ATopN(frozenset()),
+    x = g.fresh(Annotation.SYMBOLIC, DNormal(VConst(0.0), VConst(1.0)), ATopN(frozenset()),
                 "rv:0", "x")
     with pytest.raises(AnalysisFail) as exc:
         AbsDs().graft(x, g)
@@ -365,7 +361,7 @@ def test_graft_on_top_node_fails_on_symbolic():
 
 
 def test_graft_under_top_parent_tops_the_pair():
-    g, x1, x2 = _ds_pair(DNormal(AConst(0.0), AConst(1.0)), DNormal(ARV(0), AConst(1.0)),
+    g, x1, x2 = _ds_pair(DNormal(VConst(0.0), VConst(1.0)), DNormal(VRV(0), VConst(1.0)),
                          parent_node=ATopN(frozenset({1})))
     AbsDs().graft(x2, g)
     assert _entry(g, x1) == _entry(g, x2) == ("ATopD", "ATopN")
@@ -373,7 +369,7 @@ def test_graft_under_top_parent_tops_the_pair():
 
 def test_graft_on_realized_node_fails():
     g = AbsState()
-    x = g.fresh(Annotation.SAMPLE, DNormal(AConst(0.0), AConst(1.0)), RealizedN(), "rv:0", "x")
+    x = g.fresh(Annotation.SAMPLE, DNormal(VConst(0.0), VConst(1.0)), RealizedN(), "rv:0", "x")
     with pytest.raises(AnalysisFail) as exc:
         AbsDs().graft(x, g)
     assert exc.value.witnesses == [("rv:0", "x")]
@@ -399,3 +395,29 @@ def test_analysis_runs_the_runtime_backends():
         assert not hasattr(absdomain, name)
     assert (absdomain.MargRootN, absdomain.MargN, absdomain.InitN, absdomain.RealizedN) == (
         ds.MargRootN, ds.MargN, ds.InitN, ds.RealizedN)
+
+
+def test_analysis_uses_the_runtime_values():
+    import ast
+    import inspect
+
+    from symppl import absdomain, analysis, runtime, sym
+
+    for name in ("AConst", "ARV", "AAdd", "ASub", "AMul", "ADiv", "AIte", "ACmp", "ATup"):
+        assert not hasattr(absdomain, name)
+    # the abstract-only forms are sym nodes, so sym.free_vars serves both sides
+    assert issubclass(absdomain.AEUnk, sym._Node) and issubclass(absdomain.ALst, sym._Node)
+    for name in ("Const", "Tup", "Lst", "RV", "ite", "fv"):
+        assert name not in vars(analysis.AbsInterp)
+        assert not hasattr(runtime.Evaluator, name)
+    assert vars(analysis.AbsInterp)["bind"].__func__ is analysis._abs_match
+    # the smart constructors are reached only through absdomain.ALGEBRA
+    ctors = {"aadd", "asub", "amul", "adiv", "acmp", "aite"}
+    for module in (absdomain, analysis, runtime, sym):
+        tree = ast.parse(inspect.getsource(module))
+        inside = {id(n) for a in ast.walk(tree) if isinstance(a, ast.Assign)
+                  and [ast.unparse(t) for t in a.targets] == ["ALGEBRA"] for n in ast.walk(a)}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and n.id in ctors:
+                assert id(n) in inside, (module.__name__, n.id, n.lineno)
+    assert {absdomain.ALGEBRA.add, absdomain.ALGEBRA.ite} == {absdomain.aadd, absdomain.aite}

@@ -304,3 +304,87 @@ def test_deep_chain_runs_and_analyzes_without_recursion(method, tmp_path, capsys
     code, out, err = main_out(capsys, "analyze", str(src), "--method", method, "--plan", "0")
     assert (code, err) == (0, "")
     assert json.loads(out)["verdict"] == "satisfiable"
+
+
+@pytest.mark.parametrize("command", ["run", "analyze", "enumerate-plans"])
+def test_parse_error_is_one_error_line(command, tmp_path, capsys):
+    src = tmp_path / "bad.si"
+    src.write_text("let x = (1. + 2.\nx\n")
+    code, out, err = main_out(capsys, command, str(src))
+    assert (code, out) == (1, "")
+    assert err == f"error: {src}:2:1: expected ')', found 'x'\n"
+
+
+@pytest.mark.parametrize("command", ["run", "analyze", "enumerate-plans"])
+def test_missing_program_is_one_error_line(command, tmp_path, capsys):
+    missing = tmp_path / "missing.si"
+    code, out, err = main_out(capsys, command, str(missing))
+    assert (code, out, err) == (1, "", f"error: cannot read {missing}: No such file or directory\n")
+
+
+def test_missing_data_file_is_one_error_line(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    code, out, err = main_out(capsys, "run", str(MODELS / "noise.si"), "--data", str(missing))
+    assert (code, out, err) == (1, "", f"error: cannot read {missing}: No such file or directory\n")
+
+
+@pytest.mark.parametrize("schema", [[], ["--benchmark", "noise"]])
+def test_non_numeric_data_cell_is_one_error_line(schema, tmp_path, capsys):
+    data = tmp_path / "bad.csv"
+    data.write_text("zobs\n1.0\nabc\n")
+    code, out, err = main_out(capsys, "run", str(MODELS / "noise.si"), "--data", str(data),
+                              *schema)
+    assert (code, out) == (1, "")
+    assert err == f"error: {data}: could not convert string to float: 'abc'\n"
+
+
+def test_unknown_run_benchmark_is_a_usage_error(capsys):
+    code, out, err = main_out(capsys, "run", str(MODELS / "noise.si"), "--benchmark", "nonesuch")
+    assert (code, out, err) == (1, "", "error: unknown benchmark nonesuch\n")
+
+
+OUT_OF_DOMAIN = {
+    "invgamma": ("let sample v <- invgamma(0. - 1., 1.) in v\n",
+                 "invgamma parameters must be positive"),
+    "beta": ("let sample v <- beta(0., 1.) in v\n", "beta parameters must be positive"),
+    "student_t": ("let sample v <- student_t(0., 0. - 2., 1.) in v\n",
+                  "student_t parameters must be positive"),
+    # x is forced while extracting y's marginal: bernoulli(x) with x < 0
+    "bernoulli output": ("let x <- gaussian(0., 1.) in let y <- bernoulli(x) in y\n",
+                         "bernoulli probability out of range: -1.65"),
+}
+
+
+@pytest.mark.parametrize("method", ["ssi", "ds"])
+@pytest.mark.parametrize("case", sorted(OUT_OF_DOMAIN))
+def test_out_of_domain_parameter_is_one_error_line(case, method, tmp_path, capsys):
+    src = tmp_path / "domain.si"
+    program, message = OUT_OF_DOMAIN[case]
+    src.write_text(program)
+    code, out, err = main_out(capsys, "run", str(src), "--method", method,
+                              "--particles", "2", "--seed", "0")
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("method", ["ssi", "ds"])
+def test_unreduced_condition_names_its_shape(method, tmp_path, capsys):
+    src = tmp_path / "cond.si"
+    src.write_text("let x = (1., 2.) in if x then 1. else 2.\n")
+    code, out, err = main_out(capsys, "run", str(src), "--method", method)
+    assert (code, out) == (3, "")
+    assert err == "error: expression did not reduce to a constant: a 2-tuple\n"
+
+
+def test_empty_data_file_is_an_empty_stream(tmp_path, capsys):
+    runs = []
+    for text in ("", "zobs\n"):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        code, out, err = main_out(capsys, "run", str(MODELS / "noise.si"), "--data", str(data),
+                                  "--particles", "2", "--seed", "0")
+        assert (code, err) == (0, "")
+        out = json.loads(out)
+        out.pop("wall_ms")
+        runs.append(out)
+    assert runs[0] == runs[1]

@@ -209,23 +209,22 @@ X, Y, CHILD = 0, 1, 2  # the parent, another live variable, the child
 
 
 def _abstract(v):
-    """The abstract value standing for exactly the concrete value ``v``."""
-    from symppl import absdomain as ad
-    from symppl.sym import VAdd, VDiv, VIte, VMul, VSub
+    """The abstract value standing for exactly the concrete value ``v``:
+    the same nodes, built raw as the analysis builds them."""
+    from symppl.sym import VIte
 
     match v:
         case VConst(c):
-            return ad.AConst(c)
+            return VConst(c)
         case VRV(rid):
-            return ad.ARV(rid)
+            return VRV(rid)
         case VIte(c, t, o):
-            return ad.AIte(_abstract(c), _abstract(t), _abstract(o))
-    node = {VAdd: ad.AAdd, VSub: ad.ASub, VMul: ad.AMul, VDiv: ad.ADiv}[type(v)]
-    return node(_abstract(v.left), _abstract(v.right))
+            return VIte(_abstract(c), _abstract(t), _abstract(o))
+    return type(v)(_abstract(v.left), _abstract(v.right))
 
 
 def _pairs(alg, ite):
-    c, rv = alg.const, alg.rv
+    c, rv = VConst, VRV
     return {
         "linear-gaussian": (DNormal(c(0.5), c(1.0)),
                             DNormal(alg.add(alg.mul(c(2.0), rv(X)), c(3.0)), c(0.5))),
@@ -258,7 +257,7 @@ def test_rule_table_agrees_across_algebras():
         marg = conjugacy.marginal(prior, cond, X)
         post = conjugacy.posterior(prior, cond, X, VRV(CHILD))
         a_marg = conjugacy.marginal(a_prior, a_cond, X, ad.ALGEBRA)
-        a_post = conjugacy.posterior(a_prior, a_cond, X, ad.ARV(CHILD), ad.ALGEBRA)
+        a_post = conjugacy.posterior(a_prior, a_cond, X, VRV(CHILD), ad.ALGEBRA)
         for got, want in ((a_marg, marg), (a_post, post)):
             assert got == (want if want is None else map_params(want, _abstract)), name
     bb = conjugacy.BERNOULLI_BERNOULLI

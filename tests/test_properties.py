@@ -3,7 +3,7 @@
 from hypothesis import example, given, settings, strategies as st
 
 from symppl.absdomain import (
-    AAdd, AConst, AEUnk, ARV, ASub, UNK, aadd, adiv, aite, amul, asub, join_expr, leq_expr,
+    AEUnk, ALst, UNK, aadd, adiv, aite, amul, asub, join_expr, leq_expr,
 )
 from symppl.lang import Annotation
 from symppl.sym import (
@@ -34,9 +34,9 @@ from symppl.sym import (
 
 def abs_exprs(depth=3):
     leaves = st.one_of(
-        st.integers(0, 3).map(lambda n: AConst(float(n))),
+        st.integers(0, 3).map(lambda n: VConst(float(n))),
         st.just(UNK),
-        st.integers(0, 2).map(ARV),
+        st.integers(0, 2).map(VRV),
         st.sets(st.integers(0, 2), max_size=2).map(lambda s: AEUnk(frozenset(s))),
     )
     binop = st.sampled_from([aadd, asub, amul, adiv])
@@ -53,8 +53,8 @@ def abs_exprs(depth=3):
 @settings(max_examples=300, deadline=None)
 @given(abs_exprs(), abs_exprs())
 @example(  # joins to UNK: variable-free, top-free scalars lie below it
-    a=aite(AAdd(UNK, AEUnk(frozenset())), AConst(0.0), AConst(0.0)),
-    b=aite(ASub(AConst(0.0), AEUnk(frozenset())), AConst(0.0), UNK),
+    a=aite(VAdd(UNK, AEUnk(frozenset())), VConst(0.0), VConst(0.0)),
+    b=aite(VSub(VConst(0.0), AEUnk(frozenset())), VConst(0.0), UNK),
 )
 def test_join_is_upper_bound(a, b):
     j = join_expr(a, b)
@@ -151,3 +151,66 @@ def test_cached_free_rvs_match_reference_walk(steps, rnd):
     rebuilt = build_dag(steps)
     for i in order:
         assert free_rvs(rebuilt[i]) == reference_free_rvs(rebuilt[i])
+
+
+def abs_values(depth=3):
+    """Abstract values with the analysis's own forms: unknown expressions
+    over variable sets and lists with an unknown suffix."""
+    rid_sets = st.frozensets(st.integers(0, 12), max_size=4)
+    leaves = st.one_of(
+        st.integers(0, 3).map(lambda n: VConst(float(n))),
+        st.just(UNK),
+        st.integers(0, 12).map(VRV),
+        rid_sets.map(AEUnk),
+    )
+    binop = st.sampled_from([aadd, asub, amul, adiv])
+
+    def extend(children):
+        items = st.lists(children, max_size=3).map(tuple)
+        return st.one_of(
+            st.tuples(binop, children, children).map(lambda t: t[0](t[1], t[2])),
+            st.tuples(children, children, children).map(lambda t: aite(*t)),
+            items.map(VTup),
+            items.map(VLst),
+            st.tuples(items, rid_sets).map(lambda t: ALst(*t)),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=depth * 3)
+
+
+def reference_abs_vars(v):
+    """First-occurrence variables by a plain recursive walk: an unknown
+    expression's set in ascending order, a list's items before its tail."""
+    out = []
+
+    def add_rid(rid):
+        if rid not in out:
+            out.append(rid)
+
+    def go(x):
+        if isinstance(x, VRV):
+            add_rid(x.rid)
+        elif isinstance(x, AEUnk):
+            for rid in sorted(x.fv):
+                add_rid(rid)
+        elif isinstance(x, (VAdd, VSub, VMul, VDiv, VCmp)):
+            go(x.left)
+            go(x.right)
+        elif isinstance(x, VIte):
+            go(x.cond)
+            go(x.then)
+            go(x.orelse)
+        elif isinstance(x, (VTup, VLst, ALst)):
+            for i in x.items:
+                go(i)
+            for rid in sorted(getattr(x, "tail", ())):
+                add_rid(rid)
+
+    go(v)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(abs_values())
+def test_free_vars_of_abstract_values_match_reference_walk(v):
+    assert free_rvs(v) == reference_abs_vars(v)

@@ -137,3 +137,22 @@ def test_labels_are_per_particle():
     a.set_distr(ra, DSampledDelta(1.0))
     a.set_node(ra, "node")
     assert a.label(ra) == f"left#{ra}"
+
+
+@pytest.mark.parametrize("d,message", [
+    (DNormal(VConst(0.0), VConst(0.0)), "gaussian variance must be positive, got 0.0"),
+    (DBernoulli(VConst(1.5)), "bernoulli probability out of range: 1.5"),
+    (DInvGamma(VConst(-1.0), VConst(1.0)), "invgamma parameters must be positive"),
+    (DBeta(VConst(1.0), VConst(0.0)), "beta parameters must be positive"),
+    (DStudentT(VConst(0.0), VConst(-2.0), VConst(1.0)), "student_t parameters must be positive"),
+])
+def test_one_parameter_check_for_score_draw_and_extraction(d, message):
+    from symppl.sym import check_params
+
+    for use in (check_params, lambda d: score(d, 0.5),
+                lambda d: draw(d, np.random.default_rng(0))):
+        with pytest.raises(EvalError, match=f"^{message}$"):
+            use(d)
+    # symbolic parameters are left to be checked once they are constant
+    for ok in (DInvGamma(VConst(1.0), VRV(0)), DNormal(VConst(-1.0), VRV(0))):
+        assert check_params(ok) is ok
