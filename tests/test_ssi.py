@@ -224,3 +224,54 @@ def test_mixture_posterior_collapses_on_realized_guard():
     assert isinstance(d, DBeta)
     expect = (2.0, 1.0) if v.v else (1.0, 2.0)
     assert (d.a.v, d.b.v) == expect
+
+
+def _rts_smoother(zs, q, r, f=1.001, h=2.0):
+    """Independent Rauch-Tung-Striebel smoother for noise.si with q and r
+    known: x_0 = 0, x_t ~ N(f x_{t-1}, q), z_t ~ N(h x_t, r).  Returns the
+    smoothed (mean, variance) of x_1 .. x_T."""
+    m, P = 0.0, 0.0
+    filt, pred = [], []
+    for z in zs:
+        mp, Pp = f * m, f * f * P + q
+        K = Pp * h / (h * h * Pp + r)
+        m, P = mp + K * (z - h * mp), (1.0 - K * h) * Pp
+        pred.append((mp, Pp))
+        filt.append((m, P))
+    out = [filt[-1]]
+    for t in range(len(zs) - 2, -1, -1):
+        (mt, Pt), (mp, Pp), (ms, Ps) = filt[t], pred[t + 1], out[-1]
+        G = Pt * f / Pp
+        out.append((mt + G * (ms - mp), Pt + G * G * (Ps - Pp)))
+    return out[::-1]
+
+
+def rts_oracle_error(timesteps, particles=4, seed=0):
+    """Largest relative deviation of noise plan 3 (x symbolic, q and r
+    sampled) SSI output marginals from the RTS smoother fed each particle's
+    sampled q and r.  A mean's error is taken relative to the larger of its
+    magnitude and its standard deviation."""
+    from symppl.benchmarks import BENCHMARKS, data_for
+    from symppl.checker import apply_plan
+    from symppl.runtime import run_model
+
+    program = apply_plan(BENCHMARKS["noise"].program(), 3)
+    data, _ = data_for("noise", seed, timesteps)
+    zs = [z.v for z in data.items]
+    mix = run_model(program, particles, seed, SsiBackend(), data)
+    assert not mix.casts and mix.output_casts == 0
+    worst = 0.0
+    for _, (xs, q, r) in mix.components:
+        assert isinstance(q, DDelta) and isinstance(r, DDelta)
+        oracle = _rts_smoother(zs, q.e.v, r.e.v)
+        assert len(xs) == len(oracle) == timesteps
+        for d, (m, P) in zip(xs, oracle):
+            assert isinstance(d, DNormal)
+            worst = max(worst, abs(d.mu.v - m) / max(abs(m), math.sqrt(P)),
+                        abs(d.var.v - P) / P)
+    return worst
+
+
+@pytest.mark.parametrize("timesteps", [8, 50, 200])
+def test_output_marginals_match_rts_smoother(timesteps):
+    assert rts_oracle_error(timesteps) <= 1e-10
