@@ -31,6 +31,7 @@ from .ds import InitN, MargN, MargRootN, RealizedN
 from .lang import Annotation
 from .sym import (
     _CMP,
+    CONTAINERS,
     Algebra,
     DDelta,
     DMixIte,
@@ -109,7 +110,6 @@ class ALst(_List):
 
 UNK = AUnkC()
 TOP_E = ATopE()
-_CONTAINERS = (VTup, _List)
 
 
 # Abstract-only distributions; the others are ``sym``'s ``DNormal`` ...
@@ -304,7 +304,7 @@ ALGEBRA = Algebra(
 
 def scalar_depth(v: Val) -> int:
     """Depth of the scalar expression tree; containers reset the count."""
-    if isinstance(v, _CONTAINERS):
+    if isinstance(v, CONTAINERS):
         return 0
     kids = children(v)
     return 1 + max(map(scalar_depth, kids)) if kids else 0
@@ -312,7 +312,7 @@ def scalar_depth(v: Val) -> int:
 
 def widen(v: Val) -> Val:
     """Collapse scalar trees deeper than DEPTH_LIMIT to ``AEUnk``/``ATopE``."""
-    if isinstance(v, _CONTAINERS):
+    if isinstance(v, CONTAINERS):
         return rebuild(v, [widen(i) for i in children(v)], ALGEBRA)
     if scalar_depth(v) > DEPTH_LIMIT:
         return TOP_E if contains_top(v) else AEUnk(fv(v))
@@ -354,7 +354,7 @@ def leq_expr(a: Val, b: Val) -> bool:
     if isinstance(a, ATopE):
         return False
     match a, b:
-        case (_, AUnkC() | VRV(_)) if not isinstance(a, _CONTAINERS) and rv_free(a):
+        case (_, AUnkC() | VRV(_)) if not isinstance(a, CONTAINERS) and rv_free(a):
             # a scalar free of variables and tops stands for a constant
             return True
         case (VRV(rid), AEUnk(s)):
@@ -362,7 +362,7 @@ def leq_expr(a: Val, b: Val) -> bool:
         case (AEUnk(s1), AEUnk(s2)):
             return s1 <= s2
         case (_, AEUnk(s)):
-            return not isinstance(a, _CONTAINERS) and fv(a) <= s and not contains_top(a)
+            return not isinstance(a, CONTAINERS) and fv(a) <= s and not contains_top(a)
     if _same_head(a, b):
         return all(leq_expr(x, y) for x, y in zip(children(a), children(b)))
     return False

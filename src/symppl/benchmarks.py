@@ -286,11 +286,22 @@ def truth_rows(spec: BenchmarkSpec, truth: dict, timesteps: int) -> list[tuple]:
     return rows
 
 
-def read_csv(path: str) -> list[tuple[float, ...]]:
+def read_csv(path: str) -> tuple[list[str], list[tuple[float, ...]]]:
+    """The header (empty for an empty file) and the numeric rows.  Blank
+    lines are skipped; a row whose length differs from the header's is a
+    ``ValueError``."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader, None)  # the header; an empty file has none
-        return [tuple(float(x) for x in row) for row in reader]
+        header = next(reader, [])
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"line {reader.line_num}: expected {len(header)} values, "
+                                 f"one per header column, found {len(row)}")
+            rows.append(tuple(float(x) for x in row))
+        return header, rows
 
 
 def data_for(name: str, seed: int, timesteps: int, variant: str = "prior") -> tuple[Val, dict]:

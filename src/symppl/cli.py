@@ -146,12 +146,15 @@ def _load_data(args, benchmark: str | None):
     spec = _benchmark(benchmark) if benchmark is not None else None
     if args.data:
         try:
-            rows = bm.read_csv(args.data)
+            header, rows = bm.read_csv(args.data)
         except OSError as exc:
             _usage_error(f"cannot read {args.data}: {exc.strerror or exc}")
         except ValueError as exc:
             _usage_error(f"{args.data}: {exc}")
         if spec is not None:
+            if header and len(header) != len(spec.data_columns):
+                _usage_error(f"{args.data}: columns ({', '.join(header)}) do not match "
+                             f"benchmark {spec.name}'s ({', '.join(spec.data_columns)})")
             return spec.data_value(rows)
         from .sym import VConst, VLst, VTup
 

@@ -163,8 +163,9 @@ class DsBackend:
         self.realize(rid, d, g)
         return w
 
-    def marginal_of(self, rid: int, g: SymState,
-                    rng: np.random.Generator, casts: CastLog) -> Distr:
+    def marginal_of(self, rid: int, g: SymState, rng: np.random.Generator,
+                    casts: CastLog, memo: dict[int, Distr] | None = None) -> Distr:
+        """Marginal of ``rid`` by grafting; ``memo`` is not used."""
         c = g.realized_value(rid)
         if c is not None:
             return DDelta(c)

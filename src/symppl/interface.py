@@ -2,7 +2,9 @@
 
 A backend provides ``assume``/``observe``/``value``; the particle runtime is
 written against this interface only.  ``value_star`` forces an expression to
-a constant; ``distribution`` extracts per-output marginals at termination.
+a constant; ``distribution`` extracts per-output marginals at termination,
+through the backend's ``marginal_of`` and a memo of marginals by variable
+id kept for the particle.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ class Backend(Protocol):
     def value(self, rid: int, g: SymState,
               rng: np.random.Generator, casts: CastLog) -> VConst: ...
 
-    def marginal_of(self, rid: int, g: SymState,
-                    rng: np.random.Generator, casts: CastLog) -> Distr: ...
+    def marginal_of(self, rid: int, g: SymState, rng: np.random.Generator,
+                    casts: CastLog, memo: dict[int, Distr] | None = None) -> Distr: ...
 
 
 def value_star(v: Val, g: SymState, backend: Backend,
@@ -83,23 +85,29 @@ def value_star(v: Val, g: SymState, backend: Backend,
 
 
 def distribution(v: Val, g: SymState, backend: Backend,
-                 rng: np.random.Generator, casts: CastLog):
+                 rng: np.random.Generator, casts: CastLog,
+                 memo: dict[int, Distr] | None = None):
     """Distribution of a terminated particle's output value.
 
     Returns a tree mirroring the value: tuples/lists of ``Distr``.  Any
     sampling needed to extract output marginals is recorded in ``casts``,
     which callers keep separate from the semantic cast log.  A marginal
     with a constant parameter outside its domain is an ``EvalError``.
+    ``memo`` holds the marginals by variable id that the backend has
+    computed so far for this particle's outputs.
     """
+    if memo is None:
+        memo = {}
     match v:
         case VConst(_):
             return DDelta(v)
         case VTup(items):
-            return tuple(distribution(x, g, backend, rng, casts) for x in items)
+            return tuple(distribution(x, g, backend, rng, casts, memo) for x in items)
         case VLst(items):
-            return [distribution(x, g, backend, rng, casts) for x in items]
+            return [distribution(x, g, backend, rng, casts, memo) for x in items]
         case VRV(rid):
-            return check_params(backend.marginal_of(rid, g, rng, casts))
+            return check_params(backend.marginal_of(rid, g, rng, casts, memo))
         case _:
             c = value_star(v, g, backend, rng, casts)
+            memo.clear()  # forcing conditions the state
             return DDelta(c)

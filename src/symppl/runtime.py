@@ -55,6 +55,7 @@ from .lang import (
 )
 from .parser import print_pattern
 from .sym import (
+    CONTAINERS,
     FALSE,
     TRUE,
     UNIT,
@@ -364,7 +365,10 @@ class Evaluator:
                         if free_vars(cv) and is_pure(te, self.impure) and is_pure(oe, self.impure):
                             tv, _ = self._run(te, env, p)
                             ov, _ = self._run(oe, env, p)
-                            return p.state.alg.ite(cv, tv, ov), False
+                            # a tuple or list is not selected lazily: its
+                            # consumers need its shape
+                            if not isinstance(tv, CONTAINERS) and not isinstance(ov, CONTAINERS):
+                                return p.state.alg.ite(cv, tv, ov), False
                         cv = self._force(cv, p)
                         if not isinstance(cv, VConst):  # an abstract value can stay unknown
                             return self._join_branches(te, oe, env, p), False
@@ -480,7 +484,7 @@ def run_model(program: Program, n_particles: int, seed: int, backend: Backend,
     casts: list[tuple[int, str]] = []
     out_casts = 0
     for i, w in enumerate(probs):
-        p, particles[i] = particles[i], None  # extraction grows a state: free each once read
+        p, particles[i] = particles[i], None  # free each state once read
         out_log = CastLog()
         tree = distribution(p.value, p.state, backend, p.rng, out_log)
         components.append((w, tree))

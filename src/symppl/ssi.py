@@ -16,6 +16,11 @@ analysis over-approximates).
 Hoisting runs on an explicit stack, and ordering a single parent needs no
 ancestor search, so hoisting through a chain of length T costs O(T) time
 and no Python stack.
+
+Output marginals are read without changing the state (``chain_marginal``):
+one loop up a single-parent chain and one ``conjugacy.marginal`` per
+variable on the way down.  ``SsiBackend.marginal_of`` hoists only where
+that pass does not apply.
 """
 
 from __future__ import annotations
@@ -122,6 +127,38 @@ def _make_root(rid: int, g: SymState) -> tuple[int, int] | None:
     return None
 
 
+def chain_marginal(rid: int, g: SymState, memo: dict[int, Distr]) -> Distr | None:
+    """Marginal of ``rid`` without changing the state, or None.
+
+    Walks up from ``rid`` through variables with exactly one live parent
+    to a root or a memoized variable, then back down: a root's marginal is
+    its distribution and a child's is ``conjugacy.marginal`` of its
+    parent's marginal and its own conditional.  Filtering leaves each
+    state variable conditioned on its successor, so this is the
+    Rauch-Tung-Striebel smoother order.  Every marginal computed goes into
+    ``memo``.  Returns None when a variable on the walk has two or more
+    parents or no rule applies.
+    """
+    path = []
+    r = rid
+    while r not in memo:
+        d = g.eval_distr(g.distr(r))
+        parents = [p for p in g.distr_fv(d) if p != r]
+        if not parents:
+            memo[r] = d
+            break
+        if len(parents) > 1:
+            return None
+        path.append((r, d, parents[0]))
+        r = parents[0]
+    for r, d, p in reversed(path):
+        m = conjugacy.marginal(memo[p], d, p, g.alg)
+        if m is None:
+            return None
+        memo[r] = g.eval_distr(m)
+    return memo[rid]
+
+
 class SsiBackend:
     name = "ssi"
 
@@ -149,12 +186,21 @@ class SsiBackend:
         intervene(rid, d, g)
         return w
 
-    def marginal_of(self, rid: int, g: SymState,
-                    rng: np.random.Generator, casts: CastLog) -> Distr:
+    def marginal_of(self, rid: int, g: SymState, rng: np.random.Generator,
+                    casts: CastLog, memo: dict[int, Distr] | None = None) -> Distr:
+        """Marginal of ``rid``, read off the state by ``chain_marginal``
+        where it applies; otherwise ``rid`` is hoisted, which may force
+        variables and so condition the state: ``memo`` is cleared then."""
         c = g.realized_value(rid)
         if c is not None:
             return DDelta(c)
+        if memo is None:
+            memo = {}
+        d = chain_marginal(rid, g, memo)
+        if d is not None:
+            return d
         self.hoist(rid, g, rng, casts)
+        memo.clear()
         return g.eval_distr(g.distr(rid))
 
     def hoist(self, rid: int, g: SymState, rng: np.random.Generator | None = None,

@@ -110,6 +110,9 @@ class VLst(_List):
         return VLst(items)
 
 
+# The values that are not scalars.
+CONTAINERS = (VTup, _List)
+
 UNIT = VConst(None)
 TRUE = VConst(True)
 FALSE = VConst(False)

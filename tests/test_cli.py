@@ -388,3 +388,72 @@ def test_empty_data_file_is_an_empty_stream(tmp_path, capsys):
         out.pop("wall_ms")
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+# A pure `if` on a symbolic condition whose branches are lists or tuples:
+# the program, and the outputs of its two branches.
+IF_OF_CONTAINERS = {
+    "len": ("List.len(l)", [{"dist": "delta", "v": 1.0}, {"dist": "delta", "v": 2.0}]),
+    "map": ("List.map(inc, l)", [[{"dist": "delta", "v": 2.0}],
+                                 [{"dist": "delta", "v": 3.0}, {"dist": "delta", "v": 4.0}]]),
+    "fold": ("fold(plus, l, 0.)", [{"dist": "delta", "v": 1.0}, {"dist": "delta", "v": 5.0}]),
+    "tuple": ("let (a, b) = if x then (1., 2.) else (3., 4.) in a + b",
+              [{"dist": "delta", "v": 3.0}, {"dist": "delta", "v": 7.0}]),
+}
+
+
+@pytest.mark.parametrize("method", ["ssi", "ds"])
+@pytest.mark.parametrize("consumer", sorted(IF_OF_CONTAINERS))
+def test_if_of_lists_or_tuples_forces_its_condition(consumer, method, tmp_path, capsys):
+    body, outputs = IF_OF_CONTAINERS[consumer]
+    src = tmp_path / "ite.si"
+    src.write_text("let inc = fun (z) -> z + 1.\n"
+                   "let plus = fun (z, acc) -> z + acc\n"
+                   "let x <- bernoulli(0.5) in\n"
+                   "let l = if x then [1.] else [2., 3.] in\n"
+                   f"{body}\n")
+    code, out, err = main_out(capsys, "run", str(src), "--method", method, "--plan", "0",
+                              "--particles", "4")
+    assert (code, err) == (0, "")
+    out = json.loads(out)
+    assert {c["label"] for c in out["casts"]} == {"x#0"}
+    assert all(c["outputs"] in outputs for c in out["components"])
+    code, out, err = main_out(capsys, "run", str(src), "--method", method, "--plan", "0",
+                              "--particles", "4", "--strict-casts")
+    assert (code, out, err) == (3, "", "error: unsatisfiable annotation on x#0\n")
+    code, out, _ = main_out(capsys, "analyze", str(src), "--method", method, "--plan", "0")
+    assert code == 2
+    assert json.loads(out)["witnesses"] == [["rv:0", "x"]]
+
+
+@pytest.mark.parametrize("schema", [[], ["--benchmark", "slam"]])
+def test_ragged_data_row_is_one_error_line(schema, tmp_path, capsys):
+    data = tmp_path / "ragged.csv"
+    data.write_text("obs,cmd\n1,1\n0\n")
+    code, out, err = main_out(capsys, "run", str(MODELS / "slam.si"), "--data", str(data),
+                              *schema)
+    assert (code, out) == (1, "")
+    assert err == f"error: {data}: line 3: expected 2 values, one per header column, found 1\n"
+
+
+def test_data_columns_must_match_the_benchmark(tmp_path, capsys):
+    data = tmp_path / "one.csv"
+    data.write_text("obs\n1\n0\n")
+    code, out, err = main_out(capsys, "run", str(MODELS / "slam.si"), "--benchmark", "slam",
+                              "--data", str(data))
+    assert (code, out) == (1, "")
+    assert err == f"error: {data}: columns (obs) do not match benchmark slam's (obs, cmd)\n"
+
+
+def test_blank_data_lines_are_skipped(tmp_path, capsys):
+    runs = []
+    for text in ("zobs\n0.5\n-0.2\n", "zobs\n0.5\n\n-0.2\n\n"):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        code, out, err = main_out(capsys, "run", str(MODELS / "noise.si"), "--data", str(data),
+                                  "--benchmark", "noise", "--particles", "2", "--seed", "0")
+        assert (code, err) == (0, "")
+        out = json.loads(out)
+        out.pop("wall_ms")
+        runs.append(out)
+    assert runs[0] == runs[1]

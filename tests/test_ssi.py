@@ -17,6 +17,7 @@ from symppl.sym import (
     EvalError,
     SymState,
     VConst,
+    VLst,
     VRV,
     add,
     mul,
@@ -275,3 +276,110 @@ def rts_oracle_error(timesteps, particles=4, seed=0):
 @pytest.mark.parametrize("timesteps", [8, 50, 200])
 def test_output_marginals_match_rts_smoother(timesteps):
     assert rts_oracle_error(timesteps) <= 1e-10
+
+
+
+def terminated(program, data=None, seed=0):
+    """A single SSI particle of ``program`` run to termination."""
+    from symppl.runtime import Evaluator, Particle, subst
+
+    ev = Evaluator(program, SsiBackend())
+    main = program.main if data is None else subst(program.main, {"data": data})
+    p = Particle(main, SymState(), 0.0, False, CastLog(), np.random.default_rng(seed))
+    while True:
+        ev.eval_particle(p)
+        if not p.flag:
+            return p
+        p.flag = False
+
+
+def hoist_marginals(values, g, rng):
+    """Each output's marginal by hoisting it, as extraction did before the
+    read-only pass: the reference for the fallback."""
+    out = []
+    for v in values:
+        if not isinstance(v, VRV):
+            out.append(DDelta(value_star(v, g, SsiBackend(), rng, CastLog())))
+        elif (c := g.realized_value(v.rid)) is not None:
+            out.append(DDelta(c))
+        else:
+            SsiBackend().hoist(v.rid, g, rng, CastLog())
+            out.append(g.eval_distr(g.distr(v.rid)))
+    return out
+
+
+def forbid_state_changes(monkeypatch):
+    import symppl.ssi as ssi
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("extraction changed the state")
+
+    monkeypatch.setattr(ssi, "swap", forbidden)
+    monkeypatch.setattr(SsiBackend, "hoist", forbidden)
+
+
+def test_extraction_leaves_the_state_untouched(monkeypatch):
+    from symppl.benchmarks import BENCHMARKS, data_for
+    from symppl.checker import apply_plan
+
+    data, _ = data_for("noise", 0, 30)
+    p = terminated(apply_plan(BENCHMARKS["noise"].program(), 3), data)
+    g = p.state
+    before = dict(g.entries)
+    forbid_state_changes(monkeypatch)
+    casts = CastLog()
+    xs, q, r = distribution(p.value, g, SsiBackend(), p.rng, casts)
+    assert g.entries == before and len(casts) == 0
+    assert len(xs) == 30 and all(isinstance(d, DNormal) for d in xs)
+
+
+def test_extraction_of_a_long_chain_needs_no_stack(monkeypatch):
+    # each variable conditioned on the next one, as filtering leaves them
+    g = SymState()
+    rids = [g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)))]
+    for _ in range(1499):
+        rids.append(g.fresh(Annotation.NONE,
+                            DNormal(add(mul(VConst(0.9), VRV(rids[-1])), VConst(0.1)),
+                                    VConst(0.5))))
+    forbid_state_changes(monkeypatch)
+    out = distribution(VLst(tuple(VRV(r) for r in reversed(rids))), g, SsiBackend(), rng(),
+                       CastLog())
+    assert len(out) == 1500
+    assert all(math.isfinite(d.mu.v) and math.isfinite(d.var.v) for d in out)
+    assert abs(out[0].var.v - (0.5 / (1 - 0.81) + 0.81 ** 1499 * (1 - 0.5 / 0.19))) < 1e-9
+
+
+def test_two_parent_output_takes_the_hoist_path(monkeypatch):
+    from symppl import parse
+
+    p = terminated(parse("let a <- gaussian(0., 1.) in\n"
+                         "let b <- gaussian(a, 1.) in\n"
+                         "let c <- gaussian(a + b, 1.) in\n"
+                         "c\n"))
+    expected = hoist_marginals([p.value], p.state.copy(), rng())
+    hoisted = []
+    hoist = SsiBackend.hoist
+    monkeypatch.setattr(SsiBackend, "hoist",
+                        lambda self, rid, *args: hoisted.append(rid) or hoist(self, rid, *args))
+    d = distribution(p.value, p.state, SsiBackend(), rng(), CastLog())
+    assert hoisted == [p.value.rid]
+    assert [d] == expected
+    assert abs(d.mu.v) < 1e-12 and abs(d.var.v - 6.0) < 1e-12
+
+
+@pytest.mark.parametrize("middle", [
+    "let c <- gaussian(a * a, 1.) in (b, c, b)",  # c's fallback hoist samples a
+    "(b, a + 1., b)",  # the expression output samples a
+])
+def test_forcing_clears_the_memo(middle):
+    from symppl import parse
+
+    p = terminated(parse(f"let a <- gaussian(0., 1.) in let b <- gaussian(a, 1.) in {middle}\n"))
+    expected = hoist_marginals(p.value.items, p.state.copy(), rng())
+    first, mid, last = distribution(p.value, p.state, SsiBackend(), rng(), CastLog())
+    assert first == DNormal(VConst(0.0), VConst(2.0))
+    a = p.state.realized_value(0)
+    assert a is not None and last == DNormal(a, VConst(1.0))  # b given the sampled a
+    assert mid == expected[1]
+    for got, want in ((first, expected[0]), (last, expected[2])):
+        assert abs(got.mu.v - want.mu.v) < 1e-12 and abs(got.var.v - want.var.v) < 1e-12
