@@ -164,7 +164,7 @@ class DsBackend:
         return w
 
     def marginal_of(self, rid: int, g: SymState, rng: np.random.Generator,
-                    casts: CastLog, memo: dict[int, Distr] | None = None) -> Distr:
+                    casts: CastLog, memo: dict[int, Distr]) -> Distr:
         """Marginal of ``rid`` by grafting; ``memo`` is not used."""
         c = g.realized_value(rid)
         if c is not None:

@@ -69,7 +69,7 @@ class Backend(Protocol):
               rng: np.random.Generator, casts: CastLog) -> VConst: ...
 
     def marginal_of(self, rid: int, g: SymState, rng: np.random.Generator,
-                    casts: CastLog, memo: dict[int, Distr] | None = None) -> Distr: ...
+                    casts: CastLog, memo: dict[int, Distr]) -> Distr: ...
 
 
 def value_star(v: Val, g: SymState, backend: Backend,

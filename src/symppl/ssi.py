@@ -187,15 +187,13 @@ class SsiBackend:
         return w
 
     def marginal_of(self, rid: int, g: SymState, rng: np.random.Generator,
-                    casts: CastLog, memo: dict[int, Distr] | None = None) -> Distr:
+                    casts: CastLog, memo: dict[int, Distr]) -> Distr:
         """Marginal of ``rid``, read off the state by ``chain_marginal``
         where it applies; otherwise ``rid`` is hoisted, which may force
         variables and so condition the state: ``memo`` is cleared then."""
         c = g.realized_value(rid)
         if c is not None:
             return DDelta(c)
-        if memo is None:
-            memo = {}
         d = chain_marginal(rid, g, memo)
         if d is not None:
             return d
