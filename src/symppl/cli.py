@@ -73,6 +73,25 @@ def _int_list(text: str, flag: str) -> list[int]:
         _usage_error(f"{flag} takes comma-separated integers, not {text!r}")
 
 
+# The smallest value of each integer option; ``bench --particles`` is
+# checked entry by entry.
+_MINIMUM = {"particles": 1, "timesteps": 0, "seed": 0, "data_seed": 0, "trials": 1}
+
+
+def _at_least(flag: str, value: int, low: int) -> int:
+    """``value``; exits with the usage-error code when it is below ``low``."""
+    if value < low:
+        _usage_error(f"{flag} must be at least {low}, not {value}")
+    return value
+
+
+def _check_ranges(args) -> None:
+    for name, low in _MINIMUM.items():
+        value = getattr(args, name, None)
+        if isinstance(value, int):
+            _at_least("--" + name.replace("_", "-"), value, low)
+
+
 def _backend(method: str):
     return SsiBackend() if method == "ssi" else DsBackend()
 
@@ -233,7 +252,9 @@ def _bench_trial(payload):
 def cmd_bench(args) -> int:
     spec = _benchmark(args.benchmark)
     plans = _int_list(args.plans, "--plans")
-    particle_counts = _int_list(args.particles, "--particles")
+    particle_counts = [_at_least("--particles", n, _MINIMUM["particles"])
+                       for n in _int_list(args.particles, "--particles")]
+    _at_least("--timesteps", args.timesteps, 1)  # an error over no steps is undefined
     program = spec.program()
     planned = [_planned(program, plan) for plan in plans]
     if not args.allow_casts:
@@ -353,6 +374,7 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        _check_ranges(args)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

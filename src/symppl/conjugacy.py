@@ -18,6 +18,10 @@ nodes; the runtime applies the rules through its smart constructors
 exactly the pairs the runtime does.  The backends take the algebra from
 their state (``g.alg``).
 
+``swap`` gives an SSI swap both halves from one rule match.  ``marginal``
+and ``posterior`` each match on their own: delayed sampling needs them at
+different times, and output extraction needs only the marginal.
+
 ``posterior`` expressions reference the child through ``child_ref``, which
 is the child variable during a swap and a realized constant during a
 delayed-sampling realize.
@@ -113,27 +117,28 @@ def match_case(prior: Distr, cond: Distr, par: int,
     return None
 
 
-def _gaussian_parts(prior: DNormal, cond: DNormal, par: int, alg: Algebra):
-    a, b = affine_of(cond.mu, par, alg)
-    mu01 = alg.add(alg.mul(a, prior.mu), b)
-    var01 = alg.mul(alg.mul(a, a), prior.var)
-    return a, b, mu01, var01, cond.var
-
-
-def _enumerate_parent(prior: DBernoulli, cond: DBernoulli, par: int, alg: Algebra):
-    """The child's probability given a true parent, and its marginal."""
-    p1 = prior.p
-    p_t = alg.subst_rv(cond.p, par, VConst(True))
-    p_f = alg.subst_rv(cond.p, par, VConst(False))
-    return p_t, alg.add(alg.mul(p1, p_t), alg.mul(alg.sub(VConst(1.0), p1), p_f))
-
-
-def marginal(prior: Distr, cond: Distr, par: int, alg: Algebra = CONCRETE) -> Distr | None:
-    """Marginal distribution of the child after integrating out the parent."""
-    case = match_case(prior, cond, par, alg=alg)
+def _parts(case: str, prior: Distr, cond: Distr, par: int, alg: Algebra):
+    """What the marginal and the posterior of ``case`` both read: the
+    affine decomposition of a Gaussian child's mean and the parent-scaled
+    mean and variance, or the enumerated child probabilities."""
     if case == LINEAR_GAUSSIAN:
-        _, _, mu01, var01, var = _gaussian_parts(prior, cond, par, alg)
-        return DNormal(mu01, alg.add(var01, var))
+        a, b = affine_of(cond.mu, par, alg)
+        mu01 = alg.add(alg.mul(a, prior.mu), b)
+        var01 = alg.mul(alg.mul(a, a), prior.var)
+        return a, b, mu01, var01
+    if case == BERNOULLI_BERNOULLI:
+        # the child's probability given a true parent, and its marginal
+        p1 = prior.p
+        p_t = alg.subst_rv(cond.p, par, VConst(True))
+        p_f = alg.subst_rv(cond.p, par, VConst(False))
+        return p_t, alg.add(alg.mul(p1, p_t), alg.mul(alg.sub(VConst(1.0), p1), p_f))
+    return None
+
+
+def _marginal(case: str | None, prior: Distr, cond: Distr, alg: Algebra, parts) -> Distr | None:
+    if case == LINEAR_GAUSSIAN:
+        _, _, mu01, var01 = parts
+        return DNormal(mu01, alg.add(var01, cond.var))
     if case == BETA_BERNOULLI:
         a, b = prior.a, prior.b
         return DBernoulli(alg.div(a, alg.add(a, b)))
@@ -143,17 +148,16 @@ def marginal(prior: Distr, cond: Distr, par: int, alg: Algebra = CONCRETE) -> Di
             return None
         return DStudentT(cond.mu, alg.mul(VConst(2.0), prior.a), scale)
     if case == BERNOULLI_BERNOULLI:
-        return DBernoulli(_enumerate_parent(prior, cond, par, alg)[1])
+        return DBernoulli(parts[1])
     return None
 
 
-def posterior(prior: Distr, cond: Distr, par: int, child_ref,
-              alg: Algebra = CONCRETE) -> Distr | None:
-    """Parent's distribution conditioned on the child taking ``child_ref``."""
-    case = match_case(prior, cond, par, alg=alg)
+def _posterior(case: str | None, prior: Distr, cond: Distr, child_ref, alg: Algebra,
+               parts) -> Distr | None:
     one = VConst(1.0)
     if case == LINEAR_GAUSSIAN:
-        a, b, mu01, var01, var = _gaussian_parts(prior, cond, par, alg)
+        a, b, mu01, var01 = parts
+        var = cond.var
         var02 = alg.div(one, alg.add(alg.div(one, var01), alg.div(one, var)))
         mu02 = alg.mul(alg.add(alg.div(mu01, var01), alg.div(child_ref, var)), var02)
         return DNormal(alg.div(alg.sub(mu02, b), a), alg.div(var02, alg.mul(a, a)))
@@ -165,8 +169,33 @@ def posterior(prior: Distr, cond: Distr, par: int, child_ref,
         return DInvGamma(alg.add(prior.a, VConst(0.5)),
                          alg.add(prior.b, alg.div(alg.mul(resid, resid), VConst(2.0))))
     if case == BERNOULLI_BERNOULLI:
-        p_t, marg = _enumerate_parent(prior, cond, par, alg)
+        p_t, marg = parts
         pos_t = alg.div_total(alg.mul(prior.p, p_t), marg)
         pos_f = alg.div_total(alg.mul(prior.p, alg.sub(one, p_t)), alg.sub(one, marg))
         return DMixIte(child_ref, DBernoulli(pos_t), DBernoulli(pos_f))
     return None
+
+
+def marginal(prior: Distr, cond: Distr, par: int, alg: Algebra = CONCRETE) -> Distr | None:
+    """Marginal distribution of the child after integrating out the parent."""
+    case = match_case(prior, cond, par, alg=alg)
+    return _marginal(case, prior, cond, alg, _parts(case, prior, cond, par, alg))
+
+
+def posterior(prior: Distr, cond: Distr, par: int, child_ref,
+              alg: Algebra = CONCRETE) -> Distr | None:
+    """Parent's distribution conditioned on the child taking ``child_ref``."""
+    case = match_case(prior, cond, par, alg=alg)
+    return _posterior(case, prior, cond, child_ref, alg, _parts(case, prior, cond, par, alg))
+
+
+def swap(prior: Distr, cond: Distr, par: int, child_ref,
+         alg: Algebra = CONCRETE) -> tuple[Distr, Distr] | None:
+    """``(marginal, posterior)`` from one rule match, or None when no rule
+    applies or the marginal has no closed form."""
+    case = match_case(prior, cond, par, alg=alg)
+    parts = _parts(case, prior, cond, par, alg)
+    marg = _marginal(case, prior, cond, alg, parts)
+    if marg is None:
+        return None
+    return marg, _posterior(case, prior, cond, child_ref, alg, parts)

@@ -132,6 +132,8 @@ class DsBackend:
             if conjugacy.match_case(prior, dist, p, allow=others, alg=g.alg) is not None:
                 keeper = p
                 break
+        if keeper is not None and len(parents) == 1:
+            return dist, keeper  # nothing forced: matching again gives the same case
         for p in parents:
             if p != keeper:
                 self.value(p, g, rng, casts)

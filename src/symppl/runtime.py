@@ -172,7 +172,7 @@ class Particle:
     logw: float
     flag: bool
     casts: CastLog
-    rng: np.random.Generator
+    rng: np.random.Generator | FirstDrawRng
     checkpoint: int | None = None  # site of the resample that paused us
     value: Val | None = None
 
@@ -437,6 +437,25 @@ def _particle_rng(seed: int, round_idx: int, i: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(round_idx, i))))
 
 
+class FirstDrawRng:
+    """A particle's generator, ``_particle_rng(seed, round_idx, i)``, built
+    on first use.  Building one costs more than a step of most plans, and
+    after resampling many particles never draw again."""
+
+    def __init__(self, seed: int, round_idx: int, i: int) -> None:
+        self._key = (seed, round_idx, i)
+        self._gen = None
+
+    def __getattr__(self, name: str):
+        # reached only for the generator's own names; each is then bound
+        # on this object, so later draws do not come back here
+        if self._gen is None:
+            self._gen = _particle_rng(*self._key)
+        attr = getattr(self._gen, name)
+        setattr(self, name, attr)
+        return attr
+
+
 def run_model(program: Program, n_particles: int, seed: int, backend: Backend,
               data: Val, strict_casts: bool = False, max_rounds: int = 100000) -> Mixture:
     """Evaluate ``main`` with ``n_particles`` independent particles.
@@ -449,7 +468,7 @@ def run_model(program: Program, n_particles: int, seed: int, backend: Backend,
     ev = Evaluator(program, backend)
     main = subst(program.main, {"data": data})
     particles = [
-        Particle(main, SymState(), 0.0, False, CastLog(strict_casts), _particle_rng(seed, 0, i))
+        Particle(main, SymState(), 0.0, False, CastLog(strict_casts), FirstDrawRng(seed, 0, i))
         for i in range(n_particles)
     ]
     for round_idx in range(max_rounds):
@@ -467,7 +486,7 @@ def run_model(program: Program, n_particles: int, seed: int, backend: Backend,
         fresh: list[Particle] = []
         for i, (p, c) in enumerate(zip(particles, counts)):
             for _ in range(c):
-                child = p.copy_for_resample(_particle_rng(seed, round_idx + 1, len(fresh)))
+                child = p.copy_for_resample(FirstDrawRng(seed, round_idx + 1, len(fresh)))
                 child.flag = False
                 if child.value is not None:
                     child.cont = EVal(child.value)
@@ -501,7 +520,7 @@ def total_log_weight(program: Program, seed: int, backend: Backend, data: Val) -
     """
     ev = Evaluator(program, backend)
     main = subst(program.main, {"data": data})
-    p = Particle(main, SymState(), 0.0, False, CastLog(), _particle_rng(seed, 0, 0))
+    p = Particle(main, SymState(), 0.0, False, CastLog(), FirstDrawRng(seed, 0, 0))
     total = 0.0
     for _ in range(100000):
         ev.eval_particle(p)

@@ -71,12 +71,10 @@ def swap(x1: int, x2: int, g: SymState) -> bool:
     if prior.unknown:
         g.give_up([x1], f"unknown distribution of {x1}")
         return False
-    marg = conjugacy.marginal(prior, cond, x1, g.alg)
-    if marg is None:
+    pair = conjugacy.swap(prior, cond, x1, VRV(x2), g.alg)
+    if pair is None:
         return False
-    post = conjugacy.posterior(prior, cond, x1, VRV(x2), g.alg)
-    if post is None:
-        return False
+    marg, post = pair
     g.set_distr(x2, marg)
     g.set_distr(x1, post)
     return True

@@ -9,6 +9,11 @@ nodes through its own smart constructors, an ``Algebra``: the concrete ones
 hash-cons, so stored expressions stay small; the analysis's are
 ``absdomain.ALGEBRA``.  ``eval_value`` additionally substitutes realized
 random variables.
+
+The concrete constructors are canonical: every node they build is a fixed
+point of ``rebuild``.  So evaluation is the identity on a value none of
+whose variables is realized, and substitution on a value without the
+variable: both return it without rebuilding.
 """
 
 from __future__ import annotations
@@ -247,7 +252,10 @@ def cmp(op: str, l: Val, r: Val) -> Val:
 def ite(c: Val, t: Val, o: Val) -> Val:
     if isinstance(c, VConst):
         return t if c.v else o
-    if t is o:  # structural comparison would walk shared sub-DAGs
+    # canonical first, so equal constant or variable branches are identical;
+    # identity, not structural comparison, which would walk shared sub-DAGs
+    t, o = _canon(t), _canon(o)
+    if t is o:
         return t
     if isinstance(c, VIte) and isinstance(t, VConst) and isinstance(o, VConst):
         return ite(c.cond, ite(c.then, t, o), ite(c.orelse, t, o))
@@ -335,9 +343,12 @@ def free_rvs(v: Val) -> list[int]:
 
 
 def subst_rv(v: Val, rid: int, replacement: Val, _memo: dict | None = None) -> Val:
+    """``v`` with variable ``rid`` replaced, rebuilt by the concrete
+    constructors; a sub-DAG without ``rid`` is kept as it is, since
+    rebuilding it would give it back."""
     if isinstance(v, VRV):
         return replacement if v.rid == rid else v
-    if not isinstance(v, _Node):
+    if not isinstance(v, _Node) or rid not in free_vars(v):
         return v
     if _memo is None:
         _memo = {}
@@ -637,12 +648,29 @@ class SymState:
 
     # --- evaluation ---
 
-    def eval_value(self, v: Val, _memo: dict | None = None) -> Val:
+    def _touches_realized(self, v: Val) -> bool:
+        """Whether some variable of ``v`` is realized."""
         if isinstance(v, VRV):
-            c = self.realized_value(v.rid)
-            return c if c is not None else v
-        if not isinstance(v, _Node):
+            rids = (v.rid,)
+        elif isinstance(v, _Node):
+            rids = free_vars(v)
+        else:
+            return False
+        entries = self.entries
+        for rid in rids:
+            d = entries[rid].distr
+            if isinstance(d, DSampledDelta) or (isinstance(d, DDelta) and isinstance(d.e, VConst)):
+                return True
+        return False
+
+    def eval_value(self, v: Val, _memo: dict | None = None) -> Val:
+        """``v`` with its realized variables substituted, rebuilt by the
+        concrete constructors; ``v`` itself, by canonicity, when none of its
+        variables is realized."""
+        if not self._touches_realized(v):
             return v
+        if isinstance(v, VRV):
+            return self.realized_value(v.rid)
         if _memo is None:
             _memo = {}
         out = _memo.get(id(v))
@@ -652,12 +680,21 @@ class SymState:
         return out
 
     def eval_distr(self, d: Distr) -> Distr:
+        """``d`` with its parameters evaluated, and each mixture whose guard
+        is constant collapsed to the selected branch; ``d`` itself when
+        nothing changes."""
         if isinstance(d, DMixIte):
             c = self.eval_value(d.cond)
             if isinstance(c, VConst):
                 return self.eval_distr(d.then if c.v else d.orelse)
-            return DMixIte(c, self.eval_distr(d.then), self.eval_distr(d.orelse))
-        return map_params(d, self.eval_value)
+            t, o = self.eval_distr(d.then), self.eval_distr(d.orelse)
+            if c is d.cond and t is d.then and o is d.orelse:
+                return d
+            return DMixIte(c, t, o)
+        for p in distr_params(d):
+            if self._touches_realized(p):
+                return map_params(d, self.eval_value)
+        return d
 
     def refresh(self, rid: int) -> None:
         """Re-evaluate a stored distribution (delta substitution)."""

@@ -461,3 +461,33 @@ def test_blank_data_lines_are_skipped(tmp_path, capsys):
         out.pop("wall_ms")
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+NOISE = str(MODELS / "noise.si")
+
+
+OUT_OF_RANGE = [
+    (["run", NOISE, "--benchmark", "noise", "--particles", "0"], "--particles must be at least 1, not 0"),
+    (["run", NOISE, "--benchmark", "noise", "--particles", "-1"], "--particles must be at least 1, not -1"),
+    (["run", NOISE, "--seed", "-1"], "--seed must be at least 0, not -1"),
+    (["run", NOISE, "--benchmark", "noise", "--data-seed", "-1"], "--data-seed must be at least 0, not -1"),
+    (["run", NOISE, "--benchmark", "noise", "--timesteps", "-1"], "--timesteps must be at least 0, not -1"),
+    (["gen-data", "noise", "--timesteps", "-1"], "--timesteps must be at least 0, not -1"),
+    (["gen-data", "noise", "--seed", "-1"], "--seed must be at least 0, not -1"),
+    (["bench", "noise", "--plans", "7", "--particles", "4,0"], "--particles must be at least 1, not 0"),
+    (["bench", "noise", "--plans", "7", "--seed", "-1"], "--seed must be at least 0, not -1"),
+    (["bench", "noise", "--plans", "7", "--trials", "0"], "--trials must be at least 1, not 0"),
+    (["bench", "noise", "--plans", "7", "--timesteps", "-2"], "--timesteps must be at least 0, not -2"),
+    # a bench row is an error over the steps: with none it is undefined
+    (["bench", "noise", "--plans", "7", "--timesteps", "0"], "--timesteps must be at least 1, not 0"),
+]
+
+
+@pytest.mark.parametrize("argv,message", OUT_OF_RANGE,
+                         ids=[" ".join([a[0]] + a[-2:]) for a, _ in OUT_OF_RANGE])
+def test_numeric_option_out_of_range_is_a_usage_error(argv, message, tmp_path, capsys):
+    if argv[0] == "gen-data":
+        argv = argv + ["--out", str(tmp_path / "x")]
+    code, out, err = main_out(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []

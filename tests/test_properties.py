@@ -1,5 +1,6 @@
 """Property-based checks over randomly generated terms."""
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from symppl.absdomain import (
@@ -7,6 +8,8 @@ from symppl.absdomain import (
 )
 from symppl.lang import Annotation
 from symppl.sym import (
+    CONCRETE,
+    DDelta,
     DNormal,
     DSampledDelta,
     EvalError,
@@ -22,13 +25,16 @@ from symppl.sym import (
     VSub,
     VTup,
     add,
+    children,
     cmp,
     div,
     free_rvs,
     ite,
     mul,
+    rebuild,
     reset_intern,
     sub,
+    subst_rv,
 )
 
 
@@ -102,7 +108,7 @@ def reference_free_rvs(v):
 
 # Each step combines earlier nodes by index, so later nodes share subterms.
 DAG_STEPS = st.lists(
-    st.tuples(st.sampled_from(["+", "-", "*", "/", "<", "ite", "tup", "lst"]),
+    st.tuples(st.sampled_from(["+", "-", "*", "/", "<", "ite", "ite=", "tup", "lst"]),
               st.lists(st.integers(0, 10**6), min_size=1, max_size=4)),
     max_size=25,
 )
@@ -127,6 +133,10 @@ def build_dag(steps):
                     node = cmp("<", a, b)
                 case "ite":
                     node = ite(cmp("<", a, VConst(2.0)), b, c)
+                case "ite=":  # over equal but distinct constants or variables
+                    k = picks[-1] % 8
+                    leaf = (lambda: VRV(k)) if k < 5 else (lambda: VConst(float(k - 4)))
+                    node = ite(cmp("<", a, VConst(2.0)), leaf(), leaf())
                 case "tup":
                     node = VTup(tuple(args))
                 case _:
@@ -214,3 +224,62 @@ def reference_abs_vars(v):
 @given(abs_values())
 def test_free_vars_of_abstract_values_match_reference_walk(v):
     assert free_rvs(v) == reference_abs_vars(v)
+
+
+SCALAR_NODES = (VAdd, VSub, VMul, VDiv, VCmp, VIte)
+
+
+def reference_eval(g, v, memo):
+    """The full substitution and rebuild of every node, without skipping
+    the sub-DAGs that no realized variable reaches."""
+    if isinstance(v, VRV):
+        c = g.realized_value(v.rid)
+        return c if c is not None else v
+    if id(v) not in memo:
+        memo[id(v)] = rebuild(v, [reference_eval(g, k, memo) for k in children(v)], CONCRETE)
+    return memo[id(v)]
+
+
+def state_over(realized):
+    """Variables 0..4: a realized one holds its value as a sampled or an
+    observed delta, the others are standard normals."""
+    g = SymState()
+    for rid in range(5):
+        if rid in realized:
+            value = realized[rid]
+            d = DSampledDelta(value) if rid % 2 else DDelta(VConst(value))
+        else:
+            d = DNormal(VConst(0.0), VConst(1.0))
+        g.fresh(Annotation.NONE, d)
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(DAG_STEPS, st.dictionaries(st.integers(0, 4), st.sampled_from([0.0, 1.0, 2.0, 3.0])))
+def test_constructed_values_are_fixed_points_and_evaluate_like_a_full_rebuild(steps, realized):
+    nodes = build_dag(steps)
+    for v in nodes:
+        if isinstance(v, SCALAR_NODES):
+            assert rebuild(v, children(v), CONCRETE) is v
+    unrealized = state_over({})
+    for v in nodes:
+        assert unrealized.eval_value(v) is v
+    g = state_over(realized)
+    for v in nodes:
+        try:
+            expected = reference_eval(g, v, {})
+        except EvalError:  # a realized zero divisor
+            with pytest.raises(EvalError):
+                g.eval_value(v)
+            continue
+        assert g.eval_value(v) == expected
+    for rid, value in realized.items():  # substitution of one variable
+        one = state_over({rid: value})
+        for v in nodes:
+            try:
+                expected = reference_eval(one, v, {})
+            except EvalError:
+                with pytest.raises(EvalError):
+                    subst_rv(v, rid, VConst(value))
+                continue
+            assert subst_rv(v, rid, VConst(value)) == expected

@@ -242,6 +242,77 @@ def test_eval_value_calls_per_step_do_not_grow_with_stream(monkeypatch, plan, ba
     assert long <= 1.1 * short
 
 
+def counting(monkeypatch, module, name):
+    """Counts the calls of ``module.name`` that look it up in ``module``."""
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_rule_match_per_swap_and_per_chain_marginal(monkeypatch):
+    import symppl.conjugacy as conjugacy
+    import symppl.ssi as ssi
+
+    matches = counting(monkeypatch, conjugacy, "match_case")
+    swaps, chain_marginals, in_swap = [0], [0], [0]
+    swap, marginal = ssi.swap, conjugacy.marginal
+
+    def counted_swap(*args):
+        swaps[0] += 1
+        in_swap[0] += 1
+        try:
+            return swap(*args)
+        finally:
+            in_swap[0] -= 1
+
+    def counted_marginal(*args):
+        chain_marginals[0] += not in_swap[0]  # output extraction's
+        return marginal(*args)
+
+    monkeypatch.setattr(ssi, "swap", counted_swap)
+    monkeypatch.setattr(conjugacy, "marginal", counted_marginal)
+    noise_run(3, SsiBackend(), 2, 20)
+    assert swaps[0] > 0 and chain_marginals[0] > 0
+    assert matches[0] == swaps[0] + chain_marginals[0]
+
+
+def test_ds_matches_six_rules_per_particle_step(monkeypatch):
+    import symppl.conjugacy as conjugacy
+
+    # x and y each match once to be assumed, once to be marginalized and
+    # once to condition their parent (q, r) when realized
+    matches = counting(monkeypatch, conjugacy, "match_case")
+    noise_run(4, DsBackend(), 2, 20)
+    assert matches[0] == 6 * 2 * 20
+
+
+def test_resampled_particles_that_never_draw_build_no_generator(monkeypatch):
+    built = []
+    original = runtime._particle_rng
+
+    def recording(seed, round_idx, i):
+        built.append((round_idx, i))
+        return original(seed, round_idx, i)
+
+    monkeypatch.setattr(runtime, "_particle_rng", recording)
+    # plan 3 samples q and r in round 0 and draws nothing after it; each
+    # round's resampling draws from generator (round, N)
+    noise_run(3, SsiBackend(), 2, 20)
+    assert sorted(built) == [(0, 0), (0, 1)] + [(r, 2) for r in range(20)]
+
+
+def test_generator_built_on_first_draw_keeps_the_stream():
+    lazy, eager = runtime.FirstDrawRng(7, 3, 1), runtime._particle_rng(7, 3, 1)
+    assert [lazy.normal(0.0, 1.0), lazy.random(), lazy.normal(1.0, 2.0)] == \
+        [eager.normal(0.0, 1.0), eager.random(), eager.normal(1.0, 2.0)]
+
+
 def test_single_parent_hoist_builds_no_closure(monkeypatch):
     import symppl.ssi as ssi
 

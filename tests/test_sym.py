@@ -12,6 +12,7 @@ from symppl.sym import (
     DBeta,
     DDelta,
     DInvGamma,
+    DMixIte,
     DNormal,
     DSampledDelta,
     DStudentT,
@@ -52,6 +53,39 @@ def test_eval_idempotent():
     e = add(mul(VRV(x), VConst(2.0)), VRV(y))
     once = g.eval_value(e)
     assert g.eval_value(once) == once
+
+
+@pytest.mark.parametrize("branch", [lambda: VConst(1.0), lambda: VRV(1)],
+                         ids=["constant", "variable"])
+def test_ite_of_equal_branches_is_the_branch(branch):
+    # the branches are equal but distinct objects
+    for c in (VRV(0), cmp("<", VRV(0), VConst(2.0))):
+        assert ite(c, branch(), branch()) == branch()
+
+
+def test_eval_returns_values_and_distributions_without_realized_variables_as_they_are():
+    g = SymState()
+    x = g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)))
+    y = g.fresh(Annotation.NONE, DSampledDelta(2.0))
+    e = add(mul(VRV(x), VConst(3.0)), VConst(1.0))
+    assert g.eval_value(e) is e
+    d = DNormal(e, VConst(1.0))
+    assert g.eval_distr(d) is d
+    assert g.eval_distr(DNormal(add(e, VRV(y)), VConst(1.0))) == \
+        DNormal(add(e, VConst(2.0)), VConst(1.0))
+
+
+@pytest.mark.parametrize("guard", ["constant", "realized"])
+def test_eval_distr_collapses_a_mixture_on_a_known_guard(guard):
+    g = SymState()
+    x = g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)))
+    flag = g.fresh(Annotation.NONE, DSampledDelta(False))
+    then, orelse = DNormal(VRV(x), VConst(1.0)), DBernoulli(VConst(0.25))
+    cond = VConst(False) if guard == "constant" else VRV(flag)
+    assert g.eval_distr(DMixIte(cond, then, orelse)) is orelse
+    # nested: the inner mixture collapses once the outer guard is unknown
+    outer = DMixIte(VRV(x), DMixIte(cond, orelse, then), then)
+    assert g.eval_distr(outer) == DMixIte(VRV(x), then, then)
 
 
 def test_fresh_rv_rejects_unknown_reference():
