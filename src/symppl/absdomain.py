@@ -15,16 +15,19 @@ Distributions are the runtime's forms over abstract parameters plus
 deeper than ``DEPTH_LIMIT``, and (inside fold fixpoints) widen ``AEUnk``
 sets with ``SET_LIMIT`` or more variables to ``ATopE``.
 
-``AbsState`` is the state the ``ssi`` and ``ds`` backends run over during
-the analysis.  It supplies the abstract side of their domain hooks:
-``ALGEBRA`` for the conjugacy rules, ``fv_distr`` (which knows
-``ADUnk``), a cast that fails, forced samples and observations that are
+``AbsState`` is ``sym.SymState`` over this domain, the state the ``ssi``
+and ``ds`` backends run over during the analysis: its entries, copies,
+evaluation and parents are the runtime's.  It adds only the analysis's
+shared id counter, sites and labels, widening as distributions are
+stored, and the abstract side of the domain hooks: ``ALGEBRA`` for the
+conjugacy rules, ``fv_distr`` (which knows ``ADUnk``), ``deps`` (which
+adds the delayed-sampling node edges), realized values that are some
+constant, a cast that fails, forced samples and observations that are
 some constant, and ``give_up``, which over-approximates with ``set_top``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .ds import InitN, MargN, MargRootN, RealizedN
@@ -36,6 +39,8 @@ from .sym import (
     DDelta,
     DMixIte,
     Distr,
+    Entry,
+    SymState,
     VCmp,
     VConst,
     VIte,
@@ -55,6 +60,7 @@ from .sym import (
     free_vars,
     map_params,
     rebuild,
+    t_scale,
 )
 
 DEPTH_LIMIT = 5
@@ -117,10 +123,9 @@ TOP_E = ATopE()
 
 
 @dataclass(frozen=True, slots=True)
-class ADSampledDelta(Distr):
-    """A variable forced to a sample: some constant drawn at run time."""
-
-    e: Val
+class ADSampledDelta(DDelta):
+    """A variable forced to a sample: a delta on some constant drawn at run
+    time, kept apart from an observed one."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,6 +161,11 @@ AbsNode = MargRootN | MargN | InitN | RealizedN | ATopN
 
 def _is_constish(v: Val) -> bool:
     return isinstance(v, (VConst, AUnkC))
+
+
+def _some_constant(c: Val) -> bool:
+    """A guard that is some constant: it selects neither branch."""
+    return _is_constish(c) or (isinstance(c, AEUnk) and not c.fv)
 
 
 def _arith(cls, fold, l: Val, r: Val) -> Val:
@@ -222,7 +232,7 @@ def aite(c: Val, t: Val, o: Val) -> Val:
         return t if c.v else o
     if isinstance(c, ATopE):
         return TOP_E
-    if _is_constish(c) or (isinstance(c, AEUnk) and not c.fv):
+    if _some_constant(c):
         return join_expr(t, o)
     return VIte(c, t, o)
 
@@ -239,36 +249,17 @@ def fv_distr(d: Distr) -> frozenset[int]:
     if isinstance(d, ADUnk):
         return d.fv
     out: frozenset[int] = frozenset()
-    for p in _distr_params(d):
+    for p in distr_params(d):
         out |= fv(p)
     return out
 
 
-def _distr_params(d: Distr) -> tuple[Val, ...]:
-    match d:
-        case ADSampledDelta(e):
-            return (e,)
-        case ADUnk(_) | ATopD():
-            return ()
-    return distr_params(d)
-
-
-def _map_distr(d: Distr, f) -> Distr:
-    """``sym.map_params`` extended to the abstract-only forms."""
-    match d:
-        case ADSampledDelta(e):
-            return ADSampledDelta(f(e))
-        case ADUnk(_) | ATopD():
-            return d
-    return map_params(d, f)
-
-
 def contains_top(v: Val) -> bool:
-    return isinstance(v, ATopE) or any(contains_top(k) for k in children(v))
+    return isinstance(v, ATopE) or (isinstance(v, _Node) and any(map(contains_top, children(v))))
 
 
 def distr_contains_top(d: Distr) -> bool:
-    return isinstance(d, ATopD) or any(contains_top(p) for p in _distr_params(d))
+    return isinstance(d, ATopD) or any(contains_top(p) for p in distr_params(d))
 
 
 def rv_free(v: Val) -> bool:
@@ -276,21 +267,24 @@ def rv_free(v: Val) -> bool:
     return not free_vars(v) and not contains_top(v)
 
 
-def subst(v: Val, rid: int, replacement: Val) -> Val:
+def map_vars(v: Val, rv, rids) -> Val:
+    """``v`` rebuilt by ``ALGEBRA`` with each variable ``r`` replaced by
+    ``rv(r)`` (kept where that is None), and the variable set of each
+    unknown expression and unknown list suffix mapped by ``rids``.
+    Substitution, renaming and evaluation all walk through here."""
     match v:
-        case VRV(r) if r == rid:
-            return replacement
-        case AEUnk(s) if rid in s:
-            return AEUnk(s - {rid})
+        case VRV(r):
+            out = rv(r)
+            return v if out is None else out
+        case AEUnk(s):
+            return AEUnk(rids(s))
         case ALst(items, tail):
-            return ALst(tuple(subst(i, rid, replacement) for i in items), tail - {rid})
-    return rebuild(v, [subst(k, rid, replacement) for k in children(v)], ALGEBRA)
+            return ALst(tuple(map_vars(i, rv, rids) for i in items), rids(tail))
+    return rebuild(v, [map_vars(k, rv, rids) for k in children(v)], ALGEBRA)
 
 
-def _t_scale(a: Val, b: Val) -> Val:
-    if isinstance(a, VConst) and isinstance(b, VConst):
-        return VConst(math.sqrt(b.v / a.v))
-    return UNK
+def subst(v: Val, rid: int, replacement: Val) -> Val:
+    return map_vars(v, lambda r: replacement if r == rid else None, lambda s: s - {rid})
 
 
 # The abstract instance of the smart constructors and of the conjugacy
@@ -298,7 +292,7 @@ def _t_scale(a: Val, b: Val) -> Val:
 # hide any variable.
 ALGEBRA = Algebra(
     add=aadd, sub=asub, mul=amul, div=adiv, cmp=acmp, ite=aite, div_total=adiv,
-    has_top=contains_top, subst_rv=subst, t_scale=_t_scale,
+    has_top=contains_top, subst_rv=subst, t_scale=lambda a, b: t_scale(a, b) or UNK,
 )
 
 
@@ -328,7 +322,7 @@ def widen_sets(v: Val) -> Val:
 
 
 def widen_distr(d: Distr) -> Distr:
-    return _map_distr(d, widen)
+    return map_params(d, widen)
 
 
 # --- partial order ---
@@ -435,7 +429,7 @@ def join_distr(a: Distr, b: Distr) -> Distr:
         case (DDelta(e1), ADSampledDelta(e2)) | (ADSampledDelta(e1), DDelta(e2)):
             return ADSampledDelta(join_expr(e1, e2))
     if type(a) is type(b) and not isinstance(a, DMixIte):
-        return type(a)(*[join_expr(x, y) for x, y in zip(_distr_params(a), _distr_params(b))])
+        return type(a)(*[join_expr(x, y) for x, y in zip(distr_params(a), distr_params(b))])
     if distr_contains_top(a) or distr_contains_top(b):
         return TOP_D
     return ADUnk(fv_distr(a) | fv_distr(b))
@@ -444,7 +438,7 @@ def join_distr(a: Distr, b: Distr) -> Distr:
 def widen_sets_distr(d: Distr) -> Distr:
     if isinstance(d, ADUnk) and len(d.fv) >= SET_LIMIT:
         return TOP_D
-    return _map_distr(d, widen_sets)
+    return map_params(d, widen_sets)
 
 
 # --- abstract state ---
@@ -457,28 +451,24 @@ def join_ann(a: Annotation, b: Annotation) -> Annotation:
     return a if ANN_ORDER[a] >= ANN_ORDER[b] else b
 
 
-@dataclass(frozen=True, slots=True)
-class AbsEntry:
-    ann: Annotation
-    distr: Distr
-    node: AbsNode | None
+class AbsState(SymState):
+    """The runtime's particle state over the abstract domain.
 
+    Ids are drawn from one counter shared by every state of one analysis,
+    so "ascending id" orderings are meaningful and two branches never reuse
+    an id.  Each id remembers its declaration site (for the rename
+    alignment fallback) and its label, for witnesses.  Copies share the
+    counter, the sites and the labels.
 
-class AbsState:
-    """Finite map from abstract variable ids to entries.
-
-    Ids are drawn from one global counter per analysis so "ascending id"
-    orderings are meaningful; each id remembers its declaration site for
-    the rename alignment fallback.
-
-    The backends of ``ssi`` and ``ds`` run over this state as over the
-    runtime's ``SymState``, with this domain's hooks: a forced sample or an
-    observation is some constant, a cast is a failure, and where the
-    runtime would raise on a broken invariant the state gives up by
-    over-approximating.
+    The rest is ``SymState``'s, with this domain's hooks: a stored
+    distribution is widened, a variable is realized when its delta is on
+    some constant, a forced sample or an observation is some constant, a
+    cast is a failure, and where the runtime would raise on a broken
+    invariant the state gives up by over-approximating.
     """
 
-    __slots__ = ("entries", "sites", "labels", "counter")
+    __slots__ = ("counter", "sites", "labels")
+    _shared = __slots__
 
     alg = ALGEBRA  # the smart constructors, and the rules' value operations
     distr_fv = staticmethod(fv_distr)
@@ -486,58 +476,33 @@ class AbsState:
     def __init__(self, counter: list[int] | None = None,
                  sites: dict[int, str] | None = None,
                  labels: dict[int, str] | None = None):
-        self.entries: dict[int, AbsEntry] = {}
+        self.entries: dict[int, Entry] = {}
         self.counter = counter if counter is not None else [0]
         self.sites = sites if sites is not None else {}
         self.labels = labels if labels is not None else {}
 
-    def copy(self) -> "AbsState":
-        g = AbsState(self.counter, self.sites, self.labels)
-        g.entries = dict(self.entries)
-        return g
-
-    def fresh(self, ann: Annotation, distr: Distr, node: AbsNode | None,
-              site: str, label: str = "") -> int:
+    def fresh(self, ann: Annotation, distr: Distr, node: AbsNode | None = None,
+              site: str = "", label: str = "") -> int:
         rid = self.counter[0]
         self.counter[0] += 1
-        self.entries[rid] = AbsEntry(ann, widen_distr(distr), node)
+        self.entries[rid] = Entry(ann, widen_distr(distr), node)
         self.sites[rid] = site
         self.labels[rid] = label or site
         return rid
 
-    def __contains__(self, rid: int) -> bool:
-        return rid in self.entries
-
-    def ann(self, rid: int) -> Annotation:
-        return self.entries[rid].ann
-
-    def distr(self, rid: int) -> Distr:
-        return self.entries[rid].distr
-
-    def node(self, rid: int) -> AbsNode | None:
-        return self.entries[rid].node
-
     def set_distr(self, rid: int, d: Distr) -> None:
-        e = self.entries[rid]
-        self.entries[rid] = AbsEntry(e.ann, widen_distr(d), e.node)
+        super().set_distr(rid, widen_distr(d))
 
-    def set_node(self, rid: int, node: AbsNode | None) -> None:
-        e = self.entries[rid]
-        self.entries[rid] = AbsEntry(e.ann, e.distr, node)
-
-    def set_ann(self, rid: int, ann: Annotation) -> None:
-        e = self.entries[rid]
-        self.entries[rid] = AbsEntry(ann, e.distr, e.node)
+    def deps(self, rid: int) -> frozenset[int]:
+        """The variables of the stored distribution and the node's edges."""
+        entry = self.entries[rid]
+        return fv_distr(entry.distr) | node_fv(entry.node)
 
     def realized_value(self, rid: int) -> Val | None:
         entry = self.entries.get(rid)
-        if entry is None:
-            return None
-        match entry.distr:
-            case DDelta(e) | ADSampledDelta(e) if rv_free(e):
-                return e
-            case _:
-                return None
+        if entry is not None and isinstance(entry.distr, DDelta) and rv_free(entry.distr.e):
+            return entry.distr.e
+        return None
 
     def witness(self, rid: int) -> tuple[str, str]:
         return (self.sites.get(rid, "?"), self.labels.get(rid, str(rid)))
@@ -561,54 +526,39 @@ class AbsState:
                 raise AnalysisFail([self.witness(r)])
             set_top(self, r)
 
-    # --- evaluation (delta substitution, mixture collapse) ---
+    # --- evaluation: the cases of the abstract-only forms ---
 
     def _live(self, rids: frozenset[int]) -> frozenset[int]:
         return frozenset(r for r in rids if self.realized_value(r) is None)
 
-    def eval_value(self, v: Val) -> Val:
-        match v:
-            case VRV(rid):
-                c = self.realized_value(rid)
-                return c if c is not None else v
-            case AEUnk(s):
-                return AEUnk(self._live(s))
-            case ALst(items, tail):
-                return ALst(tuple(self.eval_value(i) for i in items), self._live(tail))
-            case _Node():
-                return rebuild(v, [self.eval_value(k) for k in children(v)], ALGEBRA)
-        return v
+    def _touches_realized(self, v: Val) -> bool:
+        return any(self.realized_value(r) is not None for r in free_vars(v))
+
+    def eval_value(self, v: Val, _memo: dict | None = None) -> Val:
+        if isinstance(v, (AEUnk, ALst)):
+            return map_vars(v, self.realized_value, self._live)
+        return super().eval_value(v, _memo)
 
     def eval_distr(self, d: Distr) -> Distr:
-        match d:
-            case DMixIte(c, d1, d2):
-                c = self.eval_value(c)
-                if isinstance(c, VConst):
-                    return self.eval_distr(d1) if c.v else self.eval_distr(d2)
-                t = self.eval_distr(d1)
-                o = self.eval_distr(d2)
-                if _is_constish(c) or (isinstance(c, AEUnk) and not c.fv):
-                    return join_distr(t, o)
-                return DMixIte(c, t, o)
-            case ADUnk(s):
-                return ADUnk(self._live(s))
-        return _map_distr(d, self.eval_value)
-
-    def refresh(self, rid: int) -> None:
-        self.set_distr(rid, self.eval_distr(self.entries[rid].distr))
-
-    def parents(self, rid: int) -> list[int]:
-        d = self.eval_distr(self.entries[rid].distr)
-        return sorted(p for p in fv_distr(d) if p != rid and p in self.entries
-                      and self.realized_value(p) is None)
+        """``SymState.eval_distr``; besides, a mixture whose guard is some
+        constant is the join of its branches."""
+        if isinstance(d, ADUnk):
+            return ADUnk(self._live(d.fv))
+        d = super().eval_distr(d)
+        if isinstance(d, DMixIte) and _some_constant(d.cond):
+            return join_distr(d.then, d.orelse)
+        return d
 
 
-def set_top(g: AbsState, rid: int) -> None:
-    """Over-approximate a variable and its ancestry to the top elements.
+def set_top(g: AbsState, *rids: int, nodes_only: bool = False) -> None:
+    """Over-approximate variables to the top elements, and what they touch:
+    the variables they depend on and their marginalized children.  With
+    ``nodes_only``, only delayed-sampling nodes go to top, and the spread
+    stops at a variable without a node or with a top one.
 
     Fails if any touched variable carries a symbolic annotation.
     """
-    worklist = [rid]
+    worklist = list(rids)
     seen: set[int] = set()
     while worklist:
         r = worklist.pop()
@@ -618,16 +568,20 @@ def set_top(g: AbsState, rid: int) -> None:
         entry = g.entries[r]
         if entry.ann is Annotation.SYMBOLIC:
             raise AnalysisFail([g.witness(r)])
-        worklist.extend(p for p in fv_distr(entry.distr) if p != r)
-        worklist.extend(p for p in node_fv(entry.node) if p != r)
         node = entry.node
+        if nodes_only and (node is None or isinstance(node, ATopN)):
+            continue
+        if not nodes_only:
+            worklist.extend(fv_distr(entry.distr))
+        worklist.extend(node_fv(node))
         if node is not None:
             for c in node.children:
                 ce = g.entries.get(c)
                 if ce is not None and isinstance(ce.node, MargN):
                     worklist.append(c)
             g.set_node(r, ATopN(node.children))
-        g.set_distr(r, ATopD())
+        if not nodes_only:
+            g.set_distr(r, TOP_D)
 
 
 def node_fv(node: AbsNode | None) -> frozenset[int]:
@@ -638,34 +592,6 @@ def node_fv(node: AbsNode | None) -> frozenset[int]:
             return frozenset((parent,))
         case _:
             return frozenset()
-
-
-def abs_reachable(roots, *states: AbsState) -> set[int]:
-    frontier: list[int] = []
-    for r in roots:
-        if isinstance(r, int):
-            frontier.append(r)
-        else:
-            frontier.extend(free_vars(r))
-    seen: set[int] = set()
-    while frontier:
-        rid = frontier.pop()
-        if rid in seen:
-            continue
-        seen.add(rid)
-        for g in states:
-            e = g.entries.get(rid)
-            if e is not None:
-                frontier.extend(fv_distr(e.distr))
-                frontier.extend(node_fv(e.node))
-    return seen
-
-
-def abs_weak_eq(g1: AbsState, g2: AbsState, e: Val) -> bool:
-    for rid in abs_reachable([e], g1, g2):
-        if g1.entries.get(rid) != g2.entries.get(rid):
-            return False
-    return True
 
 
 # --- delayed-sampling node join ---
@@ -697,30 +623,6 @@ def join_node(a: AbsNode | None, b: AbsNode | None, escalate: list[int]) -> AbsN
     return ATopN(a.children | b.children)
 
 
-def _escalate_topn(g: AbsState, worklist: list[int]) -> None:
-    """TopN spreads to parents and marginalized children; a symbolic
-    annotation anywhere in the blast radius is a failure."""
-    seen: set[int] = set()
-    while worklist:
-        rid = worklist.pop()
-        if rid in seen or rid not in g.entries:
-            continue
-        seen.add(rid)
-        entry = g.entries[rid]
-        if entry.ann is Annotation.SYMBOLIC:
-            raise AnalysisFail([g.witness(rid)])
-        node = entry.node
-        if node is None or isinstance(node, ATopN):
-            continue
-        children = node.children
-        worklist.extend(node_fv(node))
-        for c in children:
-            cn = g.entries.get(c)
-            if cn is not None and isinstance(cn.node, MargN):
-                worklist.append(c)
-        g.set_node(rid, ATopN(children))
-
-
 def join_states(g1: AbsState, g2: AbsState, in_fold: bool) -> AbsState:
     out = g1.copy()
     escalate: list[int] = []
@@ -743,11 +645,11 @@ def join_states(g1: AbsState, g2: AbsState, in_fold: bool) -> AbsState:
         if local or (isinstance(node, ATopN) and not isinstance(e1.node, ATopN)):
             changed_to_top.append(rid)
             escalate.extend(local)
-        out.entries[rid] = AbsEntry(join_ann(e1.ann, e2.ann), d, node)
+        out.entries[rid] = Entry(join_ann(e1.ann, e2.ann), d, node)
     for rid in changed_to_top:
         if out.entries[rid].ann is Annotation.SYMBOLIC:
             raise AnalysisFail([out.witness(rid)])
-    _escalate_topn(out, escalate)
+    set_top(out, *escalate, nodes_only=True)
     return out
 
 
@@ -804,14 +706,8 @@ def _rename(rids: frozenset[int], sigma: dict[int, int]) -> frozenset[int]:
 def rename_apply(v: Val, sigma: dict[int, int]) -> Val:
     if not sigma:
         return v
-    match v:
-        case VRV(rid):
-            return VRV(sigma.get(rid, rid))
-        case AEUnk(s):
-            return AEUnk(_rename(s, sigma))
-        case ALst(items, tail):
-            return ALst(tuple(rename_apply(i, sigma) for i in items), _rename(tail, sigma))
-    return rebuild(v, [rename_apply(k, sigma) for k in children(v)], ALGEBRA)
+    return map_vars(v, lambda r: VRV(sigma[r]) if r in sigma else None,
+                    lambda s: _rename(s, sigma))
 
 
 def rename_distr(d: Distr, sigma: dict[int, int]) -> Distr:
@@ -819,7 +715,7 @@ def rename_distr(d: Distr, sigma: dict[int, int]) -> Distr:
         return d
     if isinstance(d, ADUnk):
         return ADUnk(_rename(d.fv, sigma))
-    return _map_distr(d, lambda v: rename_apply(v, sigma))
+    return map_params(d, lambda v: rename_apply(v, sigma))
 
 
 def rename_node(node: AbsNode | None, sigma: dict[int, int]) -> AbsNode | None:
@@ -842,7 +738,7 @@ def rename_node(node: AbsNode | None, sigma: dict[int, int]) -> AbsNode | None:
 def subst_distr(d: Distr, rid: int, replacement: Val) -> Distr:
     if isinstance(d, ADUnk):
         return ADUnk(d.fv - {rid})
-    return _map_distr(d, lambda v: subst(v, rid, replacement))
+    return map_params(d, lambda v: subst(v, rid, replacement))
 
 
 def _drop_self(d: Distr, rid: int) -> Distr:
@@ -857,7 +753,7 @@ def _param_unknown_sets(d: Distr):
     if isinstance(d, ADUnk):
         yield d.fv
         return
-    for p in _distr_params(d):
+    for p in distr_params(d):
         yield from _expr_unknown_sets(p)
 
 
@@ -889,7 +785,7 @@ def rename_state(g: AbsState, sigma: dict[int, int]) -> AbsState:
     for rid, e in g.entries.items():
         new_rid = sigma.get(rid, rid)
         d = _drop_self(rename_distr(g.eval_distr(e.distr), sigma), new_rid)
-        renamed = AbsEntry(e.ann, d, rename_node(e.node, sigma))
+        renamed = Entry(e.ann, d, rename_node(e.node, sigma))
         prev = out.entries.get(new_rid)
         if prev is None:
             out.entries[new_rid] = renamed
@@ -897,10 +793,10 @@ def rename_state(g: AbsState, sigma: dict[int, int]) -> AbsState:
             d = join_distr(_drop_self(prev.distr, new_rid), d)
             _check_joined_entry(g, d)
             node = join_node(prev.node, renamed.node, escalate)
-            out.entries[new_rid] = AbsEntry(join_ann(prev.ann, renamed.ann), widen_distr(d), node)
+            out.entries[new_rid] = Entry(join_ann(prev.ann, renamed.ann), widen_distr(d), node)
             if isinstance(node, ATopN) and out.entries[new_rid].ann is Annotation.SYMBOLIC:
                 raise AnalysisFail([out.witness(new_rid)])
-    _escalate_topn(out, escalate)
+    set_top(out, *escalate, nodes_only=True)
     return out
 
 

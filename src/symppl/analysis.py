@@ -13,8 +13,11 @@ length, and the abstract backends.
 
 The abstract backends are the runtime's: ``AbsSsi`` and ``AbsDs`` bind
 ``ssi``'s and ``ds``'s own functions, which run over an
-``absdomain.AbsState`` whose hooks make a forced sample some constant, a
-cast a failure, and a broken backend invariant an over-approximation.  So
+``absdomain.AbsState``, the runtime's ``SymState`` with hooks that make a
+forced sample some constant, a cast a failure, and a broken backend
+invariant an over-approximation.  A fold's fixpoint is reached when the
+accumulator and everything it reaches in the state (``sym.weak_eq``) stop
+changing.  So
 forcing a variable whose abstract annotation is SYMBOLIC aborts with
 failure, as does any lattice escalation that touches a symbolic variable.
 The verdict is deterministic.  A program the analysis cannot interpret
@@ -34,7 +37,6 @@ from .absdomain import (
     AnalysisFail,
     TOP_E,
     UNK,
-    abs_weak_eq,
     contains_top,
     fv,
     rename_join,
@@ -44,7 +46,7 @@ from .ds import DsBackend
 from .lang import Annotation, Expr, Pattern, Program, PTuple, PUnit, PVar, PWild
 from .runtime import Evaluator, pattern_mismatch, subst as esubst
 from .ssi import SsiBackend
-from .sym import UNIT, Distr, EvalError, VConst, VLst, VTup, Val, _List, free_vars
+from .sym import UNIT, Distr, EvalError, VConst, VLst, VTup, Val, _List, free_vars, weak_eq
 
 FOLD_ITER_LIMIT = 1000
 
@@ -218,7 +220,7 @@ class AbsInterp(Evaluator):
             it = AbsParticle(g.copy())
             vf, _ = self._run(f.body, _abs_match(f.param, VTup((elem, acc))), it)
             vj, gj = rename_join(acc, vf, g, it.state, in_fold=True)
-            if vj == acc and abs_weak_eq(g, gj, VTup((lst, vj))):
+            if vj == acc and weak_eq(g, gj, VTup((lst, vj))):
                 return acc
             acc = vj
             g.entries = gj.entries

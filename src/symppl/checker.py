@@ -7,21 +7,20 @@ from .lang import (
     DIST_ARITIES,
     Annotation,
     ECall,
-    EConst,
     EFold,
     EIf,
-    EList,
     ELet,
     ELetRV,
     EObserve,
     EOp,
     EResample,
-    ETuple,
     EVar,
     Expr,
     FunDecl,
     Program,
+    children,
     pattern_vars,
+    rebuild,
     walk,
 )
 
@@ -43,17 +42,13 @@ def check(program: Program) -> list[str]:
         fun_names.append(f.name)
 
     def check_expr(e: Expr, scope: set[str], current: str | None) -> None:
+        kids = children(e)
         match e:
-            case EConst(_):
-                pass
             case EVar(name):
                 if name not in scope and name != "data":
                     diags.append(f"unbound variable {name}")
                 elif name not in scope and current is not None:
                     diags.append(f"function {current} uses data, which is bound only in main")
-            case ETuple(items) | EList(items):
-                for x in items:
-                    check_expr(x, scope, current)
             case EOp(op, args):
                 if op in INFIX_OPS:
                     if len(args) != 2:
@@ -63,51 +58,29 @@ def check(program: Program) -> list[str]:
                         diags.append(f"operator {op} expects {BUILTIN_ARITIES[op]} argument(s)")
                 else:
                     diags.append(f"unknown operator {op}")
-                if op == "map":
+                if op == "map" and args:
                     fn = args[0]
                     if not (isinstance(fn, EVar) and fn.name in fun_names):
                         diags.append("map expects a declared function name")
-                    for x in args[1:]:
-                        check_expr(x, scope, current)
-                else:
-                    for x in args:
-                        check_expr(x, scope, current)
-            case ECall(func, arg):
+                    kids = args[1:]
+            case ECall(func, _) | EFold(func, _, _):
+                verb = "call" if isinstance(e, ECall) else "fold over"
                 if func not in fun_names:
                     diags.append(f"unknown function {func}")
                 elif current is not None and fun_names.index(func) >= fun_names.index(current):
-                    diags.append(f"function {current} may not call {func} (no recursion)")
-                check_expr(arg, scope, current)
-            case EIf(c, t, o):
-                check_expr(c, scope, current)
-                check_expr(t, scope, current)
-                check_expr(o, scope, current)
+                    diags.append(f"function {current} may not {verb} {func} (no recursion)")
             case ELet(pat, bound, body):
                 check_expr(bound, scope, current)
-                check_expr(body, scope | set(pattern_vars(pat)), current)
-            case ELetRV(_, name, dist, args, body):
+                kids, scope = (body,), scope | set(pattern_vars(pat))
+            case ELetRV(_, _, dist, args, _) | EObserve(dist, args, _):
                 if len(args) != DIST_ARITIES[dist]:
                     diags.append(f"distribution {dist} expects {DIST_ARITIES[dist]} argument(s)")
-                for x in args:
-                    check_expr(x, scope, current)
-                check_expr(body, scope | {name}, current)
-            case EObserve(dist, args, value):
-                if len(args) != DIST_ARITIES[dist]:
-                    diags.append(f"distribution {dist} expects {DIST_ARITIES[dist]} argument(s)")
-                for x in args:
-                    check_expr(x, scope, current)
-                check_expr(value, scope, current)
-            case EResample():
-                pass
-            case EFold(func, lst, init):
-                if func not in fun_names:
-                    diags.append(f"unknown function {func}")
-                elif current is not None and fun_names.index(func) >= fun_names.index(current):
-                    diags.append(f"function {current} may not fold over {func} (no recursion)")
-                check_expr(lst, scope, current)
-                check_expr(init, scope, current)
-            case _:
-                diags.append(f"unhandled expression {e!r}")
+                if isinstance(e, ELetRV):
+                    for x in args:
+                        check_expr(x, scope, current)
+                    kids, scope = (e.body,), scope | {e.name}
+        for x in kids:
+            check_expr(x, scope, current)
 
     for f in program.functions:
         check_expr(f.body, set(pattern_vars(f.param)), f.name)
@@ -172,15 +145,8 @@ def impure_functions(program: Program) -> set[str]:
     """Names of functions whose bodies observe or resample (transitively)."""
     impure: set[str] = set()
     for f in program.functions:  # declaration order; callees precede callers
-        for e in walk(f.body):
-            match e:
-                case EObserve(_, _, _) | EResample():
-                    impure.add(f.name)
-                case ECall(func, _) | EFold(func, _, _) | EOp("map", (EVar(func), _)):
-                    if func in impure:
-                        impure.add(f.name)
-                case _:
-                    pass
+        if not is_pure(f.body, impure):
+            impure.add(f.name)
     return impure
 
 
@@ -199,14 +165,8 @@ def is_pure(e: Expr, impure: set[str]) -> bool:
 
 def rv_sites(program: Program) -> list[ELetRV]:
     """Random-variable declaration sites in source order."""
-    sites: list[ELetRV] = []
-    for f in program.functions:
-        for e in walk(f.body):
-            if isinstance(e, ELetRV):
-                sites.append(e)
-    for e in walk(program.main):
-        if isinstance(e, ELetRV):
-            sites.append(e)
+    bodies = [f.body for f in program.functions] + [program.main]
+    sites = [e for body in bodies for e in walk(body) if isinstance(e, ELetRV)]
     return sorted(sites, key=lambda s: s.site)
 
 
@@ -227,28 +187,10 @@ def apply_plan(program: Program, plan: int) -> Program:
     }
 
     def rewrite(e: Expr) -> Expr:
-        match e:
-            case ETuple(items):
-                return ETuple(tuple(rewrite(x) for x in items))
-            case EList(items):
-                return EList(tuple(rewrite(x) for x in items))
-            case EOp(op, args):
-                return EOp(op, tuple(rewrite(x) for x in args))
-            case ECall(func, arg):
-                return ECall(func, rewrite(arg))
-            case EIf(c, t, o):
-                return EIf(rewrite(c), rewrite(t), rewrite(o))
-            case ELet(pat, bound, body):
-                return ELet(pat, rewrite(bound), rewrite(body))
-            case ELetRV(_, name, dist, args, body, site):
-                return ELetRV(by_site[site], name, dist, tuple(rewrite(x) for x in args),
-                              rewrite(body), site=site)
-            case EObserve(dist, args, value):
-                return EObserve(dist, tuple(rewrite(x) for x in args), rewrite(value))
-            case EFold(func, lst, init):
-                return EFold(func, rewrite(lst), rewrite(init))
-            case _:
-                return e
+        kids = tuple(map(rewrite, children(e)))
+        if isinstance(e, ELetRV):
+            return ELetRV(by_site[e.site], e.name, e.dist, kids[:-1], kids[-1], site=e.site)
+        return rebuild(e, kids)
 
     functions = tuple(FunDecl(f.name, f.param, rewrite(f.body)) for f in program.functions)
     return Program(functions, rewrite(program.main))

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import signal
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import NoReturn
 
 import numpy as np
@@ -220,10 +218,9 @@ class _TrialTimeout(Exception):
     pass
 
 
-def _bench_trial(payload):
-    (name, plan, method, particles, trial_seed, timesteps, strict, timeout_s) = payload
-    spec = bm.BENCHMARKS[name]
-    program = apply_plan(spec.program(), plan)
+def _bench_trial(name, program, method, particles, trial_seed, timesteps, timeout_s):
+    """One ``bench`` trial, run in this process so trials never share the
+    cores their wall times are read on."""
     data, truth = bm.data_for(name, trial_seed, timesteps)
     backend = _backend(method)
     t0 = time.perf_counter()
@@ -235,10 +232,10 @@ def _bench_trial(payload):
     else:
         old = None
     try:
-        mix = run_model(program, particles, trial_seed, backend, data, strict_casts=strict)
+        mix = run_model(program, particles, trial_seed, backend, data)
     except _TrialTimeout:
         return {"error": f"trial timed out after {timeout_s}s"}
-    except (CastError, DegenerateWeights, EvalError) as exc:
+    except (DegenerateWeights, EvalError) as exc:
         return {"error": str(exc)}
     finally:
         if old is not None:
@@ -263,18 +260,9 @@ def cmd_bench(args) -> int:
                 print(f"error: plan {plan} is unsatisfiable under {args.method} "
                       "(use --allow-casts to run anyway)", file=sys.stderr)
                 return 1
-    workers = int(os.environ.get("SYMPPL_WORKERS", "1"))
-    jobs = []
-    for plan in plans:
-        for n in particle_counts:
-            for trial in range(args.trials):
-                jobs.append((args.benchmark, plan, args.method, n,
-                             args.seed + trial, args.timesteps, False, args.timeout))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_bench_trial, jobs))
-    else:
-        results = [_bench_trial(j) for j in jobs]
+    results = [_bench_trial(args.benchmark, prog, args.method, n, args.seed + trial,
+                            args.timesteps, args.timeout)
+               for prog in planned for n in particle_counts for trial in range(args.trials)]
     writer = sys.stdout
     var_names = [v.name for v in spec.variables]
     header = ["plan", "particles", "trials", "median_wall_ms", "mean_casts"]

@@ -3,12 +3,18 @@
 Programs are first-order: a sequence of top-level function declarations
 followed by a main expression.  ``fold`` is the only iteration construct
 and functions may not recurse.
+
+``children`` and ``rebuild`` are the one child map of expressions: every
+structural walk (``walk``, ``runtime.subst``, ``checker.apply_plan`` and
+``checker.check``) keeps only its own cases and recurses through them for
+the rest, as ``sym.children``/``rebuild`` do for values.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import attrgetter, is_
 
 
 class Annotation(enum.Enum):
@@ -133,6 +139,22 @@ class EFold(Expr):
     init: Expr
 
 
+@dataclass(frozen=True, slots=True)
+class EFoldRest(Expr):
+    """Residual of a fold paused inside a step: ``acc`` is the paused
+    step's residual, whose value is the accumulator, and ``items[pos:]`` are
+    still to be consumed.
+
+    Only the evaluator builds it; the list was evaluated once on entry to
+    the fold, and each element is evaluated again as it is consumed.
+    """
+
+    func: str
+    items: tuple[object, ...]  # the list's values
+    pos: int
+    acc: Expr
+
+
 class Pattern:
     __slots__ = ()
 
@@ -189,32 +211,60 @@ def pattern_vars(p: Pattern) -> list[str]:
             return []
 
 
-def walk(e: Expr):
-    """Pre-order traversal of an expression."""
-    yield e
+# The subexpressions of each compound form, left to right.
+_CHILDREN = {
+    ETuple: attrgetter("items"),
+    EList: attrgetter("items"),
+    EOp: attrgetter("args"),
+    ECall: lambda e: (e.arg,),
+    EFoldRest: lambda e: (e.acc,),
+    EIf: attrgetter("cond", "then", "orelse"),
+    ELet: attrgetter("bound", "body"),
+    EFold: attrgetter("lst", "init"),
+    ELetRV: lambda e: e.args + (e.body,),
+    EObserve: lambda e: e.args + (e.value,),
+}
+
+
+def children(e: Expr) -> tuple[Expr, ...]:
+    """An expression's subexpressions, left to right; ``()`` for a leaf."""
+    get = _CHILDREN.get(type(e))
+    return () if get is None else get(e)
+
+
+def rebuild(e: Expr, kids) -> Expr:
+    """``e`` over new subexpressions, given in ``children``'s order; ``e``
+    itself when they are its own (a leaf always)."""
+    if all(map(is_, kids, children(e))):
+        return e
     match e:
-        case ETuple(items) | EList(items) | EOp(_, items):
-            for x in items:
-                yield from walk(x)
-        case ECall(_, arg):
-            yield from walk(arg)
-        case EIf(c, t, o):
-            yield from walk(c)
-            yield from walk(t)
-            yield from walk(o)
-        case ELet(_, b, body):
-            yield from walk(b)
-            yield from walk(body)
-        case ELetRV(_, _, _, args, body):
-            for x in args:
-                yield from walk(x)
-            yield from walk(body)
-        case EObserve(_, args, v):
-            for x in args:
-                yield from walk(x)
-            yield from walk(v)
-        case EFold(_, lst, init):
-            yield from walk(lst)
-            yield from walk(init)
-        case _:
-            pass
+        case ETuple():
+            return ETuple(tuple(kids))
+        case EList():
+            return EList(tuple(kids))
+        case EOp(op, _):
+            return EOp(op, tuple(kids))
+        case ECall(func, _):
+            return ECall(func, *kids)
+        case EFoldRest(func, items, pos, _):
+            return EFoldRest(func, items, pos, *kids)
+        case EIf():
+            return EIf(*kids)
+        case ELet(pat, _, _):
+            return ELet(pat, *kids)
+        case EFold(func, _, _):
+            return EFold(func, *kids)
+        case ELetRV(ann, name, dist, _, _, site):
+            return ELetRV(ann, name, dist, tuple(kids[:-1]), kids[-1], site=site)
+        case EObserve(dist, _, _):
+            return EObserve(dist, tuple(kids[:-1]), kids[-1])
+    return e
+
+
+def walk(e: Expr):
+    """Pre-order traversal of an expression, on an explicit stack."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        stack.extend(reversed(children(e)))

@@ -388,8 +388,14 @@ class _Parser:
 
 
 def parse(source: str) -> Program:
-    """Parse a program from source text."""
-    return _Parser(tokenize(source)).parse_program()
+    """Parse a program from source text.  A program nested deeper than the
+    recursive descent can follow is a ``ParseError`` at the token where
+    the descent stopped."""
+    parser = _Parser(tokenize(source))
+    try:
+        return parser.parse_program()
+    except RecursionError:
+        raise parser.error("expression nested too deeply") from None
 
 
 # --- pretty printer ---

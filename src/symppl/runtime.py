@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .lang import (
     ECall,
     EConst,
     EFold,
+    EFoldRest,
     EIf,
     EList,
     ELet,
@@ -51,7 +53,9 @@ from .lang import (
     PUnit,
     PVar,
     PWild,
+    children,
     pattern_vars,
+    rebuild,
 )
 from .parser import print_pattern
 from .sym import (
@@ -81,22 +85,6 @@ class DegenerateWeights(Exception):
     """Every particle's weight collapsed to zero."""
 
 
-@dataclass(frozen=True, slots=True)
-class EFoldRest(Expr):
-    """Residual of a fold paused inside a step: ``acc`` is the paused
-    step's residual, whose value is the accumulator, and ``items[pos:]`` are
-    still to be consumed.
-
-    Only the evaluator builds it; the list was evaluated once on entry to
-    the fold, and each element is evaluated again as it is consumed.
-    """
-
-    func: str
-    items: tuple[Val, ...]
-    pos: int
-    acc: Expr
-
-
 def subst(e: Expr, bindings: dict[str, Val]) -> Expr:
     """``e`` with its free variables in ``bindings`` replaced by values.
 
@@ -108,30 +96,14 @@ def subst(e: Expr, bindings: dict[str, Val]) -> Expr:
     match e:
         case EVar(name):
             return EVal(bindings[name]) if name in bindings else e
-        case EConst(_) | EVal(_) | EResample():
-            return e
-        case ETuple(items):
-            return ETuple(tuple(subst(x, bindings) for x in items))
-        case EList(items):
-            return EList(tuple(subst(x, bindings) for x in items))
-        case EOp(op, args):
-            return EOp(op, tuple(subst(x, bindings) for x in args))
-        case ECall(f, arg):
-            return ECall(f, subst(arg, bindings))
-        case EIf(c, t, o):
-            return EIf(subst(c, bindings), subst(t, bindings), subst(o, bindings))
         case ELet(pat, bound, body):
             inner = {k: v for k, v in bindings.items() if k not in pattern_vars(pat)}
             return ELet(pat, subst(bound, bindings), subst(body, inner))
         case ELetRV(ann, name, dist, args, body, site):
             inner = {k: v for k, v in bindings.items() if k != name}
-            return ELetRV(ann, name, dist, tuple(subst(x, bindings) for x in args),
+            return ELetRV(ann, name, dist, tuple(map(subst, args, repeat(bindings))),
                           subst(body, inner), site=site)
-        case EObserve(dist, args, value):
-            return EObserve(dist, tuple(subst(x, bindings) for x in args), subst(value, bindings))
-        case EFold(f, lst, init):
-            return EFold(f, subst(lst, bindings), subst(init, bindings))
-    raise TypeError(e)
+    return rebuild(e, tuple(map(subst, children(e), repeat(bindings))))
 
 
 def pattern_mismatch(pat: PTuple, v: Val) -> str:

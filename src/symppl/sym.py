@@ -435,6 +435,8 @@ def distr_params(d: Distr) -> tuple[Val, ...]:
             return ()
         case DMixIte(c, d1, d2):
             return (c,) + distr_params(d1) + distr_params(d2)
+    if d.unknown:
+        return ()
     raise TypeError(d)
 
 
@@ -442,7 +444,9 @@ def map_params(d: Distr, f) -> Distr:
     """The same distribution with ``f`` applied to each parameter.
 
     The runtime and the analysis both rebuild distributions through this
-    one function.
+    one function.  A delta keeps its class (the analysis's sampled delta is
+    a subclass), and a distribution the analysis cannot name has no
+    parameters.
     """
     match d:
         case DNormal(mu, var):
@@ -456,11 +460,13 @@ def map_params(d: Distr, f) -> Distr:
         case DStudentT(loc, dof, scale):
             return DStudentT(f(loc), f(dof), f(scale))
         case DDelta(e):
-            return DDelta(f(e))
+            return type(d)(f(e))
         case DSampledDelta(_):
             return d
         case DMixIte(c, d1, d2):
             return DMixIte(f(c), map_params(d1, f), map_params(d2, f))
+    if d.unknown:
+        return d
     raise TypeError(d)
 
 
@@ -524,7 +530,7 @@ def _safe_div(num: Val, den: Val) -> Val:
         return VConst(0.0)  # conditioning on a zero-probability branch
 
 
-def _t_scale(a: Val, b: Val) -> Val | None:
+def t_scale(a: Val, b: Val) -> Val | None:
     if isinstance(a, VConst) and isinstance(b, VConst):
         return VConst(math.sqrt(b.v / a.v))
     return None
@@ -532,7 +538,7 @@ def _t_scale(a: Val, b: Val) -> Val | None:
 
 CONCRETE = Algebra(
     add=add, sub=sub, mul=mul, div=div, cmp=cmp, ite=ite, div_total=_safe_div,
-    has_top=lambda v: False, subst_rv=subst_rv, t_scale=_t_scale,
+    has_top=lambda v: False, subst_rv=subst_rv, t_scale=t_scale,
 )
 
 
@@ -551,15 +557,19 @@ class SymState:
     """Finite map from random-variable ids to entries.
 
     Entries are immutable; the mapping itself is owned by one particle and
-    mutated in place.  ``copy`` is a cheap shallow copy.
+    mutated in place.  ``copy`` is a cheap shallow copy of the same class:
+    its entries map is its own, and every slot in ``_shared`` is taken over
+    as it is.
 
-    The backends (``ssi``, ``ds``) run over this state and over the
-    analysis's ``absdomain.AbsState``; each state supplies its domain
-    through ``alg``, ``distr_fv``, ``cast``, ``forced``, ``observed`` and
-    ``give_up``.
+    The backends (``ssi``, ``ds``) run over this state, and the analysis
+    runs them over its subclass ``absdomain.AbsState``.  A state supplies
+    its domain through ``alg``, ``distr_fv``, ``deps``, ``realized_value``,
+    ``cast``, ``forced``, ``observed`` and ``give_up``; evaluation, parents
+    and the entry accessors serve both.
     """
 
     __slots__ = ("entries", "_next")
+    _shared = ("_next",)
 
     alg = CONCRETE  # the smart constructors, and the rules' value operations
     distr_fv = staticmethod(distr_rvs)
@@ -569,9 +579,10 @@ class SymState:
         self._next = 0
 
     def copy(self) -> "SymState":
-        g = SymState.__new__(SymState)
+        g = object.__new__(type(self))
         g.entries = dict(self.entries)
-        g._next = self._next
+        for name in self._shared:
+            setattr(g, name, getattr(self, name))
         return g
 
     def fresh(self, ann: Annotation, distr: Distr, node: object | None = None,
@@ -624,7 +635,12 @@ class SymState:
     def parents(self, rid: int) -> list[int]:
         """Live random variables referenced by this entry's distribution."""
         d = self.eval_distr(self.entries[rid].distr)
-        return [p for p in distr_rvs(d) if p != rid]
+        return [p for p in self.distr_fv(d) if p != rid]
+
+    def deps(self, rid: int):
+        """The variables an entry depends on, for ``reachable``: those of
+        its stored distribution."""
+        return self.distr_fv(self.entries[rid].distr)
 
     # --- the backends' domain hooks ---
 
@@ -649,7 +665,9 @@ class SymState:
     # --- evaluation ---
 
     def _touches_realized(self, v: Val) -> bool:
-        """Whether some variable of ``v`` is realized."""
+        """Whether some variable of ``v`` is realized: ``realized_value``'s
+        test inlined for the runtime's deltas, which the analysis's state
+        replaces with its own."""
         if isinstance(v, VRV):
             rids = (v.rid,)
         elif isinstance(v, _Node):
@@ -665,7 +683,7 @@ class SymState:
 
     def eval_value(self, v: Val, _memo: dict | None = None) -> Val:
         """``v`` with its realized variables substituted, rebuilt by the
-        concrete constructors; ``v`` itself, by canonicity, when none of its
+        state's constructors; ``v`` itself, by canonicity, when none of its
         variables is realized."""
         if not self._touches_realized(v):
             return v
@@ -676,7 +694,7 @@ class SymState:
         out = _memo.get(id(v))
         if out is None:
             out = _memo[id(v)] = rebuild(
-                v, [self.eval_value(k, _memo) for k in children(v)], CONCRETE)
+                v, [self.eval_value(k, _memo) for k in children(v)], self.alg)
         return out
 
     def eval_distr(self, d: Distr) -> Distr:
@@ -719,7 +737,9 @@ class SymState:
 
 
 def reachable(roots, *states: SymState, until: set[int] | None = None) -> set[int]:
-    """Transitive closure of variable references through stored distributions.
+    """Transitive closure of variable references through each state's
+    ``deps``: stored distributions, and for the analysis's state also the
+    delayed-sampling node edges.
 
     With ``until``, the search stops as soon as it has seen every variable
     in that set, so the result is then only guaranteed to hold those.
@@ -741,7 +761,7 @@ def reachable(roots, *states: SymState, until: set[int] | None = None) -> set[in
             missing -= 1
         for g in states:
             if rid in g.entries:
-                frontier.extend(g.distr_fv(g.entries[rid].distr))
+                frontier.extend(g.deps(rid))
     return seen
 
 

@@ -397,6 +397,59 @@ def test_analysis_runs_the_runtime_backends():
         ds.MargRootN, ds.MargN, ds.InitN, ds.RealizedN)
 
 
+def test_analysis_state_is_the_runtime_state(monkeypatch):
+    # one particle state: the analysis's state adds only its domain
+    from symppl import absdomain, sym
+
+    assert issubclass(absdomain.AbsState, sym.SymState)
+    own = vars(absdomain.AbsState)
+    for name in ("copy", "ann", "distr", "node", "set_node", "refresh", "parents",
+                 "__contains__", "set_ann"):
+        assert name not in own
+    for name in ("AbsEntry", "abs_reachable", "abs_weak_eq", "set_ann"):
+        assert not hasattr(absdomain, name)
+    g = AbsState()
+    g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)), None, "rv:0", "x")
+    h = g.copy()
+    assert type(h) is AbsState and h.entries == g.entries and h.entries is not g.entries
+    assert (h.counter, h.sites, h.labels) == (g.counter, g.sites, g.labels)
+    assert h.counter is g.counter  # copies draw from one counter
+    # its evaluation is SymState's, with cases only for the abstract-only forms
+    states = []
+    real = sym.SymState.eval_value
+
+    def counted(self, v, _memo=None):
+        states.append(type(self))
+        return real(self, v, _memo)
+
+    monkeypatch.setattr(sym.SymState, "eval_value", counted)
+    assert analyze(apply_plan(BENCHMARKS["noise"].program(), 3), "ssi").satisfiable
+    assert AbsState in states
+
+
+def test_weak_eq_follows_delayed_sampling_edges():
+    # x2's marginal names no variable: only its node reaches x1 and x3
+    from symppl.sym import weak_eq
+
+    def state(x1_mean, x3_mean, node=MargN):
+        g = AbsState()
+        x1 = g.fresh(Annotation.NONE, DNormal(VConst(x1_mean), VConst(1.0)),
+                     MargRootN(frozenset({2})), "rv:1", "x1")
+        x3 = g.fresh(Annotation.NONE, DNormal(VConst(x3_mean), VConst(1.0)), None, "rv:3", "x3")
+        cond = DNormal(VAdd(VRV(x1), VRV(x3)), VConst(1.0))
+        n = MargN(x1, cond, frozenset()) if node is MargN else InitN(x1, frozenset())
+        x2 = g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(2.0)), n, "rv:2", "x2")
+        return g, VRV(x2)
+
+    g, e = state(0.0, 0.0)
+    assert weak_eq(g, state(0.0, 0.0)[0], e)
+    assert not weak_eq(g, state(1.0, 0.0)[0], e)  # through the node's parent
+    assert not weak_eq(g, state(0.0, 1.0)[0], e)  # through the node's prior
+    g, e = state(0.0, 0.0, InitN)
+    assert not weak_eq(g, state(1.0, 0.0, InitN)[0], e)  # through an initialized node's parent
+    assert weak_eq(g, state(0.0, 1.0, InitN)[0], e)  # x3 is out of reach there
+
+
 def test_analysis_uses_the_runtime_values():
     import ast
     import inspect

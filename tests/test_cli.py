@@ -310,6 +310,47 @@ def test_deep_chain_runs_and_analyzes_without_recursion(method, tmp_path, capsys
     assert json.loads(out)["verdict"] == "satisfiable"
 
 
+def let_chain(depth: int) -> str:
+    """``depth`` nested lets over one random variable."""
+    lines = ["let x0 <- gaussian(0., 1.) in"]
+    lines += [f"let x{i} = x{i - 1} + 1. in" for i in range(1, depth + 1)]
+    return "\n".join(lines) + f"\nx{depth}\n"
+
+
+@pytest.mark.parametrize("method", ["ssi", "ds"])
+def test_450_deep_let_chain_runs_and_analyzes(method, tmp_path, capsys):
+    # every walk over the program (parse, check, apply_plan, closing main
+    # over data, the purity scan) goes this deep with x0 symbolic
+    src = tmp_path / "lets.si"
+    src.write_text(let_chain(450))
+    code, out, err = main_out(capsys, "run", str(src), "--method", method, "--plan", "0",
+                              "--particles", "2", "--seed", "0")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["casts"] == []
+    code, out, err = main_out(capsys, "analyze", str(src), "--method", method, "--plan", "0")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] == "satisfiable"
+
+
+@pytest.mark.parametrize("command", ["run", "analyze"])
+def test_too_deep_nesting_is_one_parse_error_line(command, tmp_path, capsys):
+    src = tmp_path / "deep.si"
+    src.write_text(let_chain(2000))
+    code, out, err = main_out(capsys, command, str(src))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {src}:") and err.count("\n") == 1
+    assert err.endswith(": expression nested too deeply\n")
+
+
+def test_bench_runs_its_trials_in_process(monkeypatch, capsys):
+    monkeypatch.setenv("SYMPPL_WORKERS", "x")  # the removed worker-count knob is not read
+    code, out, err = main_out(capsys, "bench", "noise", "--plans", "7", "--particles", "4",
+                              "--trials", "2", "--timesteps", "5")
+    assert (code, err) == (0, "")
+    rows = out.strip().splitlines()
+    assert len(rows) == 2 and rows[1].split(",")[:3] == ["7", "4", "2"]
+
+
 @pytest.mark.parametrize("command", ["run", "analyze", "enumerate-plans"])
 def test_parse_error_is_one_error_line(command, tmp_path, capsys):
     src = tmp_path / "bad.si"

@@ -1,12 +1,39 @@
-"""Parser, checker, pretty-printer, and plan numbering."""
+"""Parser, checker, pretty-printer, plan numbering, and the child map."""
+
+import sys
+from dataclasses import replace
 
 import pytest
 
 from symppl import apply_plan, check, enumerate_plans, parse, print_program, rv_sites
 from symppl.benchmarks import BENCHMARKS
 from symppl.checker import plan_annotations
-from symppl.lang import Annotation, EConst, ELet, EVar
-from symppl.parser import ParseError
+from symppl.lang import (
+    Annotation,
+    ECall,
+    EConst,
+    EFold,
+    EFoldRest,
+    EIf,
+    EList,
+    ELet,
+    ELetRV,
+    EObserve,
+    EOp,
+    EResample,
+    ETuple,
+    EVal,
+    EVar,
+    Expr,
+    Program,
+    PVar,
+    children,
+    rebuild,
+    walk,
+)
+from symppl.parser import ParseError, print_expr
+from symppl.runtime import subst
+from symppl.sym import VConst
 
 
 def test_minimal_let():
@@ -49,6 +76,10 @@ def test_check_unknown_function():
 def test_check_distribution_arity():
     prog = parse("let x <- gaussian(1.) in x")
     assert any("gaussian expects 2" in d for d in check(prog))
+
+
+def test_check_map_without_arguments():
+    assert check(parse("List.map()")) == ["operator map expects 2 argument(s)"]
 
 
 def test_check_unbound_variable():
@@ -173,3 +204,77 @@ def test_map_counts_as_a_call_for_purity():
     impure = impure_functions(prog)
     assert impure == {"f", "g"}
     assert not is_pure(prog.main, impure)
+
+
+# --- the one child map of expressions ---
+
+
+def one_of_each_form():
+    """One expression of every form, keyed by class, over leaf children."""
+    a, b, c = EVar("a"), EConst(1.0), EVar("c")
+    return {
+        EConst: EConst(2.0),
+        EVal: EVal(VConst(3.0)),
+        EVar: EVar("v"),
+        ETuple: ETuple((a, b)),
+        EList: EList((a, b, c)),
+        EOp: EOp("+", (a, c)),
+        ECall: ECall("f", a),
+        EIf: EIf(a, b, c),
+        ELet: ELet(PVar("x"), a, c),
+        ELetRV: ELetRV(Annotation.NONE, "x", "gaussian", (a, b), c, site=0),
+        EObserve: EObserve("gaussian", (a, b), c),
+        EResample: EResample(site=0),
+        EFold: EFold("f", a, c),
+        EFoldRest: EFoldRest("f", (VConst(1.0),), 0, a),
+    }
+
+
+def test_child_map_covers_every_form():
+    forms = one_of_each_form()
+    # a new form must join the map; a slotted dataclass leaves its unslotted
+    # first version among the subclasses, so count what the modules define
+    defined = {cls for cls in Expr.__subclasses__()
+               if getattr(sys.modules[cls.__module__], cls.__name__) is cls}
+    assert set(forms) == defined
+    for e in forms.values():
+        kids = children(e)
+        assert rebuild(e, kids) == e
+        fresh = tuple(EConst(float(i)) for i in range(len(kids)))
+        assert children(rebuild(e, fresh)) == fresh
+        assert list(walk(e)) == [e, *kids]
+
+
+def test_walk_is_pre_order():
+    e = parse("if x < 2. then (b, [c]) else f(a)").main
+    assert [print_expr(x) for x in walk(e)] == [
+        "if (x < 2.0) then (b, [c]) else f(a)", "(x < 2.0)", "x", "2.0",
+        "(b, [c])", "b", "[c]", "c", "f(a)", "a"]
+
+
+def test_subst_respects_let_and_random_variable_shadowing():
+    v, w = VConst(5.0), VConst(6.0)
+    e = parse("let x = x + 1. in let y <- gaussian(x, y) in (x, y)").main
+    assert subst(e, {"x": v, "y": w}) == ELet(
+        e.pat, EOp("+", (EVal(v), EConst(1.0))),
+        ELetRV(Annotation.NONE, "y", "gaussian", (EVar("x"), EVal(w)),
+               ETuple((EVar("x"), EVar("y")))))
+    for e in one_of_each_form().values():
+        if not isinstance(e, (ELet, ELetRV)):
+            swapped = [EVal(v) if k == EVar("a") else k for k in children(e)]
+            assert subst(e, {"a": v}) == rebuild(e, swapped)
+
+
+def test_apply_plan_rewrites_a_site_nested_in_every_form():
+    site = ELetRV(Annotation.NONE, "s", "gaussian", (EConst(0.0), EConst(1.0)), EVar("s"),
+                  site=1)
+    for e in one_of_each_form().values():
+        kids = children(e)
+        for i in range(len(kids)):
+            prog = Program((), rebuild(e, kids[:i] + (site,) + kids[i + 1:]))
+            k = len(rv_sites(prog))  # the form itself may be a site too
+            for plan, ann in ((0, Annotation.SYMBOLIC), (2**k - 1, Annotation.SAMPLE)):
+                outer = replace(e, annotation=ann) if isinstance(e, ELetRV) else e
+                expected = rebuild(outer, kids[:i] + (replace(site, annotation=ann),)
+                                   + kids[i + 1:])
+                assert apply_plan(prog, plan).main == expected
