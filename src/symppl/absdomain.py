@@ -22,8 +22,10 @@ shared id counter, sites and labels, widening as distributions are
 stored, and the abstract side of the domain hooks: ``ALGEBRA`` for the
 conjugacy rules, ``fv_distr`` (which knows ``ADUnk``), ``deps`` (which
 adds the delayed-sampling node edges), realized values that are some
-constant, a cast that fails, forced samples and observations that are
-some constant, and ``give_up``, which over-approximates with ``set_top``.
+constant, a cast that fails, a forced sample (``sym.DSampledDelta``), an
+observation and a forced value that stays unknown (``unreduced``) that
+are each some constant, and ``give_up``, which over-approximates with
+``set_top``.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .sym import (
     Algebra,
     DDelta,
     DMixIte,
+    DSampledDelta,
     Distr,
     Entry,
     SymState,
@@ -120,12 +123,6 @@ TOP_E = ATopE()
 
 # Abstract-only distributions; the others are ``sym``'s ``DNormal`` ...
 # ``DMixIte`` with abstract parameters.
-
-
-@dataclass(frozen=True, slots=True)
-class ADSampledDelta(DDelta):
-    """A variable forced to a sample: a delta on some constant drawn at run
-    time, kept apart from an observed one."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -283,6 +280,14 @@ def map_vars(v: Val, rv, rids) -> Val:
     return rebuild(v, [map_vars(k, rv, rids) for k in children(v)], ALGEBRA)
 
 
+def map_vars_distr(d: Distr, rv, rids) -> Distr:
+    """``map_vars`` over each parameter of ``d``; the variable set of an
+    unknown distribution is mapped by ``rids``."""
+    if isinstance(d, ADUnk):
+        return ADUnk(rids(d.fv))
+    return map_params(d, lambda v: map_vars(v, rv, rids))
+
+
 def subst(v: Val, rid: int, replacement: Val) -> Val:
     return map_vars(v, lambda r: replacement if r == rid else None, lambda s: s - {rid})
 
@@ -426,8 +431,8 @@ def join_distr(a: Distr, b: Distr) -> Distr:
             return TOP_D if distr_contains_top(b) else ADUnk(s | fv_distr(b))
         case (_, ADUnk(s)):
             return TOP_D if distr_contains_top(a) else ADUnk(s | fv_distr(a))
-        case (DDelta(e1), ADSampledDelta(e2)) | (ADSampledDelta(e1), DDelta(e2)):
-            return ADSampledDelta(join_expr(e1, e2))
+        case (DDelta(v1), DSampledDelta(v2)) | (DSampledDelta(v1), DDelta(v2)):
+            return DSampledDelta(join_expr(v1, v2))
     if type(a) is type(b) and not isinstance(a, DMixIte):
         return type(a)(*[join_expr(x, y) for x, y in zip(distr_params(a), distr_params(b))])
     if distr_contains_top(a) or distr_contains_top(b):
@@ -500,8 +505,8 @@ class AbsState(SymState):
 
     def realized_value(self, rid: int) -> Val | None:
         entry = self.entries.get(rid)
-        if entry is not None and isinstance(entry.distr, DDelta) and rv_free(entry.distr.e):
-            return entry.distr.e
+        if entry is not None and isinstance(entry.distr, DDelta) and rv_free(entry.distr.v):
+            return entry.distr.v
         return None
 
     def witness(self, rid: int) -> tuple[str, str]:
@@ -513,7 +518,7 @@ class AbsState(SymState):
         raise AnalysisFail([self.witness(rid)])
 
     def forced(self, rid: int, rng) -> tuple[Distr, Val]:
-        return ADSampledDelta(UNK), UNK
+        return DSampledDelta(UNK), UNK
 
     def observed(self, rid: int, value: Val) -> tuple[float, Distr]:
         return 0.0, DDelta(value if rv_free(value) else UNK)
@@ -525,6 +530,9 @@ class AbsState(SymState):
             if isinstance(self.node(r), RealizedN):
                 raise AnalysisFail([self.witness(r)])
             set_top(self, r)
+
+    def unreduced(self, v: Val) -> Val:
+        return UNK
 
     # --- evaluation: the cases of the abstract-only forms ---
 
@@ -703,19 +711,13 @@ def _rename(rids: frozenset[int], sigma: dict[int, int]) -> frozenset[int]:
     return frozenset(sigma.get(r, r) for r in rids)
 
 
+def _renaming(sigma: dict[int, int]):
+    """The ``map_vars`` arguments of a renaming."""
+    return (lambda r: VRV(sigma[r]) if r in sigma else None), (lambda s: _rename(s, sigma))
+
+
 def rename_apply(v: Val, sigma: dict[int, int]) -> Val:
-    if not sigma:
-        return v
-    return map_vars(v, lambda r: VRV(sigma[r]) if r in sigma else None,
-                    lambda s: _rename(s, sigma))
-
-
-def rename_distr(d: Distr, sigma: dict[int, int]) -> Distr:
-    if not sigma:
-        return d
-    if isinstance(d, ADUnk):
-        return ADUnk(_rename(d.fv, sigma))
-    return map_params(d, lambda v: rename_apply(v, sigma))
+    return map_vars(v, *_renaming(sigma)) if sigma else v
 
 
 def rename_node(node: AbsNode | None, sigma: dict[int, int]) -> AbsNode | None:
@@ -725,7 +727,7 @@ def rename_node(node: AbsNode | None, sigma: dict[int, int]) -> AbsNode | None:
         case MargRootN(c):
             return MargRootN(_rename(c, sigma))
         case MargN(p, d, c):
-            return MargN(sigma.get(p, p), rename_distr(d, sigma), _rename(c, sigma))
+            return MargN(sigma.get(p, p), map_vars_distr(d, *_renaming(sigma)), _rename(c, sigma))
         case InitN(p, c):
             return InitN(sigma.get(p, p), _rename(c, sigma))
         case RealizedN():
@@ -735,17 +737,11 @@ def rename_node(node: AbsNode | None, sigma: dict[int, int]) -> AbsNode | None:
     raise TypeError(node)
 
 
-def subst_distr(d: Distr, rid: int, replacement: Val) -> Distr:
-    if isinstance(d, ADUnk):
-        return ADUnk(d.fv - {rid})
-    return map_params(d, lambda v: subst(v, rid, replacement))
-
-
 def _drop_self(d: Distr, rid: int) -> Distr:
     """A merged variable may not condition on itself; the lost dependence
     degrades to an unknown constant."""
     if rid in fv_distr(d):
-        return subst_distr(d, rid, UNK)
+        return map_vars_distr(d, lambda r: UNK if r == rid else None, lambda s: s - {rid})
     return d
 
 
@@ -781,10 +777,11 @@ def rename_state(g: AbsState, sigma: dict[int, int]) -> AbsState:
     if not sigma:
         return g
     out = AbsState(g.counter, g.sites, g.labels)
+    renaming = _renaming(sigma)
     escalate: list[int] = []
     for rid, e in g.entries.items():
         new_rid = sigma.get(rid, rid)
-        d = _drop_self(rename_distr(g.eval_distr(e.distr), sigma), new_rid)
+        d = _drop_self(map_vars_distr(g.eval_distr(e.distr), *renaming), new_rid)
         renamed = Entry(e.ann, d, rename_node(e.node, sigma))
         prev = out.entries.get(new_rid)
         if prev is None:

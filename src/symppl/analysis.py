@@ -6,7 +6,8 @@ through the state's smart constructors (``absdomain.ALGEBRA``), so
 ``AbsInterp`` supplies only the rest of that domain: the list operators,
 pattern binding, the join of both branches of an ``if`` whose forced
 condition stays unknown, the fixpoint of a fold over a list of unknown
-length, and the abstract backends.
+length, and the abstract backends.  Values are forced by the runtime's
+``interface.value_star``; one that stays unknown is some constant.
 ``main`` is closed over an unknown ``data`` with ``runtime.subst``, as
 ``run_model`` closes it over the data, and one abstract particle runs it;
 ``resample`` is a no-op and there are no weights.
@@ -43,10 +44,10 @@ from .absdomain import (
     suffix_vars,
 )
 from .ds import DsBackend
-from .lang import Annotation, Expr, Pattern, Program, PTuple, PUnit, PVar, PWild
-from .runtime import Evaluator, pattern_mismatch, subst as esubst
+from .lang import Annotation, Expr, Pattern, Program, PTuple
+from .runtime import Evaluator, match_pattern, pattern_mismatch, subst as esubst
 from .ssi import SsiBackend
-from .sym import UNIT, Distr, EvalError, VConst, VLst, VTup, Val, _List, free_vars, weak_eq
+from .sym import UNIT, Distr, EvalError, VConst, VLst, VTup, Val, _List, weak_eq
 
 FOLD_ITER_LIMIT = 1000
 
@@ -93,29 +94,19 @@ class AbsDs:
 
 
 def _abs_match(pat: Pattern, v: Val) -> dict[str, Val]:
-    """Bind a pattern against an abstract value, projecting unknowns."""
+    """Bind a pattern against an abstract value: ``runtime.match_pattern``,
+    where an unknown tuple binds each item to the same unknown."""
+    if not isinstance(pat, PTuple):
+        return match_pattern(pat, v)
+    if isinstance(v, (AEUnk, ATopE)):
+        vals = (v,) * len(pat.items)
+    elif isinstance(v, VTup) and len(v.items) == len(pat.items):
+        vals = v.items
+    else:
+        raise AnalysisError(pattern_mismatch(pat, v))
     out: dict[str, Val] = {}
-
-    def go(p: Pattern, x: Val) -> None:
-        match p:
-            case PVar(name):
-                out[name] = x
-            case PWild() | PUnit():
-                pass
-            case PTuple(items):
-                match x:
-                    case VTup(vals) if len(vals) == len(items):
-                        for q, y in zip(items, vals):
-                            go(q, y)
-                    case AEUnk(s):
-                        for q in items:
-                            go(q, AEUnk(s))
-                    case ATopE():
-                        for q in items:
-                            go(q, TOP_E)
-                    case _:
-                        raise AnalysisError(pattern_mismatch(p, x))
-    go(pat, v)
+    for q, x in zip(pat.items, vals):
+        out.update(_abs_match(q, x))
     return out
 
 
@@ -134,18 +125,6 @@ class AbsInterp(Evaluator):
     value nodes, built through the state's ``ALGEBRA``."""
 
     bind = staticmethod(_abs_match)
-
-    def _force(self, v: Val, p: AbsParticle) -> Val:
-        """``value_star``: force each variable, then fold; ``UNK`` if still unknown."""
-        g = p.state
-        e = g.eval_value(v)
-        if isinstance(e, VConst):
-            return e
-        for rid in sorted(free_vars(e)):
-            if rid in g.entries:
-                self.backend.value(rid, g)
-        e = g.eval_value(e)
-        return e if isinstance(e, VConst) else UNK
 
     def _join_branches(self, te: Expr, oe: Expr, env: dict, p: AbsParticle) -> Val:
         """Both branches from copies of the state, joined."""

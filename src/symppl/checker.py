@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from .lang import (
     BUILTIN_ARITIES,
-    DIST_ARITIES,
     Annotation,
     ECall,
     EFold,
@@ -23,6 +22,7 @@ from .lang import (
     rebuild,
     walk,
 )
+from .sym import DIST_ARITIES
 
 INFIX_OPS = {"+", "-", "*", "/", "<", "<=", "=", "!="}
 
@@ -170,21 +170,23 @@ def rv_sites(program: Program) -> list[ELetRV]:
     return sorted(sites, key=lambda s: s.site)
 
 
-def apply_plan(program: Program, plan: int) -> Program:
-    """Overwrite every annotation according to a plan index.
+def _plan_sites(program: Program, plan: int) -> list[tuple[ELetRV, Annotation]]:
+    """Each site, in source order, with the annotation a plan index gives it.
 
-    Sites are numbered in source order; the plan index read as a big-endian
-    bit vector assigns SYMBOLIC to 0-bits and SAMPLE to 1-bits.
+    The plan index read as a big-endian bit vector assigns SYMBOLIC to
+    0-bits and SAMPLE to 1-bits; an index out of range is a ``ValueError``.
     """
     sites = rv_sites(program)
     k = len(sites)
     if not 0 <= plan < 2**k:
         raise ValueError(f"plan {plan} out of range for {k} sites")
-    order = [s.site for s in sites]
-    by_site = {
-        site: Annotation.SAMPLE if (plan >> (k - 1 - j)) & 1 else Annotation.SYMBOLIC
-        for j, site in enumerate(order)
-    }
+    return [(s, Annotation.SAMPLE if (plan >> (k - 1 - j)) & 1 else Annotation.SYMBOLIC)
+            for j, s in enumerate(sites)]
+
+
+def apply_plan(program: Program, plan: int) -> Program:
+    """Overwrite every annotation according to a plan index."""
+    by_site = {s.site: ann for s, ann in _plan_sites(program, plan)}
 
     def rewrite(e: Expr) -> Expr:
         kids = tuple(map(rewrite, children(e)))
@@ -198,12 +200,7 @@ def apply_plan(program: Program, plan: int) -> Program:
 
 def plan_annotations(program: Program, plan: int) -> dict[str, Annotation]:
     """Annotation per site variable name for a plan index (diagnostics)."""
-    sites = rv_sites(program)
-    k = len(sites)
-    return {
-        s.name: Annotation.SAMPLE if (plan >> (k - 1 - j)) & 1 else Annotation.SYMBOLIC
-        for j, s in enumerate(sites)
-    }
+    return {s.name: ann for s, ann in _plan_sites(program, plan)}
 
 
 def enumerate_plans(program: Program) -> list[Program]:

@@ -57,10 +57,10 @@ def _planned(program, plan: int | None):
     plan index is out of range."""
     if plan is None:
         return program
-    k = len(rv_sites(program))
-    if not 0 <= plan < 2**k:
-        _usage_error(f"plan {plan} out of range for {k} sites")
-    return apply_plan(program, plan)
+    try:
+        return apply_plan(program, plan)
+    except ValueError as exc:
+        _usage_error(str(exc))
 
 
 def _int_list(text: str, flag: str) -> list[int]:

@@ -2,9 +2,10 @@
 
 A backend provides ``assume``/``observe``/``value``; the particle runtime is
 written against this interface only.  ``value_star`` forces an expression to
-a constant; ``distribution`` extracts per-output marginals at termination,
-through the backend's ``marginal_of`` and a memo of marginals by variable
-id kept for the particle.
+a constant, for the runtime and the analysis alike; ``distribution``
+extracts per-output marginals at termination, through the backend's
+``marginal_of`` and a memo of marginals by variable id kept for the
+particle.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .lang import Annotation
 from .sym import (
     DDelta,
     Distr,
-    EvalError,
     SymState,
     Val,
     VConst,
@@ -26,7 +26,6 @@ from .sym import (
     VTup,
     check_params,
     free_rvs,
-    shape,
 )
 
 
@@ -73,15 +72,15 @@ class Backend(Protocol):
 
 
 def value_star(v: Val, g: SymState, backend: Backend,
-               rng: np.random.Generator, casts: CastLog) -> VConst:
-    """Force every random variable in ``v`` (ascending id), then fold."""
+               rng: np.random.Generator, casts: CastLog) -> Val:
+    """Force every random variable of ``v`` in the state (ascending id),
+    then fold; what is still no constant goes to the state's ``unreduced``."""
     e = g.eval_value(v)
     for rid in sorted(free_rvs(e)):
-        backend.value(rid, g, rng, casts)
+        if rid in g.entries:
+            backend.value(rid, g, rng, casts)
     e = g.eval_value(e)
-    if not isinstance(e, VConst):
-        raise EvalError(f"expression did not reduce to a constant: {shape(e)}")
-    return e
+    return e if isinstance(e, VConst) else g.unreduced(e)
 
 
 def distribution(v: Val, g: SymState, backend: Backend,

@@ -26,16 +26,6 @@ class Annotation(enum.Enum):
         return "" if self is Annotation.NONE else self.value
 
 
-# Distribution constructors and their arities.
-DIST_ARITIES = {
-    "gaussian": 2,
-    "invgamma": 2,
-    "beta": 2,
-    "bernoulli": 1,
-    "student_t": 3,
-    "delta": 1,
-}
-
 # Built-in operators (besides infix arithmetic/comparison) and arities.
 BUILTIN_ARITIES = {
     "hd": 1,

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .lang import (
     BUILTIN_ARITIES,
-    DIST_ARITIES,
     Annotation,
     EConst,
     ECall,
@@ -36,6 +35,7 @@ from .lang import (
     PWild,
     Program,
 )
+from .sym import DIST_ARITIES
 
 
 class ParseError(Exception):

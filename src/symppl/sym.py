@@ -363,8 +363,10 @@ def subst_rv(v: Val, rid: int, replacement: Val, _memo: dict | None = None) -> V
 
 
 class Distr:
-    """A distribution form.  ``unknown`` marks the analysis's forms that
-    stand for some distribution it cannot name; the rules read none."""
+    """A distribution form.  A family carries its surface ``name``, and its
+    fields, in order, are its arguments and its JSON keys.  ``unknown``
+    marks the analysis's forms that stand for some distribution it cannot
+    name; the rules read none."""
 
     __slots__ = ()
     unknown = False
@@ -372,29 +374,34 @@ class Distr:
 
 @dataclass(frozen=True, slots=True)
 class DNormal(Distr):
+    name = "gaussian"
     mu: Val
     var: Val
 
 
 @dataclass(frozen=True, slots=True)
 class DBernoulli(Distr):
+    name = "bernoulli"
     p: Val
 
 
 @dataclass(frozen=True, slots=True)
 class DInvGamma(Distr):
+    name = "invgamma"
     a: Val
     b: Val
 
 
 @dataclass(frozen=True, slots=True)
 class DBeta(Distr):
+    name = "beta"
     a: Val
     b: Val
 
 
 @dataclass(frozen=True, slots=True)
 class DStudentT(Distr):
+    name = "student_t"
     loc: Val
     dof: Val
     scale: Val
@@ -402,12 +409,19 @@ class DStudentT(Distr):
 
 @dataclass(frozen=True, slots=True)
 class DDelta(Distr):
-    e: Val
+    name = "delta"
+    v: Val
 
 
 @dataclass(frozen=True, slots=True)
-class DSampledDelta(Distr):
-    v: float | bool
+class DSampledDelta(DDelta):
+    """A variable forced to a sample: a delta on the drawn value, kept
+    apart from an observed one."""
+
+
+# The distribution families of the surface language, by name.
+FAMILIES = {cls.name: cls for cls in (DNormal, DInvGamma, DBeta, DBernoulli, DStudentT, DDelta)}
+DIST_ARITIES = {name: len(cls.__match_args__) for name, cls in FAMILIES.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -429,10 +443,8 @@ def distr_params(d: Distr) -> tuple[Val, ...]:
             return (a, b)
         case DStudentT(loc, dof, scale):
             return (loc, dof, scale)
-        case DDelta(e):
-            return (e,)
-        case DSampledDelta(_):
-            return ()
+        case DDelta(v):
+            return (v,)
         case DMixIte(c, d1, d2):
             return (c,) + distr_params(d1) + distr_params(d2)
     if d.unknown:
@@ -444,8 +456,8 @@ def map_params(d: Distr, f) -> Distr:
     """The same distribution with ``f`` applied to each parameter.
 
     The runtime and the analysis both rebuild distributions through this
-    one function.  A delta keeps its class (the analysis's sampled delta is
-    a subclass), and a distribution the analysis cannot name has no
+    one function.  A delta keeps its class (a sampled delta is a
+    subclass), and a distribution the analysis cannot name has no
     parameters.
     """
     match d:
@@ -459,10 +471,8 @@ def map_params(d: Distr, f) -> Distr:
             return DBeta(f(a), f(b))
         case DStudentT(loc, dof, scale):
             return DStudentT(f(loc), f(dof), f(scale))
-        case DDelta(e):
-            return type(d)(f(e))
-        case DSampledDelta(_):
-            return d
+        case DDelta(v):
+            return type(d)(f(v))
         case DMixIte(c, d1, d2):
             return DMixIte(f(c), map_params(d1, f), map_params(d2, f))
     if d.unknown:
@@ -475,20 +485,7 @@ def distr_rvs(d: Distr) -> list[int]:
 
 
 def make_dist(name: str, args: tuple[Val, ...]) -> Distr:
-    match name:
-        case "gaussian":
-            return DNormal(args[0], args[1])
-        case "bernoulli":
-            return DBernoulli(args[0])
-        case "invgamma":
-            return DInvGamma(args[0], args[1])
-        case "beta":
-            return DBeta(args[0], args[1])
-        case "student_t":
-            return DStudentT(args[0], args[1], args[2])
-        case "delta":
-            return DDelta(args[0])
-    raise ValueError(name)
+    return FAMILIES[name](*args)
 
 
 # --- the value operations of the conjugacy rules ---
@@ -564,8 +561,8 @@ class SymState:
     The backends (``ssi``, ``ds``) run over this state, and the analysis
     runs them over its subclass ``absdomain.AbsState``.  A state supplies
     its domain through ``alg``, ``distr_fv``, ``deps``, ``realized_value``,
-    ``cast``, ``forced``, ``observed`` and ``give_up``; evaluation, parents
-    and the entry accessors serve both.
+    ``cast``, ``forced``, ``observed``, ``give_up`` and ``unreduced``;
+    evaluation, parents and the entry accessors serve both.
     """
 
     __slots__ = ("entries", "_next")
@@ -621,13 +618,8 @@ class SymState:
         self.entries[rid] = Entry(e.ann, e.distr, node, e.label)
 
     def realized_value(self, rid: int) -> Val | None:
-        match self.entries[rid].distr:
-            case DDelta(VConst() as c):
-                return c
-            case DSampledDelta(v):
-                return VConst(v)
-            case _:
-                return None
+        d = self.entries[rid].distr
+        return d.v if isinstance(d, DDelta) and isinstance(d.v, VConst) else None
 
     def is_realized(self, rid: int) -> bool:
         return self.realized_value(rid) is not None
@@ -650,8 +642,8 @@ class SymState:
 
     def forced(self, rid: int, rng: np.random.Generator) -> tuple[Distr, Val]:
         """A sample of a root: its delta and its value."""
-        v = draw(self.eval_distr(self.distr(rid)), rng)
-        return DSampledDelta(v), VConst(v)
+        c = VConst(draw(self.eval_distr(self.distr(rid)), rng))
+        return DSampledDelta(c), c
 
     def observed(self, rid: int, value: float | bool) -> tuple[float, Distr]:
         """A root observed at ``value``: the log-weight and its delta."""
@@ -661,6 +653,11 @@ class SymState:
         """A backend invariant is broken; the analysis over-approximates
         ``rids`` here instead."""
         raise EvalError(why)
+
+    def unreduced(self, v: Val) -> Val:
+        """``value_star`` forced every variable of ``v`` and it is still no
+        constant: an error here, some constant for the analysis."""
+        raise EvalError(f"expression did not reduce to a constant: {shape(v)}")
 
     # --- evaluation ---
 
@@ -677,7 +674,7 @@ class SymState:
         entries = self.entries
         for rid in rids:
             d = entries[rid].distr
-            if isinstance(d, DSampledDelta) or (isinstance(d, DDelta) and isinstance(d.e, VConst)):
+            if isinstance(d, DDelta) and isinstance(d.v, VConst):
                 return True
         return False
 
@@ -830,8 +827,6 @@ def score(d: Distr, value: float | bool) -> float:
             )
         case DDelta(VConst(c)):
             return 0.0 if value == c else -math.inf
-        case DSampledDelta(c):
-            return 0.0 if value == c else -math.inf
     raise EvalError(f"cannot score {d}")
 
 
@@ -849,8 +844,6 @@ def draw(d: Distr, rng: np.random.Generator) -> float | bool:
         case DStudentT(VConst(loc), VConst(dof), VConst(scale)):
             return float(loc + scale * rng.standard_t(dof))
         case DDelta(VConst(c)):
-            return c
-        case DSampledDelta(c):
             return c
     raise EvalError(f"cannot draw from {d}")
 
@@ -874,32 +867,19 @@ def moments(d: Distr) -> tuple[float, float]:
             return mean, var
         case DDelta(VConst(c)):
             return float(c), 0.0
-        case DSampledDelta(c):
-            return float(c), 0.0
     raise EvalError(f"no closed-form moments for {d}")
 
 
 def distr_to_json(d: Distr):
-    match d:
-        case DNormal(mu, var):
-            return {"dist": "gaussian", "mu": val_to_json(mu), "var": val_to_json(var)}
-        case DBernoulli(p):
-            return {"dist": "bernoulli", "p": val_to_json(p)}
-        case DInvGamma(a, b):
-            return {"dist": "invgamma", "a": val_to_json(a), "b": val_to_json(b)}
-        case DBeta(a, b):
-            return {"dist": "beta", "a": val_to_json(a), "b": val_to_json(b)}
-        case DStudentT(loc, dof, scale):
-            return {"dist": "student_t", "loc": val_to_json(loc), "dof": val_to_json(dof),
-                    "scale": val_to_json(scale)}
-        case DDelta(e):
-            return {"dist": "delta", "v": val_to_json(e)}
-        case DSampledDelta(v):
-            return {"dist": "delta", "v": v}
-        case DMixIte(c, d1, d2):
-            return {"dist": "mixture", "cond": val_to_json(c),
-                    "then": distr_to_json(d1), "else": distr_to_json(d2)}
-    raise TypeError(d)
+    """A family as its name and its fields; a mixture as its guard and
+    branches."""
+    if isinstance(d, DMixIte):
+        return {"dist": "mixture", "cond": val_to_json(d.cond),
+                "then": distr_to_json(d.then), "else": distr_to_json(d.orelse)}
+    out = {"dist": d.name}
+    for f in d.__match_args__:
+        out[f] = val_to_json(getattr(d, f))
+    return out
 
 
 def val_to_json(v: Val):

@@ -180,10 +180,16 @@ def test_analysis_runs_the_runtime_loop(method, monkeypatch):
     from symppl import analysis, runtime
 
     assert issubclass(analysis.AbsInterp, runtime.Evaluator)
-    assert not {"run", "_run"} & set(vars(analysis.AbsInterp))
+    assert not {"run", "_run", "_force"} & set(vars(analysis.AbsInterp))
     top_level: list = []
     depth = [0]
     real = runtime.subst
+    forced: list = []
+    real_force = runtime.value_star
+
+    def counted_force(v, g, *rest):
+        forced.append(type(g))
+        return real_force(v, g, *rest)
 
     def counted(e, bindings):
         if not depth[0]:
@@ -196,10 +202,12 @@ def test_analysis_runs_the_runtime_loop(method, monkeypatch):
 
     monkeypatch.setattr(runtime, "subst", counted)
     monkeypatch.setattr(analysis, "esubst", counted)
+    monkeypatch.setattr(runtime, "value_star", counted_force)
     for prog in (parse(ONE_LOOP_PROGRAM), apply_plan(BENCHMARKS["slam"].program(), 0)):
         top_level.clear()
         analyze(prog, method)
         assert top_level == [prog.main]  # only closing main over data
+    assert forced and set(forced) == {AbsState}  # slam forces through the runtime's value_star
 
 
 # --- where the analysis over-approximates and the runtime raises ---
@@ -406,10 +414,13 @@ def test_analysis_state_is_the_runtime_state(monkeypatch):
     for name in ("copy", "ann", "distr", "node", "set_node", "refresh", "parents",
                  "__contains__", "set_ann"):
         assert name not in own
-    for name in ("AbsEntry", "abs_reachable", "abs_weak_eq", "set_ann"):
+    for name in ("AbsEntry", "abs_reachable", "abs_weak_eq", "set_ann", "ADSampledDelta"):
         assert not hasattr(absdomain, name)
     g = AbsState()
     g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)), None, "rv:0", "x")
+    # a forced sample is the runtime's sampled delta, on some constant
+    d, v = g.copy().forced(0, None)
+    assert type(d) is sym.DSampledDelta and d.v is v is UNK
     h = g.copy()
     assert type(h) is AbsState and h.entries == g.entries and h.entries is not g.entries
     assert (h.counter, h.sites, h.labels) == (g.counter, g.sites, g.labels)
@@ -425,6 +436,22 @@ def test_analysis_state_is_the_runtime_state(monkeypatch):
     monkeypatch.setattr(sym.SymState, "eval_value", counted)
     assert analyze(apply_plan(BENCHMARKS["noise"].program(), 3), "ssi").satisfiable
     assert AbsState in states
+
+
+def test_analysis_leaves_no_reference_cycles():
+    # bindings and states are freed by reference counting alone
+    import gc
+
+    plans = [apply_plan(BENCHMARKS[name].program(), 0) for name in ("noise", "slds", "slam")]
+    gc.collect()
+    gc.disable()
+    try:
+        for prog in plans:
+            for method in ("ssi", "ds"):
+                analyze(prog, method)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_weak_eq_follows_delayed_sampling_edges():

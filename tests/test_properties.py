@@ -78,7 +78,7 @@ def test_join_idempotent(a):
 def test_concrete_eval_idempotent(consts):
     g = SymState()
     x = g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)))
-    y = g.fresh(Annotation.NONE, DSampledDelta(consts[0]))
+    y = g.fresh(Annotation.NONE, DSampledDelta(VConst(consts[0])))
     e = add(mul(VRV(x), VConst(consts[1])), VRV(y))
     once = g.eval_value(e)
     assert g.eval_value(once) == once
@@ -247,7 +247,7 @@ def state_over(realized):
     for rid in range(5):
         if rid in realized:
             value = realized[rid]
-            d = DSampledDelta(value) if rid % 2 else DDelta(VConst(value))
+            d = DSampledDelta(VConst(value)) if rid % 2 else DDelta(VConst(value))
         else:
             d = DNormal(VConst(0.0), VConst(1.0))
         g.fresh(Annotation.NONE, d)

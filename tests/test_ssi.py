@@ -110,7 +110,7 @@ def test_value_logs_cast_only_for_symbolic():
 def test_value_on_realized_returns_constant():
     g = SymState()
     backend = SsiBackend()
-    x = g.fresh(Annotation.SYMBOLIC, DSampledDelta(2.0))
+    x = g.fresh(Annotation.SYMBOLIC, DSampledDelta(VConst(2.0)))
     before = dict(g.entries)
     casts = CastLog()
     assert backend.value(x, g, rng(), casts) == VConst(2.0)
@@ -123,8 +123,8 @@ def test_intervene_requires_root():
     x2 = g.fresh(Annotation.NONE, DNormal(VRV(x1), VConst(1.0)))
     with pytest.raises(EvalError):
         intervene(x2, DDelta(VConst(0.0)), g)
-    intervene(x1, DSampledDelta(0.3), g)
-    assert g.distr(x1) == DSampledDelta(0.3)
+    intervene(x1, DSampledDelta(VConst(0.3)), g)
+    assert g.distr(x1) == DSampledDelta(VConst(0.3))
     assert g.eval_distr(g.distr(x2)) == DNormal(VConst(0.3), VConst(1.0))
 
 
@@ -264,7 +264,7 @@ def rts_oracle_error(timesteps, particles=4, seed=0):
     worst = 0.0
     for _, (xs, q, r) in mix.components:
         assert isinstance(q, DDelta) and isinstance(r, DDelta)
-        oracle = _rts_smoother(zs, q.e.v, r.e.v)
+        oracle = _rts_smoother(zs, q.v.v, r.v.v)
         assert len(xs) == len(oracle) == timesteps
         for d, (m, P) in zip(xs, oracle):
             assert isinstance(d, DNormal)

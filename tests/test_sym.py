@@ -8,6 +8,8 @@ from scipy import integrate
 
 from symppl.lang import Annotation
 from symppl.sym import (
+    DIST_ARITIES,
+    FAMILIES,
     DBernoulli,
     DBeta,
     DDelta,
@@ -22,9 +24,11 @@ from symppl.sym import (
     VRV,
     add,
     cmp,
+    distr_to_json,
     div,
     draw,
     ite,
+    make_dist,
     mul,
     reachable,
     score,
@@ -42,14 +46,14 @@ def test_constant_folding():
 
 def test_delta_substitution():
     g = SymState()
-    x = g.fresh(Annotation.NONE, DSampledDelta(4.5))
+    x = g.fresh(Annotation.NONE, DSampledDelta(VConst(4.5)))
     assert g.eval_value(add(VRV(x), VConst(1.0))) == VConst(5.5)
 
 
 def test_eval_idempotent():
     g = SymState()
     x = g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)))
-    y = g.fresh(Annotation.NONE, DSampledDelta(2.0))
+    y = g.fresh(Annotation.NONE, DSampledDelta(VConst(2.0)))
     e = add(mul(VRV(x), VConst(2.0)), VRV(y))
     once = g.eval_value(e)
     assert g.eval_value(once) == once
@@ -66,7 +70,7 @@ def test_ite_of_equal_branches_is_the_branch(branch):
 def test_eval_returns_values_and_distributions_without_realized_variables_as_they_are():
     g = SymState()
     x = g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)))
-    y = g.fresh(Annotation.NONE, DSampledDelta(2.0))
+    y = g.fresh(Annotation.NONE, DSampledDelta(VConst(2.0)))
     e = add(mul(VRV(x), VConst(3.0)), VConst(1.0))
     assert g.eval_value(e) is e
     d = DNormal(e, VConst(1.0))
@@ -79,7 +83,7 @@ def test_eval_returns_values_and_distributions_without_realized_variables_as_the
 def test_eval_distr_collapses_a_mixture_on_a_known_guard(guard):
     g = SymState()
     x = g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)))
-    flag = g.fresh(Annotation.NONE, DSampledDelta(False))
+    flag = g.fresh(Annotation.NONE, DSampledDelta(VConst(False)))
     then, orelse = DNormal(VRV(x), VConst(1.0)), DBernoulli(VConst(0.25))
     cond = VConst(False) if guard == "constant" else VRV(flag)
     assert g.eval_distr(DMixIte(cond, then, orelse)) is orelse
@@ -168,7 +172,7 @@ def test_labels_are_per_particle():
     assert a.label(ra) == f"left#{ra}" and b.label(rb) == f"right#{rb}"
     assert g.label(0) == a.label(0) == b.label(0) == "x#0"
     # the label survives distribution and node updates
-    a.set_distr(ra, DSampledDelta(1.0))
+    a.set_distr(ra, DSampledDelta(VConst(1.0)))
     a.set_node(ra, "node")
     assert a.label(ra) == f"left#{ra}"
 
@@ -190,3 +194,35 @@ def test_one_parameter_check_for_score_draw_and_extraction(d, message):
     # symbolic parameters are left to be checked once they are constant
     for ok in (DInvGamma(VConst(1.0), VRV(0)), DNormal(VConst(-1.0), VRV(0))):
         assert check_params(ok) is ok
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_each_family_is_declared_once(name):
+    # the parser, the checker, construction and printing all read FAMILIES
+    from symppl import check, parse
+
+    cls, n = FAMILIES[name], DIST_ARITIES[name]
+    assert (cls.name, n) == (name, len(cls.__match_args__))
+    args = ", ".join(["1."] * n)
+    assert check(parse(f"let x <- {name}({args}) in observe({name}({args}), 1.)")) == []
+    for wrong in (n - 1, n + 1):
+        args = ", ".join(["1."] * wrong)
+        assert check(parse(f"let x <- {name}({args}) in x")) == [
+            f"distribution {name} expects {n} argument(s)"]
+    d = make_dist(name, tuple(VConst(float(i)) for i in range(n)))
+    assert type(d) is cls
+    assert list(distr_to_json(d)) == ["dist", *cls.__match_args__]
+    assert distr_to_json(d) == {"dist": name, **{f: float(i) for i, f in enumerate(cls.__match_args__)}}
+
+
+def test_sampled_and_observed_deltas_print_alike():
+    import json
+
+    g = SymState()
+    x = g.fresh(Annotation.NONE, DBernoulli(VConst(1.0)))
+    sampled, c = g.forced(x, np.random.default_rng(0))
+    assert type(sampled) is DSampledDelta and sampled.v is c == VConst(True)
+    observed = DDelta(c)
+    assert sampled != observed  # kept apart in the state
+    assert json.dumps(distr_to_json(sampled)) == json.dumps(distr_to_json(observed)) \
+        == '{"dist": "delta", "v": true}'
