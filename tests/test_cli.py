@@ -241,6 +241,37 @@ def test_run_output_matches_recorded_digest(name, plan, method, digest, capsys):
     assert hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest() == digest
 
 
+# SHA-256 of the sorted (exit code, stderr, JSON without `wall_ms`) rows of
+# `run <model>.si --method <b> --plan <p> --benchmark <model> --particles 4
+# --seed 0 --timesteps 8` (aircraft with `--variant descent`) over every
+# shipped model, plan and backend.
+RUN_SWEEP_DIGEST = "ee848a7482dba413c5f29e196fea7f4e84eebba7609ddbc3219923a1b539e978"
+
+
+def test_run_sweep_matches_recorded_digest(capsys):
+    import hashlib
+
+    from symppl import rv_sites
+    from symppl.benchmarks import BENCHMARKS
+
+    rows = []
+    for name in sorted(BENCHMARKS):
+        variant = ["--variant", "descent"] if name == "aircraft" else []
+        for plan in range(2 ** len(rv_sites(BENCHMARKS[name].program()))):
+            for method in ("ssi", "ds"):
+                code, out, err = main_out(
+                    capsys, "run", str(MODELS / f"{name}.si"), "--method", method,
+                    "--plan", str(plan), "--benchmark", name, "--particles", "4",
+                    "--seed", "0", "--timesteps", "8", *variant)
+                if out:
+                    result = json.loads(out)
+                    result.pop("wall_ms")
+                    out = json.dumps(result, sort_keys=True)
+                rows.append((code, err, out))
+    assert len(rows) == 552
+    assert hashlib.sha256(repr(sorted(rows)).encode()).hexdigest() == RUN_SWEEP_DIGEST
+
+
 ANALYSIS_LIMITS = {
     "map over an unknown list is unsupported":
         "let f = fun (z) -> z + 1.\nlet ys = List.map(f, data) in ys\n",
