@@ -469,7 +469,8 @@ class AbsState(SymState):
     distribution is widened, a variable is realized when its delta is on
     some constant, a forced sample or an observation is some constant, a
     cast is a failure, and where the runtime would raise on a broken
-    invariant the state gives up by over-approximating.
+    invariant the state gives up by over-approximating: it keeps no
+    generator and no cast log.
     """
 
     __slots__ = ("counter", "sites", "labels")
@@ -514,10 +515,10 @@ class AbsState(SymState):
 
     # --- the backends' domain hooks ---
 
-    def cast(self, rid: int, casts) -> None:
+    def cast(self, rid: int) -> None:
         raise AnalysisFail([self.witness(rid)])
 
-    def forced(self, rid: int, rng) -> tuple[Distr, Val]:
+    def forced(self, rid: int) -> tuple[Distr, Val]:
         return DSampledDelta(UNK), UNK
 
     def observed(self, rid: int, value: Val) -> tuple[float, Distr]:

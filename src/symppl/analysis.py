@@ -44,10 +44,10 @@ from .absdomain import (
     suffix_vars,
 )
 from .ds import DsBackend
-from .lang import Annotation, Expr, Pattern, Program, PTuple
+from .lang import Expr, Pattern, Program, PTuple
 from .runtime import Evaluator, match_pattern, pattern_mismatch, subst as esubst
 from .ssi import SsiBackend
-from .sym import UNIT, Distr, EvalError, VConst, VLst, VTup, Val, _List, weak_eq
+from .sym import UNIT, EvalError, VConst, VLst, VTup, Val, _List, weak_eq
 
 FOLD_ITER_LIMIT = 1000
 
@@ -112,12 +112,9 @@ def _abs_match(pat: Pattern, v: Val) -> dict[str, Val]:
 
 @dataclass(slots=True)
 class AbsParticle:
-    """The analysis's one particle: a state, with no weight, no pause, no
-    generator and no cast log."""
+    """The analysis's one particle: a state, with no weight and no pause."""
 
     state: AbsState
-    rng = None
-    casts = None
 
 
 class AbsInterp(Evaluator):
@@ -135,11 +132,6 @@ class AbsInterp(Evaluator):
         joined, gj = rename_join(tv, ov, p1.state, p2.state, in_fold=False)
         p.state.entries = gj.entries
         return joined
-
-    def _assume(self, ann: Annotation, d: Distr, p: AbsParticle, label: str,
-                site: int | None) -> int:
-        return self.backend.assume(ann, d, p.state, label=label,
-                                   site="obs" if site is None else f"rv:{site}")
 
     def _observe(self, rid: int, c: Val, p: AbsParticle) -> None:
         self.backend.observe(rid, c, p.state)

@@ -43,12 +43,6 @@ class BenchmarkSpec:
         src = (resources.files("symppl") / "models" / f"{self.name}.si").read_text()
         return parse(src)
 
-    def row_to_value(self, row: tuple[float, ...]) -> Val:
-        items = tuple(VConst(bool(x) if i in self.bool_columns else x) for i, x in enumerate(row))
-        return items[0] if len(items) == 1 else VTup(items)
-
-    def data_value(self, rows: list[tuple[float, ...]]) -> Val:
-        return VLst(tuple(self.row_to_value(r) for r in rows))
 
 
 def _sim_noise(rng: np.random.Generator, T: int, variant: str):
@@ -304,10 +298,18 @@ def read_csv(path: str) -> tuple[list[str], list[tuple[float, ...]]]:
         return header, rows
 
 
+def data_value(rows: list[tuple[float, ...]], bool_columns: tuple[int, ...] = ()) -> Val:
+    """Data rows as a list value: a one-column row is its value, a longer
+    row a tuple; columns in ``bool_columns`` are read as booleans."""
+    rows = [tuple(VConst(bool(x) if i in bool_columns else x) for i, x in enumerate(r))
+            for r in rows]
+    return VLst(tuple(r[0] if len(r) == 1 else VTup(r) for r in rows))
+
+
 def data_for(name: str, seed: int, timesteps: int, variant: str = "prior") -> tuple[Val, dict]:
     """Generate observations in memory and return (data value, truth)."""
     rows, truth = generate(name, seed, timesteps, variant)
-    return BENCHMARKS[name].data_value(rows), truth
+    return data_value(rows, BENCHMARKS[name].bool_columns), truth
 
 
 def mse_per_variable(name: str, mix: Mixture, truth: dict) -> dict[str, float]:

@@ -116,20 +116,28 @@ def _mixture_to_json(mix: Mixture):
     }
 
 
+def _all_plans(program) -> tuple[list[str], list[dict[str, str]]]:
+    """The annotation site names and, for each plan index, the annotation
+    of each site; exits with the usage-error code when there are too many
+    sites to enumerate."""
+    sites = rv_sites(program)
+    if len(sites) > MAX_PLAN_SITES:
+        _usage_error("too many annotation sites to enumerate")
+    return [s.name for s in sites], [{k: str(v) for k, v in plan_annotations(program, p).items()}
+                                     for p in range(2 ** len(sites))]
+
+
 def cmd_analyze(args) -> int:
     program = _load_program(args.file)
     if args.all_plans:
-        sites = rv_sites(program)
-        if len(sites) > MAX_PLAN_SITES:
-            print("error: too many annotation sites to enumerate", file=sys.stderr)
-            return 1
+        _, annotations = _all_plans(program)
         plans = []
         t0 = time.perf_counter()
-        for plan in range(2 ** len(sites)):
+        for plan, ann in enumerate(annotations):
             verdict = analyze(apply_plan(program, plan), args.method)
             plans.append({
                 "plan": plan,
-                "annotations": {k: str(v) for k, v in plan_annotations(program, plan).items()},
+                "annotations": ann,
                 "verdict": "satisfiable" if verdict.satisfiable else "fail",
                 "witnesses": [list(w) for w in verdict.witnesses],
                 "elapsed_ms": round(verdict.elapsed_ms, 3),
@@ -172,18 +180,12 @@ def _load_data(args, benchmark: str | None):
             if header and len(header) != len(spec.data_columns):
                 _usage_error(f"{args.data}: columns ({', '.join(header)}) do not match "
                              f"benchmark {spec.name}'s ({', '.join(spec.data_columns)})")
-            return spec.data_value(rows)
-        from .sym import VConst, VLst, VTup
-
-        if rows and len(rows[0]) == 1:
-            return VLst(tuple(VConst(r[0]) for r in rows))
-        return VLst(tuple(VTup(tuple(VConst(x) for x in r)) for r in rows))
+            return bm.data_value(rows, spec.bool_columns)
+        return bm.data_value(rows)
     if benchmark is not None:
         value, _ = bm.data_for(benchmark, args.data_seed, args.timesteps, args.variant)
         return value
-    from .sym import VLst
-
-    return VLst(())
+    return bm.data_value([])
 
 
 def cmd_run(args) -> int:
@@ -292,20 +294,14 @@ def cmd_bench(args) -> int:
 
 def cmd_enumerate_plans(args) -> int:
     program = _load_program(args.file)
-    sites = rv_sites(program)
-    if len(sites) > MAX_PLAN_SITES:
-        print("error: too many annotation sites to enumerate", file=sys.stderr)
-        return 1
+    sites, annotations = _all_plans(program)
     out = {
-        "sites": [s.name for s in sites],
-        "total_plans": 2 ** len(sites),
-        "plans": [
-            {"plan": p, "annotations": {k: str(v) for k, v in plan_annotations(program, p).items()}}
-            for p in range(2 ** len(sites))
-        ],
+        "sites": sites,
+        "total_plans": len(annotations),
+        "plans": [{"plan": p, "annotations": a} for p, a in enumerate(annotations)],
     }
     if args.print_programs:
-        out["programs"] = [print_program(apply_plan(program, p)) for p in range(2 ** len(sites))]
+        out["programs"] = [print_program(apply_plan(program, p)) for p in range(len(annotations))]
     _emit(out)
     return 0
 

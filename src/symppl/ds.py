@@ -22,10 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
-import numpy as np
-
 from . import conjugacy
-from .interface import CastLog
 from .lang import Annotation
 from .sym import DDelta, Distr, EvalError, SymState, VConst
 
@@ -109,17 +106,15 @@ class DsBackend:
     name = "ds"
 
     def assume(self, ann: Annotation, dist: Distr, g: SymState,
-               rng: np.random.Generator | None = None, casts: CastLog | None = None,
                label: str = "", site: str = "") -> int:
-        dist, parent = self._conjugate_dist(dist, g, rng, casts)
+        dist, parent = self._conjugate_dist(dist, g)
         node = MargRootN(frozenset()) if parent is None else InitN(parent, frozenset())
         rid = g.fresh(ann, dist, node, label=label, site=site)
         if parent is not None:
             _add_child(g, parent, rid)
         return rid
 
-    def _conjugate_dist(self, dist: Distr, g: SymState, rng: np.random.Generator | None,
-                        casts: CastLog | None) -> tuple[Distr, int | None]:
+    def _conjugate_dist(self, dist: Distr, g: SymState) -> tuple[Distr, int | None]:
         """Force parents until at most one conjugate parent remains."""
         dist = g.eval_distr(dist)
         parents = sorted(p for p in g.distr_fv(dist) if p in g.entries)
@@ -128,7 +123,7 @@ class DsBackend:
         keeper = None
         for p in parents:
             others = frozenset(q for q in parents if q != p)
-            prior = g.eval_distr(g.distr(p))
+            prior = g.distr(p)
             if conjugacy.match_case(prior, dist, p, allow=others, alg=g.alg) is not None:
                 keeper = p
                 break
@@ -136,47 +131,43 @@ class DsBackend:
             return dist, keeper  # nothing forced: matching again gives the same case
         for p in parents:
             if p != keeper:
-                self.value(p, g, rng, casts)
+                self.value(p, g)
         dist = g.eval_distr(dist)
         if keeper is not None:
-            prior = g.eval_distr(g.distr(keeper))
+            prior = g.distr(keeper)
             if conjugacy.match_case(prior, dist, keeper, alg=g.alg) is None:
-                self.value(keeper, g, rng, casts)
+                self.value(keeper, g)
                 dist = g.eval_distr(dist)
                 keeper = None
         return dist, keeper
 
-    def value(self, rid: int, g: SymState, rng: np.random.Generator | None = None,
-              casts: CastLog | None = None) -> VConst:
+    def value(self, rid: int, g: SymState) -> VConst:
         c = g.realized_value(rid)
         if c is not None:
             return c
         if g.ann(rid) is Annotation.SYMBOLIC:
-            g.cast(rid, casts)
-        self.graft(rid, g, rng, casts)
-        d, v = g.forced(rid, rng)
+            g.cast(rid)
+        self.graft(rid, g)
+        d, v = g.forced(rid)
         self.realize(rid, d, g)
         return v
 
-    def observe(self, rid: int, value: float | bool, g: SymState,
-                rng: np.random.Generator | None = None, casts: CastLog | None = None) -> float:
-        self.graft(rid, g, rng, casts)
+    def observe(self, rid: int, value: float | bool, g: SymState) -> float:
+        self.graft(rid, g)
         w, d = g.observed(rid, value)
         self.realize(rid, d, g)
         return w
 
-    def marginal_of(self, rid: int, g: SymState, rng: np.random.Generator,
-                    casts: CastLog, memo: dict[int, Distr]) -> Distr:
+    def marginal_of(self, rid: int, g: SymState, memo: dict[int, Distr]) -> Distr:
         """Marginal of ``rid`` by grafting; ``memo`` is not used."""
         c = g.realized_value(rid)
         if c is not None:
             return DDelta(c)
         if isinstance(g.node(rid), InitN):
-            self.graft(rid, g, rng, casts)
-        return g.eval_distr(g.distr(rid))
+            self.graft(rid, g)
+        return g.distr(rid)
 
-    def graft(self, rid: int, g: SymState, rng: np.random.Generator | None = None,
-              casts: CastLog | None = None) -> None:
+    def graft(self, rid: int, g: SymState) -> None:
         """Make ``rid`` a terminal marginalized node: climb its initialized
         ancestors, prune the marginalized child of the first marginalized
         one, then marginalize back down."""
@@ -189,14 +180,13 @@ class DsBackend:
         if isinstance(node, (MargRootN, MargN)):
             mc = marginalized_child(g, node)
             if mc is not None:
-                self.prune(mc, g, rng, casts)
+                self.prune(mc, g)
         else:
             g.give_up([rid], f"graft on realized variable {rid}")
         for c in reversed(chain):
             self.marginalize(c, g)
 
-    def prune(self, rid: int, g: SymState, rng: np.random.Generator | None = None,
-              casts: CastLog | None = None) -> None:
+    def prune(self, rid: int, g: SymState) -> None:
         """Sample the marginalized path below and including ``rid``,
         deepest first."""
         path = []
@@ -207,19 +197,19 @@ class DsBackend:
             path.append(rid)
             rid = marginalized_child(g, node)
         for r in reversed(path):
-            self.value(r, g, rng, casts)
+            self.value(r, g)
 
     def marginalize(self, rid: int, g: SymState) -> None:
         node = g.node(rid)
         if not isinstance(node, InitN):
             raise EvalError(f"marginalize on non-initialized variable {rid}")
-        prior = g.eval_distr(g.distr(node.parent))
-        cond = g.eval_distr(g.distr(rid))
+        prior = g.distr(node.parent)
+        cond = g.distr(rid)
         marg = conjugacy.marginal(prior, cond, node.parent, g.alg)
         if marg is None:
             g.give_up([rid, node.parent], f"conjugacy lost marginalizing {rid}")
             return
-        g.set_distr(rid, g.eval_distr(marg))
+        g.set_distr(rid, marg)
         g.set_node(rid, MargN(node.parent, cond, node.children))
 
     def realize(self, rid: int, d: Distr, g: SymState) -> None:
@@ -232,16 +222,15 @@ class DsBackend:
         g.set_node(rid, RealizedN())
         if isinstance(node, MargN):
             parent = node.parent
-            prior = g.eval_distr(g.distr(parent))
+            prior = g.distr(parent)
             post = conjugacy.posterior(prior, g.eval_distr(node.prior), parent,
                                        g.realized_value(rid), g.alg)
             if post is None:
                 g.give_up([parent], f"conjugacy lost realizing {rid}")
             else:
-                g.set_distr(parent, g.eval_distr(post))
+                g.set_distr(parent, post)
             _drop_child(g, parent, rid)
         for c in node.children:
             cnode = g.node(c)
             if isinstance(cnode, InitN):
-                g.refresh(c)
                 g.set_node(c, MargRootN(cnode.children))

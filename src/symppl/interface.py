@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Protocol
 
-import numpy as np
-
 from .lang import Annotation
 from .sym import (
     DDelta,
@@ -52,44 +50,39 @@ class CastLog:
 
 
 class Backend(Protocol):
-    """``ssi.SsiBackend`` and ``ds.DsBackend``.  The analysis runs the same
-    methods over an abstract state, with no generator and no cast log."""
+    """``ssi.SsiBackend`` and ``ds.DsBackend``.  Each method runs over one
+    particle's state, which holds its generator and cast log; the analysis
+    runs the same methods over an abstract state."""
 
     name: str
 
-    def assume(self, ann: Annotation, dist: Distr, g: SymState,
-               rng: np.random.Generator, casts: CastLog, label: str = "",
+    def assume(self, ann: Annotation, dist: Distr, g: SymState, label: str = "",
                site: str = "") -> int: ...
 
-    def observe(self, rid: int, value: float | bool, g: SymState,
-                rng: np.random.Generator, casts: CastLog) -> float: ...
+    def observe(self, rid: int, value: float | bool, g: SymState) -> float: ...
 
-    def value(self, rid: int, g: SymState,
-              rng: np.random.Generator, casts: CastLog) -> VConst: ...
+    def value(self, rid: int, g: SymState) -> VConst: ...
 
-    def marginal_of(self, rid: int, g: SymState, rng: np.random.Generator,
-                    casts: CastLog, memo: dict[int, Distr]) -> Distr: ...
+    def marginal_of(self, rid: int, g: SymState, memo: dict[int, Distr]) -> Distr: ...
 
 
-def value_star(v: Val, g: SymState, backend: Backend,
-               rng: np.random.Generator, casts: CastLog) -> Val:
+def value_star(v: Val, g: SymState, backend: Backend) -> Val:
     """Force every random variable of ``v`` in the state (ascending id),
     then fold; what is still no constant goes to the state's ``unreduced``."""
     e = g.eval_value(v)
     for rid in sorted(free_rvs(e)):
         if rid in g.entries:
-            backend.value(rid, g, rng, casts)
+            backend.value(rid, g)
     e = g.eval_value(e)
     return e if isinstance(e, VConst) else g.unreduced(e)
 
 
 def distribution(v: Val, g: SymState, backend: Backend,
-                 rng: np.random.Generator, casts: CastLog,
                  memo: dict[int, Distr] | None = None):
     """Distribution of a terminated particle's output value.
 
     Returns a tree mirroring the value: tuples/lists of ``Distr``.  Any
-    sampling needed to extract output marginals is recorded in ``casts``,
+    sampling needed to extract output marginals is recorded in ``g.casts``,
     which callers keep separate from the semantic cast log.  A marginal
     with a constant parameter outside its domain is an ``EvalError``.
     ``memo`` holds the marginals by variable id that the backend has
@@ -101,12 +94,12 @@ def distribution(v: Val, g: SymState, backend: Backend,
         case VConst(_):
             return DDelta(v)
         case VTup(items):
-            return tuple(distribution(x, g, backend, rng, casts, memo) for x in items)
+            return tuple(distribution(x, g, backend, memo) for x in items)
         case VLst(items):
-            return [distribution(x, g, backend, rng, casts, memo) for x in items]
+            return [distribution(x, g, backend, memo) for x in items]
         case VRV(rid):
-            return check_params(backend.marginal_of(rid, g, rng, casts, memo))
+            return check_params(backend.marginal_of(rid, g, memo))
         case _:
-            c = value_star(v, g, backend, rng, casts)
+            c = value_star(v, g, backend)
             memo.clear()  # forcing conditions the state
             return DDelta(c)

@@ -74,11 +74,13 @@ from .sym import (
     free_vars,
     make_dist,
     moments,
+    reset_intern,
     shape,
 )
 
 
 LIST_OPS = frozenset({"cons", "hd", "tl", "rev", "len", "range"})
+MAX_ROUNDS = 100000  # resample rounds before ``run_model`` gives up
 
 
 class DegenerateWeights(Exception):
@@ -140,19 +142,20 @@ def _as_list(v: Val, g: SymState, error: str) -> VLst:
 @dataclass
 class Particle:
     cont: Expr
-    state: SymState
+    state: SymState  # holds the particle's generator and cast log
     logw: float
     flag: bool
-    casts: CastLog
-    rng: np.random.Generator | FirstDrawRng
     checkpoint: int | None = None  # site of the resample that paused us
     value: Val | None = None
 
-    def copy_for_resample(self, rng: np.random.Generator) -> "Particle":
-        casts = CastLog(self.casts.strict)
-        casts.events = list(self.casts.events)
-        return Particle(self.cont, self.state.copy(), 0.0, False, casts, rng,
-                        self.checkpoint, self.value)
+    def copy_for_resample(self, rng: np.random.Generator | FirstDrawRng) -> "Particle":
+        """An unpaused child with its own state, generator ``rng`` and copy
+        of the cast log."""
+        state = self.state.copy()
+        state.rng = rng
+        casts = state.casts = CastLog(self.state.casts.strict)
+        casts.events = list(self.state.casts.events)
+        return Particle(self.cont, state, 0.0, False, self.checkpoint, self.value)
 
 
 class Evaluator:
@@ -162,8 +165,7 @@ class Evaluator:
     ``sym``'s value nodes, through the smart constructors of the particle
     state's ``alg``.  A domain supplies its pattern binding (``bind``), its
     list operators and the hooks below, which sit only at nodes that call
-    out anyway: ``if``, ``let <-``, ``observe``, ``fold``, ``map`` and
-    ``resample``.
+    out anyway: ``if``, ``observe``, ``fold``, ``map`` and ``resample``.
     """
 
     bind = staticmethod(match_pattern)
@@ -200,17 +202,8 @@ class Evaluator:
             raise EvalError("range bounds must be constants")
         return VLst(tuple(VConst(float(i)) for i in range(int(lo.v), int(hi.v))))
 
-    def _force(self, v: Val, p: Particle) -> VConst:
-        return value_star(v, p.state, self.backend, p.rng, p.casts)
-
-    def _assume(self, ann: Annotation, d: Distr, p: Particle, label: str, site: int | None) -> int:
-        return self.backend.assume(ann, d, p.state, p.rng, p.casts, label=label)
-
-    def _value(self, rid: int, p: Particle) -> Val:
-        return self.backend.value(rid, p.state, p.rng, p.casts)
-
     def _observe(self, rid: int, c: VConst, p: Particle) -> None:
-        p.logw += self.backend.observe(rid, c.v, p.state, p.rng, p.casts)
+        p.logw += self.backend.observe(rid, c.v, p.state)
 
     def _resample(self, site: int, p: Particle):
         p.checkpoint = site
@@ -341,7 +334,7 @@ class Evaluator:
                             # consumers need its shape
                             if not isinstance(tv, CONTAINERS) and not isinstance(ov, CONTAINERS):
                                 return p.state.alg.ite(cv, tv, ov), False
-                        cv = self._force(cv, p)
+                        cv = value_star(cv, p.state, self.backend)
                         if not isinstance(cv, VConst):  # an abstract value can stay unknown
                             return self._join_branches(te, oe, env, p), False
                     e = te if cv.v else oe
@@ -357,17 +350,20 @@ class Evaluator:
                     for x in args:
                         v, _ = self._run(x, env, p)
                         argv.append(p.state.eval_value(v))
-                    rid = self._assume(ann, make_dist(dist, tuple(argv)), p, name, site)
-                    bound_v = self._value(rid, p) if ann is Annotation.SAMPLE else VRV(rid)
+                    rid = self.backend.assume(ann, make_dist(dist, tuple(argv)), p.state,
+                                              label=name, site=f"rv:{site}")
+                    bound_v = (self.backend.value(rid, p.state) if ann is Annotation.SAMPLE
+                               else VRV(rid))
                     e, env = body, {**env, name: bound_v}
                 case EObserve(dist, args, value_e):
                     argv = []
                     for x in args:
                         v, _ = self._run(x, env, p)
                         argv.append(p.state.eval_value(v))
-                    rid = self._assume(Annotation.NONE, make_dist(dist, tuple(argv)), p, "obs", None)
+                    rid = self.backend.assume(Annotation.NONE, make_dist(dist, tuple(argv)),
+                                              p.state, label="obs", site="obs")
                     ve, _ = self._run(value_e, env, p)
-                    self._observe(rid, self._force(ve, p), p)
+                    self._observe(rid, value_star(ve, p.state, self.backend), p)
                     return UNIT, False
                 case EResample(site):
                     return self._resample(site, p)
@@ -429,21 +425,19 @@ class FirstDrawRng:
 
 
 def run_model(program: Program, n_particles: int, seed: int, backend: Backend,
-              data: Val, strict_casts: bool = False, max_rounds: int = 100000) -> Mixture:
+              data: Val, strict_casts: bool = False) -> Mixture:
     """Evaluate ``main`` with ``n_particles`` independent particles.
 
     Deterministic for a fixed ``(program, n_particles, seed, backend)``.
     """
-    from .sym import reset_intern
-
     reset_intern()
     ev = Evaluator(program, backend)
     main = subst(program.main, {"data": data})
     particles = [
-        Particle(main, SymState(), 0.0, False, CastLog(strict_casts), FirstDrawRng(seed, 0, i))
+        Particle(main, SymState(FirstDrawRng(seed, 0, i), CastLog(strict_casts)), 0.0, False)
         for i in range(n_particles)
     ]
-    for round_idx in range(max_rounds):
+    for round_idx in range(MAX_ROUNDS):
         for p in particles:
             if not p.flag and p.value is None:
                 ev.eval_particle(p)
@@ -456,17 +450,10 @@ def run_model(program: Program, n_particles: int, seed: int, backend: Backend,
         rng = _particle_rng(seed, round_idx, n_particles)
         counts = rng.multinomial(n_particles, probs)
         fresh: list[Particle] = []
-        for i, (p, c) in enumerate(zip(particles, counts)):
+        for p, c in zip(particles, counts):
             for _ in range(c):
-                child = p.copy_for_resample(FirstDrawRng(seed, round_idx + 1, len(fresh)))
-                child.flag = False
-                if child.value is not None:
-                    child.cont = EVal(child.value)
-                fresh.append(child)
+                fresh.append(p.copy_for_resample(FirstDrawRng(seed, round_idx + 1, len(fresh))))
         particles = fresh
-        for p in particles:
-            if not isinstance(p.cont, EVal):
-                p.value = None
     else:
         raise EvalError("model did not terminate within the round limit")
 
@@ -476,11 +463,10 @@ def run_model(program: Program, n_particles: int, seed: int, backend: Backend,
     out_casts = 0
     for i, w in enumerate(probs):
         p, particles[i] = particles[i], None  # free each state once read
-        out_log = CastLog()
-        tree = distribution(p.value, p.state, backend, p.rng, out_log)
-        components.append((w, tree))
-        casts.extend(p.casts.events)
-        out_casts += len(out_log)
+        casts.extend(p.state.casts.events)
+        p.state.casts = CastLog()  # counts only the forcing done to extract outputs
+        components.append((w, distribution(p.value, p.state, backend)))
+        out_casts += len(p.state.casts)
     return Mixture(components, casts, out_casts)
 
 
@@ -492,7 +478,7 @@ def total_log_weight(program: Program, seed: int, backend: Backend, data: Val) -
     """
     ev = Evaluator(program, backend)
     main = subst(program.main, {"data": data})
-    p = Particle(main, SymState(), 0.0, False, CastLog(), FirstDrawRng(seed, 0, 0))
+    p = Particle(main, SymState(FirstDrawRng(seed, 0, 0), CastLog()), 0.0, False)
     total = 0.0
     for _ in range(100000):
         ev.eval_particle(p)

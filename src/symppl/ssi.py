@@ -25,10 +25,7 @@ that pass does not apply.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import conjugacy
-from .interface import CastLog
 from .lang import Annotation
 from .sym import DDelta, Distr, EvalError, SymState, VConst, VRV, reachable
 
@@ -66,8 +63,8 @@ def swap(x1: int, x2: int, g: SymState) -> bool:
     ``x2``; returns False (state untouched, unless ``x1``'s distribution is
     unknown and the state gives up on it) when no conjugacy applies.
     """
-    prior = g.eval_distr(g.distr(x1))
-    cond = g.eval_distr(g.distr(x2))
+    prior = g.distr(x1)
+    cond = g.distr(x2)
     if prior.unknown:
         g.give_up([x1], f"unknown distribution of {x1}")
         return False
@@ -87,10 +84,10 @@ def intervene(rid: int, d: Distr, g: SymState) -> None:
     g.set_distr(rid, d)
 
 
-def _make_root(rid: int, g: SymState) -> tuple[int, int] | None:
+def _make_root(rid: int, g: SymState) -> int | None:
     """Make ``rid`` a root: hoist its parents, ancestors first, then
-    reverse each parent edge with ``swap``.  Returns the ``(parent, child)``
-    edge of the first failed swap, or None.
+    reverse each parent edge with ``swap``.  Returns the parent of the
+    first failed swap, or None.
 
     A frame is ``[cur, roots, parents, inner_roots, next]``: ``roots`` are
     the variables the enclosing frames have already made roots, and
@@ -117,7 +114,7 @@ def _make_root(rid: int, g: SymState) -> tuple[int, int] | None:
             continue
         for p in reversed(parents):
             if p not in roots and not swap(p, cur, g):
-                return p, cur
+                return p
         stack.pop()
         on_stack.discard(cur)
         if stack:
@@ -140,7 +137,7 @@ def chain_marginal(rid: int, g: SymState, memo: dict[int, Distr]) -> Distr | Non
     path = []
     r = rid
     while r not in memo:
-        d = g.eval_distr(g.distr(r))
+        d = g.distr(r)
         parents = [p for p in g.distr_fv(d) if p != r]
         if not parents:
             memo[r] = d
@@ -153,7 +150,7 @@ def chain_marginal(rid: int, g: SymState, memo: dict[int, Distr]) -> Distr | Non
         m = conjugacy.marginal(memo[p], d, p, g.alg)
         if m is None:
             return None
-        memo[r] = g.eval_distr(m)
+        memo[r] = m
     return memo[rid]
 
 
@@ -161,31 +158,27 @@ class SsiBackend:
     name = "ssi"
 
     def assume(self, ann: Annotation, dist: Distr, g: SymState,
-               rng: np.random.Generator | None = None, casts: CastLog | None = None,
                label: str = "", site: str = "") -> int:
-        return g.fresh(ann, g.eval_distr(dist), None, label=label, site=site)
+        return g.fresh(ann, dist, None, label=label, site=site)
 
-    def value(self, rid: int, g: SymState, rng: np.random.Generator | None = None,
-              casts: CastLog | None = None) -> VConst:
+    def value(self, rid: int, g: SymState) -> VConst:
         c = g.realized_value(rid)
         if c is not None:
             return c
         if g.ann(rid) is Annotation.SYMBOLIC:
-            g.cast(rid, casts)
-        self.hoist(rid, g, rng, casts)
-        d, v = g.forced(rid, rng)
+            g.cast(rid)
+        self.hoist(rid, g)
+        d, v = g.forced(rid)
         intervene(rid, d, g)
         return v
 
-    def observe(self, rid: int, value: float | bool, g: SymState,
-                rng: np.random.Generator | None = None, casts: CastLog | None = None) -> float:
-        self.hoist(rid, g, rng, casts)
+    def observe(self, rid: int, value: float | bool, g: SymState) -> float:
+        self.hoist(rid, g)
         w, d = g.observed(rid, value)
         intervene(rid, d, g)
         return w
 
-    def marginal_of(self, rid: int, g: SymState, rng: np.random.Generator,
-                    casts: CastLog, memo: dict[int, Distr]) -> Distr:
+    def marginal_of(self, rid: int, g: SymState, memo: dict[int, Distr]) -> Distr:
         """Marginal of ``rid``, read off the state by ``chain_marginal``
         where it applies; otherwise ``rid`` is hoisted, which may force
         variables and so condition the state: ``memo`` is cleared then."""
@@ -195,18 +188,15 @@ class SsiBackend:
         d = chain_marginal(rid, g, memo)
         if d is not None:
             return d
-        self.hoist(rid, g, rng, casts)
+        self.hoist(rid, g)
         memo.clear()
-        return g.eval_distr(g.distr(rid))
+        return g.distr(rid)
 
-    def hoist(self, rid: int, g: SymState, rng: np.random.Generator | None = None,
-              casts: CastLog | None = None) -> None:
+    def hoist(self, rid: int, g: SymState) -> None:
         """Make ``rid`` a root, forcing each parent whose swap fails.
 
         Each retry realizes the failing parent (or raises), and
         ``parents`` drops realized variables, so the retries end.
         """
-        while (failed := _make_root(rid, g)) is not None:
-            parent, child = failed
-            self.value(parent, g, rng, casts)
-            g.refresh(child)
+        while (parent := _make_root(rid, g)) is not None:
+            self.value(parent, g)

@@ -562,18 +562,22 @@ class SymState:
     runs them over its subclass ``absdomain.AbsState``.  A state supplies
     its domain through ``alg``, ``distr_fv``, ``deps``, ``realized_value``,
     ``cast``, ``forced``, ``observed``, ``give_up`` and ``unreduced``;
-    evaluation, parents and the entry accessors serve both.
+    evaluation, parents and the entry accessors serve both.  The particle's
+    generator ``rng`` and cast log ``casts`` are the state's, for ``forced``
+    and ``cast``.
     """
 
-    __slots__ = ("entries", "_next")
-    _shared = ("_next",)
+    __slots__ = ("entries", "_next", "rng", "casts")
+    _shared = ("_next", "rng", "casts")
 
     alg = CONCRETE  # the smart constructors, and the rules' value operations
     distr_fv = staticmethod(distr_rvs)
 
-    def __init__(self) -> None:
+    def __init__(self, rng: np.random.Generator | None = None, casts=None) -> None:
         self.entries: dict[int, Entry] = {}
         self._next = 0
+        self.rng = rng
+        self.casts = casts
 
     def copy(self) -> "SymState":
         g = object.__new__(type(self))
@@ -601,7 +605,13 @@ class SymState:
         return self.entries[rid].ann
 
     def distr(self, rid: int) -> Distr:
-        return self.entries[rid].distr
+        """The stored distribution, evaluated.  A changed result is stored
+        back, so each realized variable is substituted into an entry once."""
+        e = self.entries[rid]
+        d = self.eval_distr(e.distr)
+        if d is not e.distr:
+            self.entries[rid] = Entry(e.ann, d, e.node, e.label)
+        return d
 
     def node(self, rid: int):
         return self.entries[rid].node
@@ -626,8 +636,7 @@ class SymState:
 
     def parents(self, rid: int) -> list[int]:
         """Live random variables referenced by this entry's distribution."""
-        d = self.eval_distr(self.entries[rid].distr)
-        return [p for p in self.distr_fv(d) if p != rid]
+        return [p for p in self.distr_fv(self.distr(rid)) if p != rid]
 
     def deps(self, rid: int):
         """The variables an entry depends on, for ``reachable``: those of
@@ -636,18 +645,18 @@ class SymState:
 
     # --- the backends' domain hooks ---
 
-    def cast(self, rid: int, casts) -> None:
+    def cast(self, rid: int) -> None:
         """A symbolic-annotated variable is about to be forced."""
-        casts.record(rid, self.label(rid))
+        self.casts.record(rid, self.label(rid))
 
-    def forced(self, rid: int, rng: np.random.Generator) -> tuple[Distr, Val]:
+    def forced(self, rid: int) -> tuple[Distr, Val]:
         """A sample of a root: its delta and its value."""
-        c = VConst(draw(self.eval_distr(self.distr(rid)), rng))
+        c = VConst(draw(self.distr(rid), self.rng))
         return DSampledDelta(c), c
 
     def observed(self, rid: int, value: float | bool) -> tuple[float, Distr]:
         """A root observed at ``value``: the log-weight and its delta."""
-        return score(self.eval_distr(self.distr(rid)), value), DDelta(VConst(value))
+        return score(self.distr(rid), value), DDelta(VConst(value))
 
     def give_up(self, rids: list[int], why: str) -> None:
         """A backend invariant is broken; the analysis over-approximates
@@ -710,10 +719,6 @@ class SymState:
             if self._touches_realized(p):
                 return map_params(d, self.eval_value)
         return d
-
-    def refresh(self, rid: int) -> None:
-        """Re-evaluate a stored distribution (delta substitution)."""
-        self.set_distr(rid, self.eval_distr(self.entries[rid].distr))
 
     def check_acyclic(self) -> None:
         color: dict[int, int] = {}

@@ -180,7 +180,7 @@ def test_analysis_runs_the_runtime_loop(method, monkeypatch):
     from symppl import analysis, runtime
 
     assert issubclass(analysis.AbsInterp, runtime.Evaluator)
-    assert not {"run", "_run", "_force"} & set(vars(analysis.AbsInterp))
+    assert not {"run", "_run", "_force", "_assume"} & set(vars(analysis.AbsInterp))
     top_level: list = []
     depth = [0]
     real = runtime.subst
@@ -411,15 +411,16 @@ def test_analysis_state_is_the_runtime_state(monkeypatch):
 
     assert issubclass(absdomain.AbsState, sym.SymState)
     own = vars(absdomain.AbsState)
-    for name in ("copy", "ann", "distr", "node", "set_node", "refresh", "parents",
+    for name in ("copy", "ann", "distr", "node", "set_node", "parents",
                  "__contains__", "set_ann"):
         assert name not in own
+    assert not hasattr(sym.SymState, "refresh")
     for name in ("AbsEntry", "abs_reachable", "abs_weak_eq", "set_ann", "ADSampledDelta"):
         assert not hasattr(absdomain, name)
     g = AbsState()
     g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)), None, "rv:0", "x")
     # a forced sample is the runtime's sampled delta, on some constant
-    d, v = g.copy().forced(0, None)
+    d, v = g.copy().forced(0)
     assert type(d) is sym.DSampledDelta and d.v is v is UNK
     h = g.copy()
     assert type(h) is AbsState and h.entries == g.entries and h.entries is not g.entries

@@ -117,6 +117,14 @@ def test_plan_out_of_range_is_a_usage_error(command):
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("argv", [["analyze", "--all-plans"], ["enumerate-plans"]])
+def test_too_many_sites_to_enumerate_is_a_usage_error(argv, tmp_path, capsys):
+    src = tmp_path / "wide.si"
+    src.write_text("".join(f"let x{i} <- gaussian(0., 1.) in\n" for i in range(21)) + "x20\n")
+    code, out, err = main_out(capsys, argv[0], str(src), *argv[1:])
+    assert (code, out, err) == (1, "", "error: too many annotation sites to enumerate\n")
+
+
 @pytest.mark.parametrize("command", ["run", "analyze"])
 def test_data_outside_main_is_a_usage_error(command, tmp_path):
     src = tmp_path / "data.si"

@@ -33,7 +33,7 @@ from symppl.ssi import SsiBackend, swap
 
 
 def fresh_state():
-    return SymState()
+    return SymState(np.random.default_rng(0), CastLog())
 
 
 def density(d, x):
@@ -145,12 +145,10 @@ def test_bernoulli_bernoulli_swap_exact():
 @pytest.mark.parametrize("obs", [1.0, -0.7])
 def test_observe_posterior_matches_grid_bayes_gaussian(obs):
     g = fresh_state()
-    casts = CastLog()
-    rng = np.random.default_rng(0)
     backend = SsiBackend()
     x1 = g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)))
     x2 = g.fresh(Annotation.NONE, DNormal(VRV(x1), VConst(1.0)))
-    w = backend.observe(x2, obs, g, rng, casts)
+    w = backend.observe(x2, obs, g)
     # independent numerical Bayes: prior N(0,1), likelihood N(x, 1)
     prior = stats.norm(0.0, 1.0)
     like = lambda x: stats.norm(x, 1.0).pdf(obs)
@@ -171,7 +169,7 @@ def test_observe_weight_standard_example():
     backend = SsiBackend()
     x1 = g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)))
     x2 = g.fresh(Annotation.NONE, DNormal(VRV(x1), VConst(1.0)))
-    w = backend.observe(x2, 1.0, g, np.random.default_rng(0), CastLog())
+    w = backend.observe(x2, 1.0, g)
     assert abs(math.exp(w) - 0.21969564473386122) < 1e-12
 
 
@@ -181,7 +179,7 @@ def test_observe_posterior_invgamma_matches_grid_bayes():
     x1 = g.fresh(Annotation.NONE, DInvGamma(VConst(2.0), VConst(1.5)))
     x2 = g.fresh(Annotation.NONE, DNormal(VConst(0.5), VRV(x1)))
     obs = 1.3
-    w = backend.observe(x2, obs, g, np.random.default_rng(0), CastLog())
+    w = backend.observe(x2, obs, g)
     unnorm = lambda v: stats.invgamma(2.0, scale=1.5).pdf(v) * stats.norm(0.5, math.sqrt(v)).pdf(obs)
     z, _ = integrate.quad(unnorm, 0.0, np.inf)
     first, _ = integrate.quad(lambda v: v * unnorm(v), 0.0, np.inf)
@@ -197,7 +195,7 @@ def test_observe_posterior_beta_matches_enumeration():
     backend = SsiBackend()
     x1 = g.fresh(Annotation.NONE, DBeta(VConst(2.0), VConst(3.0)))
     x2 = g.fresh(Annotation.NONE, DBernoulli(VRV(x1)))
-    w = backend.observe(x2, True, g, np.random.default_rng(0), CastLog())
+    w = backend.observe(x2, True, g)
     assert abs(math.exp(w) - 0.4) < 1e-12  # E[Beta(2,3)] = 2/5
     d1 = g.eval_distr(g.distr(x1))
     assert isinstance(d1, DBeta) and d1.a.v == 3.0 and d1.b.v == 3.0

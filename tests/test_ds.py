@@ -28,11 +28,10 @@ def rng():
 
 def setup_chain():
     """x1 ~ N(0,1), x2 ~ N(x1, 1) assumed through the backend."""
-    g = SymState()
+    g = SymState(rng(), CastLog())
     backend = DsBackend()
-    casts = CastLog()
-    x1 = backend.assume(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)), g, rng(), casts)
-    x2 = backend.assume(Annotation.NONE, DNormal(VRV(x1), VConst(1.0)), g, rng(), casts)
+    x1 = backend.assume(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)), g)
+    x2 = backend.assume(Annotation.NONE, DNormal(VRV(x1), VConst(1.0)), g)
     return g, backend, x1, x2
 
 
@@ -46,38 +45,36 @@ def test_initialize_node_types():
 
 
 def test_assume_constant_parent_is_root():
-    g = SymState()
+    g = SymState(rng(), CastLog())
     backend = DsBackend()
-    x = backend.assume(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)), g, rng(), CastLog())
+    x = backend.assume(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)), g)
     assert isinstance(g.node(x), MargRootN)
 
 
 def test_conjugate_dist_forces_nonconjugate_parents():
     # sum of two invgammas as a mean: neither parent is conjugate
-    g = SymState()
+    g = SymState(rng(), CastLog())
     backend = DsBackend()
-    casts = CastLog()
-    q = backend.assume(Annotation.NONE, DInvGamma(VConst(1.0), VConst(1.0)), g, rng(), casts)
-    r = backend.assume(Annotation.NONE, DInvGamma(VConst(1.0), VConst(1.0)), g, rng(), casts)
-    x = backend.assume(Annotation.NONE, DNormal(add(VRV(q), VRV(r)), VConst(1.0)), g, rng(), casts)
+    q = backend.assume(Annotation.NONE, DInvGamma(VConst(1.0), VConst(1.0)), g)
+    r = backend.assume(Annotation.NONE, DInvGamma(VConst(1.0), VConst(1.0)), g)
+    x = backend.assume(Annotation.NONE, DNormal(add(VRV(q), VRV(r)), VConst(1.0)), g)
     assert g.is_realized(q) and g.is_realized(r)
     assert isinstance(g.node(x), MargRootN)
     validate_forest(g)
 
 
 def test_conjugate_dist_keeps_single_conjugate_parent():
-    g = SymState()
+    g = SymState(rng(), CastLog())
     backend = DsBackend()
-    casts = CastLog()
-    x = backend.assume(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)), g, rng(), casts)
-    y = backend.assume(Annotation.NONE, DNormal(mul(VConst(2.0), VRV(x)), VConst(1.0)), g, rng(), casts)
+    x = backend.assume(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)), g)
+    y = backend.assume(Annotation.NONE, DNormal(mul(VConst(2.0), VRV(x)), VConst(1.0)), g)
     assert not g.is_realized(x)
     assert isinstance(g.node(y), InitN)
 
 
 def test_graft_marginalizes_chain():
     g, backend, x1, x2 = setup_chain()
-    backend.graft(x2, g, rng(), CastLog())
+    backend.graft(x2, g)
     node = g.node(x2)
     assert isinstance(node, MargN) and node.parent == x1
     d = g.eval_distr(g.distr(x2))
@@ -87,41 +84,39 @@ def test_graft_marginalizes_chain():
 
 
 def test_graft_on_terminal_root_is_identity():
-    g = SymState()
+    g = SymState(rng(), CastLog())
     backend = DsBackend()
-    x = backend.assume(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)), g, rng(), CastLog())
+    x = backend.assume(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)), g)
     before = dict(g.entries)
-    backend.graft(x, g, rng(), CastLog())
+    backend.graft(x, g)
     assert g.entries == before
 
 
 def test_graft_prunes_marginalized_child():
     g, backend, x1, x2 = setup_chain()
-    backend.graft(x2, g, rng(), CastLog())  # x1 -- x2 marginalized path
-    casts = CastLog()
-    backend.graft(x1, g, rng(), casts)  # must prune (sample) x2
+    backend.graft(x2, g)  # x1 -- x2 marginalized path
+    backend.graft(x1, g)  # must prune (sample) x2
     assert g.is_realized(x2)
     assert isinstance(g.node(x2), RealizedN)
     validate_forest(g)
 
 
 def test_prune_samples_leaf_first():
-    g = SymState()
+    g = SymState(rng(), CastLog())
     backend = DsBackend()
-    casts = CastLog()
     order = []
-    x1 = backend.assume(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)), g, rng(), casts)
-    x2 = backend.assume(Annotation.NONE, DNormal(VRV(x1), VConst(1.0)), g, rng(), casts)
-    x3 = backend.assume(Annotation.NONE, DNormal(VRV(x2), VConst(1.0)), g, rng(), casts)
-    backend.graft(x3, g, rng(), casts)  # path x1 - x2 - x3
+    x1 = backend.assume(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)), g)
+    x2 = backend.assume(Annotation.NONE, DNormal(VRV(x1), VConst(1.0)), g)
+    x3 = backend.assume(Annotation.NONE, DNormal(VRV(x2), VConst(1.0)), g)
+    backend.graft(x3, g)  # path x1 - x2 - x3
     original_value = backend.value
 
-    def tracking_value(rid, g2, r2, c2):
+    def tracking_value(rid, g2):
         order.append(rid)
-        return original_value(rid, g2, r2, c2)
+        return original_value(rid, g2)
 
     backend.value = tracking_value
-    backend.prune(x2, g, rng(), casts)
+    backend.prune(x2, g)
     backend.value = original_value
     assert order == [x3, x2]  # leaf first
     validate_forest(g)
@@ -129,8 +124,7 @@ def test_prune_samples_leaf_first():
 
 def test_realize_updates_parent_posterior():
     g, backend, x1, x2 = setup_chain()
-    casts = CastLog()
-    w = backend.observe(x2, 1.0, g, rng(), casts)
+    w = backend.observe(x2, 1.0, g)
     assert abs(math.exp(w) - 0.21969564473386122) < 1e-12
     d1 = g.eval_distr(g.distr(x1))
     assert abs(d1.mu.v - 0.5) < 1e-12 and abs(d1.var.v - 0.5) < 1e-12
@@ -140,8 +134,7 @@ def test_realize_updates_parent_posterior():
 
 def test_realize_roots_initialized_children():
     g, backend, x1, x2 = setup_chain()
-    casts = CastLog()
-    backend.value(x1, g, rng(), casts)
+    backend.value(x1, g)
     node = g.node(x2)
     assert isinstance(node, MargRootN)
     d = g.eval_distr(g.distr(x2))
@@ -150,16 +143,15 @@ def test_realize_roots_initialized_children():
 
 
 def test_invgamma_variance_marginalizes_to_student_t():
-    g = SymState()
+    g = SymState(rng(), CastLog())
     backend = DsBackend()
-    casts = CastLog()
-    q = backend.assume(Annotation.NONE, DInvGamma(VConst(1.0), VConst(1.0)), g, rng(), casts)
-    x = backend.assume(Annotation.NONE, DNormal(VConst(0.0), VRV(q)), g, rng(), casts)
-    backend.graft(x, g, rng(), casts)
+    q = backend.assume(Annotation.NONE, DInvGamma(VConst(1.0), VConst(1.0)), g)
+    x = backend.assume(Annotation.NONE, DNormal(VConst(0.0), VRV(q)), g)
+    backend.graft(x, g)
     d = g.eval_distr(g.distr(x))
     assert isinstance(d, DStudentT)
     assert abs(d.dof.v - 2.0) < 1e-12 and abs(d.scale.v - 1.0) < 1e-12
-    v = backend.value(x, g, rng(), casts)
+    v = backend.value(x, g)
     dq = g.eval_distr(g.distr(q))
     assert isinstance(dq, DInvGamma)
     assert abs(dq.a.v - 1.5) < 1e-12
@@ -167,26 +159,25 @@ def test_invgamma_variance_marginalizes_to_student_t():
 
 
 def test_beta_bernoulli_realize():
-    g = SymState()
+    g = SymState(rng(), CastLog())
     backend = DsBackend()
-    casts = CastLog()
-    p = backend.assume(Annotation.NONE, DBeta(VConst(1.0), VConst(1.0)), g, rng(), casts)
-    f = backend.assume(Annotation.NONE, DBernoulli(VRV(p)), g, rng(), casts)
-    backend.graft(f, g, rng(), casts)
+    p = backend.assume(Annotation.NONE, DBeta(VConst(1.0), VConst(1.0)), g)
+    f = backend.assume(Annotation.NONE, DBernoulli(VRV(p)), g)
+    backend.graft(f, g)
     assert g.eval_distr(g.distr(f)) == DBernoulli(VConst(0.5))
-    w = backend.observe(f, True, g, rng(), casts)
+    w = backend.observe(f, True, g)
     assert abs(math.exp(w) - 0.5) < 1e-12
     dp = g.eval_distr(g.distr(p))
     assert isinstance(dp, DBeta) and dp.a.v == 2.0 and dp.b.v == 1.0
 
 
 def test_symbolic_node_on_prune_path_logs_cast():
-    g = SymState()
-    backend = DsBackend()
     casts = CastLog()
-    x1 = backend.assume(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)), g, rng(), casts)
-    x2 = backend.assume(Annotation.SYMBOLIC, DNormal(VRV(x1), VConst(1.0)), g, rng(), casts, label="x2")
-    backend.graft(x2, g, rng(), casts)
+    g = SymState(rng(), casts)
+    backend = DsBackend()
+    x1 = backend.assume(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)), g)
+    x2 = backend.assume(Annotation.SYMBOLIC, DNormal(VRV(x1), VConst(1.0)), g, label="x2")
+    backend.graft(x2, g)
     assert len(casts) == 0
-    backend.graft(x1, g, rng(), casts)  # prunes the symbolic marginalized child
+    backend.graft(x1, g)  # prunes the symbolic marginalized child
     assert [rid for rid, _ in casts.events] == [x2]

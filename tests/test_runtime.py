@@ -28,7 +28,7 @@ from symppl.lang import EConst, ELet, ELetRV, EVal, EVar, Expr, pattern_vars
 
 
 def make_particle(expr):
-    return Particle(expr, SymState(), 0.0, False, CastLog(), np.random.default_rng(0))
+    return Particle(expr, SymState(np.random.default_rng(0), CastLog()), 0.0, False)
 
 
 def run_src(src, data=VLst(()), n=1, seed=0, backend=None):
@@ -420,7 +420,7 @@ def test_paused_residual_is_closed_and_resumes_like_a_full_run():
     assert pauses == len(data.items)
     from symppl.interface import distribution
 
-    resumed = distribution(p.value, p.state, ev.backend, p.rng, CastLog())
+    resumed = distribution(p.value, p.state, ev.backend)
     assert str(resumed) == only_output(run_model(prog, 3, 0, SsiBackend(), data))
 
 

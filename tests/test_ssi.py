@@ -20,6 +20,7 @@ from symppl.sym import (
     VLst,
     VRV,
     add,
+    distr_rvs,
     mul,
     reachable,
     sub,
@@ -52,13 +53,13 @@ def test_swap_non_affine_returns_false():
 
 
 def test_hoist_chain_variance_addition():
-    g = SymState()
+    casts = CastLog()
+    g = SymState(rng(), casts)
     backend = SsiBackend()
     x1 = g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)))
     x2 = g.fresh(Annotation.NONE, DNormal(VRV(x1), VConst(1.0)))
     x3 = g.fresh(Annotation.NONE, DNormal(VRV(x2), VConst(1.0)))
-    casts = CastLog()
-    backend.hoist(x3, g, rng(), casts)
+    backend.hoist(x3, g)
     d = g.eval_distr(g.distr(x3))
     assert isinstance(d, DNormal)
     assert abs(d.mu.v - 0.0) < 1e-12 and abs(d.var.v - 3.0) < 1e-12
@@ -66,54 +67,54 @@ def test_hoist_chain_variance_addition():
 
 
 def test_hoist_already_root_is_identity():
-    g = SymState()
+    g = SymState(rng(), CastLog())
     backend = SsiBackend()
     x = g.fresh(Annotation.NONE, DNormal(VConst(1.0), VConst(2.0)))
     before = dict(g.entries)
-    backend.hoist(x, g, rng(), CastLog())
+    backend.hoist(x, g)
     assert g.entries == before
 
 
 def test_hoist_forces_nonconjugate_parent_with_cast():
     # variance is a sum of two invgammas: not conjugate, one parent forced
-    g = SymState()
+    casts = CastLog()
+    g = SymState(rng(), casts)
     backend = SsiBackend()
     r = g.fresh(Annotation.SYMBOLIC, DInvGamma(VConst(1.0), VConst(1.0)), label="r")
     other = g.fresh(Annotation.NONE, DInvGamma(VConst(1.0), VConst(10.0)))
     obs = g.fresh(Annotation.NONE, DNormal(VConst(0.0), add(VRV(r), VRV(other))))
-    casts = CastLog()
-    backend.hoist(obs, g, rng(), casts)
+    backend.hoist(obs, g)
     assert any(rid == r for rid, _ in casts.events)  # symbolic r was sampled
     d = g.eval_distr(g.distr(obs))
     assert not any(True for _ in ()) or isinstance(d, DNormal)
 
 
 def test_strict_mode_raises_cast_error():
-    g = SymState()
+    g = SymState(rng(), CastLog(strict=True))
     backend = SsiBackend()
     x = g.fresh(Annotation.SYMBOLIC, DNormal(VConst(0.0), VConst(1.0)), label="x")
     with pytest.raises(CastError):
-        backend.value(x, g, rng(), CastLog(strict=True))
+        backend.value(x, g)
 
 
 def test_value_logs_cast_only_for_symbolic():
-    g = SymState()
+    casts = CastLog()
+    g = SymState(rng(), casts)
     backend = SsiBackend()
     x = g.fresh(Annotation.SYMBOLIC, DNormal(VConst(0.0), VConst(1.0)))
     y = g.fresh(Annotation.SAMPLE, DNormal(VConst(0.0), VConst(1.0)))
-    casts = CastLog()
-    backend.value(x, g, rng(), casts)
-    backend.value(y, g, rng(), casts)
+    backend.value(x, g)
+    backend.value(y, g)
     assert [rid for rid, _ in casts.events] == [x]
 
 
 def test_value_on_realized_returns_constant():
-    g = SymState()
+    casts = CastLog()
+    g = SymState(rng(), casts)
     backend = SsiBackend()
     x = g.fresh(Annotation.SYMBOLIC, DSampledDelta(VConst(2.0)))
     before = dict(g.entries)
-    casts = CastLog()
-    assert backend.value(x, g, rng(), casts) == VConst(2.0)
+    assert backend.value(x, g) == VConst(2.0)
     assert g.entries == before and len(casts) == 0
 
 
@@ -135,6 +136,19 @@ def test_observe_after_intervene_delta_child():
     child = g.fresh(Annotation.NONE, DNormal(VRV(x), VConst(1.0)))
     intervene(x, DDelta(VConst(2.0)), g)
     assert g.eval_distr(g.distr(child)) == DNormal(VConst(2.0), VConst(1.0))
+
+
+def test_a_read_stores_its_evaluated_distribution():
+    # observing y leaves x's posterior conditioned on y, which is now realized
+    g = SymState(rng(), CastLog())
+    backend = SsiBackend()
+    x = backend.assume(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)), g)
+    y = backend.assume(Annotation.NONE, DNormal(VRV(x), VConst(1.0)), g)
+    backend.observe(y, 1.0, g)
+    d = g.distr(x)
+    assert not any(g.is_realized(r) for r in distr_rvs(d))
+    assert g.entries[x].distr is d
+    assert g.distr(x) is d
 
 
 def test_observe_on_delta_scores_zero():
@@ -188,39 +202,39 @@ def test_topo_sort_matches_full_closure_order():
 
 
 def test_value_star_forces_ascending():
-    g = SymState()
+    g = SymState(rng(), CastLog())
     backend = SsiBackend()
     x = g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)))
-    c = value_star(add(VRV(x), VConst(1.0)), g, backend, rng(), CastLog())
+    c = value_star(add(VRV(x), VConst(1.0)), g, backend)
     assert isinstance(c, VConst)
     assert g.is_realized(x)
 
 
 def test_distribution_of_two_node_chain():
-    g = SymState()
+    g = SymState(rng(), CastLog())
     backend = SsiBackend()
     x1 = g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)))
     x2 = g.fresh(Annotation.NONE, DNormal(VRV(x1), VConst(1.0)))
-    d = distribution(VRV(x2), g, backend, rng(), CastLog())
+    d = distribution(VRV(x2), g, backend)
     assert isinstance(d, DNormal)
     assert abs(d.mu.v) < 1e-12 and abs(d.var.v - 2.0) < 1e-12
 
 
 def test_distribution_of_constant():
-    g = SymState()
+    g = SymState(rng(), CastLog())
     backend = SsiBackend()
-    assert distribution(VConst(3.0), g, backend, rng(), CastLog()) == DDelta(VConst(3.0))
+    assert distribution(VConst(3.0), g, backend) == DDelta(VConst(3.0))
 
 
 def test_mixture_posterior_collapses_on_realized_guard():
     # beta-bernoulli posterior selects a branch once the child is realized
-    g = SymState()
+    g = SymState(rng(), CastLog())
     backend = SsiBackend()
     from symppl.sym import DBeta, DBernoulli
 
     p = g.fresh(Annotation.NONE, DBeta(VConst(1.0), VConst(1.0)))
     flag = g.fresh(Annotation.SAMPLE, DBernoulli(VRV(p)))
-    v = backend.value(flag, g, rng(), CastLog())
+    v = backend.value(flag, g)
     d = g.eval_distr(g.distr(p))
     assert isinstance(d, DBeta)
     expect = (2.0, 1.0) if v.v else (1.0, 2.0)
@@ -285,7 +299,7 @@ def terminated(program, data=None, seed=0):
 
     ev = Evaluator(program, SsiBackend())
     main = program.main if data is None else subst(program.main, {"data": data})
-    p = Particle(main, SymState(), 0.0, False, CastLog(), np.random.default_rng(seed))
+    p = Particle(main, SymState(np.random.default_rng(seed), CastLog()), 0.0, False)
     while True:
         ev.eval_particle(p)
         if not p.flag:
@@ -296,14 +310,15 @@ def terminated(program, data=None, seed=0):
 def hoist_marginals(values, g, rng):
     """Each output's marginal by hoisting it, as extraction did before the
     read-only pass: the reference for the fallback."""
+    g.rng, g.casts = rng, CastLog()
     out = []
     for v in values:
         if not isinstance(v, VRV):
-            out.append(DDelta(value_star(v, g, SsiBackend(), rng, CastLog())))
+            out.append(DDelta(value_star(v, g, SsiBackend())))
         elif (c := g.realized_value(v.rid)) is not None:
             out.append(DDelta(c))
         else:
-            SsiBackend().hoist(v.rid, g, rng, CastLog())
+            SsiBackend().hoist(v.rid, g)
             out.append(g.eval_distr(g.distr(v.rid)))
     return out
 
@@ -325,25 +340,26 @@ def test_extraction_leaves_the_state_untouched(monkeypatch):
     data, _ = data_for("noise", 0, 30)
     p = terminated(apply_plan(BENCHMARKS["noise"].program(), 3), data)
     g = p.state
+    for rid in list(g.entries):
+        g.distr(rid)  # a read stores its evaluated result
     before = dict(g.entries)
     forbid_state_changes(monkeypatch)
-    casts = CastLog()
-    xs, q, r = distribution(p.value, g, SsiBackend(), p.rng, casts)
+    g.casts = casts = CastLog()
+    xs, q, r = distribution(p.value, g, SsiBackend())
     assert g.entries == before and len(casts) == 0
     assert len(xs) == 30 and all(isinstance(d, DNormal) for d in xs)
 
 
 def test_extraction_of_a_long_chain_needs_no_stack(monkeypatch):
     # each variable conditioned on the next one, as filtering leaves them
-    g = SymState()
+    g = SymState(rng(), CastLog())
     rids = [g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)))]
     for _ in range(1499):
         rids.append(g.fresh(Annotation.NONE,
                             DNormal(add(mul(VConst(0.9), VRV(rids[-1])), VConst(0.1)),
                                     VConst(0.5))))
     forbid_state_changes(monkeypatch)
-    out = distribution(VLst(tuple(VRV(r) for r in reversed(rids))), g, SsiBackend(), rng(),
-                       CastLog())
+    out = distribution(VLst(tuple(VRV(r) for r in reversed(rids))), g, SsiBackend())
     assert len(out) == 1500
     assert all(math.isfinite(d.mu.v) and math.isfinite(d.var.v) for d in out)
     assert abs(out[0].var.v - (0.5 / (1 - 0.81) + 0.81 ** 1499 * (1 - 0.5 / 0.19))) < 1e-9
@@ -361,7 +377,8 @@ def test_two_parent_output_takes_the_hoist_path(monkeypatch):
     hoist = SsiBackend.hoist
     monkeypatch.setattr(SsiBackend, "hoist",
                         lambda self, rid, *args: hoisted.append(rid) or hoist(self, rid, *args))
-    d = distribution(p.value, p.state, SsiBackend(), rng(), CastLog())
+    p.state.rng = rng()
+    d = distribution(p.value, p.state, SsiBackend())
     assert hoisted == [p.value.rid]
     assert [d] == expected
     assert abs(d.mu.v) < 1e-12 and abs(d.var.v - 6.0) < 1e-12
@@ -376,7 +393,8 @@ def test_forcing_clears_the_memo(middle):
 
     p = terminated(parse(f"let a <- gaussian(0., 1.) in let b <- gaussian(a, 1.) in {middle}\n"))
     expected = hoist_marginals(p.value.items, p.state.copy(), rng())
-    first, mid, last = distribution(p.value, p.state, SsiBackend(), rng(), CastLog())
+    p.state.rng = rng()
+    first, mid, last = distribution(p.value, p.state, SsiBackend())
     assert first == DNormal(VConst(0.0), VConst(2.0))
     a = p.state.realized_value(0)
     assert a is not None and last == DNormal(a, VConst(1.0))  # b given the sampled a

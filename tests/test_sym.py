@@ -218,9 +218,9 @@ def test_each_family_is_declared_once(name):
 def test_sampled_and_observed_deltas_print_alike():
     import json
 
-    g = SymState()
+    g = SymState(np.random.default_rng(0))
     x = g.fresh(Annotation.NONE, DBernoulli(VConst(1.0)))
-    sampled, c = g.forced(x, np.random.default_rng(0))
+    sampled, c = g.forced(x)
     assert type(sampled) is DSampledDelta and sampled.v is c == VConst(True)
     observed = DDelta(c)
     assert sampled != observed  # kept apart in the state
