@@ -301,9 +301,9 @@ def read_csv(path: str) -> tuple[list[str], list[tuple[float, ...]]]:
 def data_value(rows: list[tuple[float, ...]], bool_columns: tuple[int, ...] = ()) -> Val:
     """Data rows as a list value: a one-column row is its value, a longer
     row a tuple; columns in ``bool_columns`` are read as booleans."""
-    rows = [tuple(VConst(bool(x) if i in bool_columns else x) for i, x in enumerate(r))
-            for r in rows]
-    return VLst(tuple(r[0] if len(r) == 1 else VTup(r) for r in rows))
+    values = [tuple(VConst(bool(x) if i in bool_columns else x) for i, x in enumerate(r))
+              for r in rows]
+    return VLst(tuple(v[0] if len(v) == 1 else VTup(v) for v in values))
 
 
 def data_for(name: str, seed: int, timesteps: int, variant: str = "prior") -> tuple[Val, dict]:
