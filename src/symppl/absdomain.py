@@ -488,7 +488,7 @@ class AbsState(SymState):
         self.labels = labels if labels is not None else {}
 
     def fresh(self, ann: Annotation, distr: Distr, node: AbsNode | None = None,
-              site: str = "", label: str = "") -> int:
+              label: str = "", site: str = "") -> int:
         rid = self.counter[0]
         self.counter[0] += 1
         self.entries[rid] = Entry(ann, widen_distr(distr), node)

@@ -16,6 +16,10 @@ its head, ``hd`` the element it returns, a fold each element as it is
 consumed), so the cost of one step does not grow with the lists a model
 carries along.
 
+Copies of one state share work that draws nothing: a resampled copy whose
+twin, the first copy of the same parent, has taken its step without a draw
+adopts that result, and reuses the twin's output tree on the same terms.
+
 ``Evaluator._run`` is the package's only evaluation loop: the analysis
 (``analysis.AbsInterp``) runs it over abstract values.
 """
@@ -23,7 +27,7 @@ carries along.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -139,6 +143,15 @@ def _as_list(v: Val, g: SymState, error: str) -> VLst:
     return v
 
 
+def _copy_state(g: SymState, rng: np.random.Generator | FirstDrawRng) -> SymState:
+    """A copy of ``g`` with generator ``rng`` and its own copy of the cast log."""
+    state = g.copy()
+    state.rng = rng
+    casts = state.casts = CastLog(g.casts.strict)
+    casts.events = list(g.casts.events)
+    return state
+
+
 @dataclass
 class Particle:
     cont: Expr
@@ -147,15 +160,22 @@ class Particle:
     flag: bool
     checkpoint: int | None = None  # site of the resample that paused us
     value: Val | None = None
+    # the first copy of this particle's parent in this round, whose step
+    # this particle takes over if that step drew nothing
+    twin: Particle | None = field(default=None, repr=False, compare=False)
 
     def copy_for_resample(self, rng: np.random.Generator | FirstDrawRng) -> "Particle":
         """An unpaused child with its own state, generator ``rng`` and copy
         of the cast log."""
-        state = self.state.copy()
-        state.rng = rng
-        casts = state.casts = CastLog(self.state.casts.strict)
-        casts.events = list(self.state.casts.events)
-        return Particle(self.cont, state, 0.0, False, self.checkpoint, self.value)
+        return Particle(self.cont, _copy_state(self.state, rng), 0.0, False,
+                        self.checkpoint, self.value)
+
+    def adopt(self, twin: "Particle") -> None:
+        """Take ``twin``'s result of a step that drew nothing, keeping this
+        particle's own generator."""
+        self.state = _copy_state(twin.state, self.state.rng)
+        self.cont, self.logw, self.flag = twin.cont, twin.logw, twin.flag
+        self.checkpoint, self.value = twin.checkpoint, twin.value
 
 
 class Evaluator:
@@ -265,9 +285,20 @@ class Evaluator:
     # --- particle evaluation ---
 
     def eval_particle(self, p: Particle) -> None:
-        """Run until the next checkpoint or termination."""
+        """Run until the next checkpoint or termination.
+
+        A particle whose twin has taken this step without a draw adopts
+        the twin's result instead: both started from equal states, so the
+        step would repeat the twin's.  Otherwise the twin is dropped.
+        """
         if p.flag:
             raise EvalError("particle already paused")
+        twin = p.twin
+        if (twin is not None and (twin.flag or twin.value is not None)
+                and not twin.state.rng.drawn):
+            p.adopt(twin)
+            return
+        p.twin = None
         r, interrupted = self._run(p.cont, {}, p)
         if interrupted:
             p.cont = r
@@ -385,7 +416,10 @@ class Evaluator:
 
 @dataclass
 class Mixture:
-    """Normalized per-particle output distributions."""
+    """Normalized per-particle output distributions.
+
+    Components may share one output tree, which is read-only.
+    """
 
     components: list[tuple[float, object]]  # (weight, tree of Distr)
     casts: list[tuple[int, str]]  # semantic casts, aggregated over particles
@@ -414,6 +448,11 @@ class FirstDrawRng:
         self._key = (seed, round_idx, i)
         self._gen = None
 
+    @property
+    def drawn(self) -> bool:
+        """Whether anything has been drawn, i.e. the generator was built."""
+        return self._gen is not None
+
     def __getattr__(self, name: str):
         # reached only for the generator's own names; each is then bound
         # on this object, so later draws do not come back here
@@ -429,6 +468,10 @@ def run_model(program: Program, n_particles: int, seed: int, backend: Backend,
     """Evaluate ``main`` with ``n_particles`` independent particles.
 
     Deterministic for a fixed ``(program, n_particles, seed, backend)``.
+    Copies of one state form a group: all particles in round 0, and the
+    copies of one parent after each resampling.  Every copy but the first
+    has the first as its ``twin``, and takes over its step and its output
+    tree when these drew nothing.
     """
     reset_intern()
     ev = Evaluator(program, backend)
@@ -437,6 +480,8 @@ def run_model(program: Program, n_particles: int, seed: int, backend: Backend,
         Particle(main, SymState(FirstDrawRng(seed, 0, i), CastLog(strict_casts)), 0.0, False)
         for i in range(n_particles)
     ]
+    for p in particles[1:]:
+        p.twin = particles[0]
     for round_idx in range(MAX_ROUNDS):
         for p in particles:
             if not p.flag and p.value is None:
@@ -451,8 +496,11 @@ def run_model(program: Program, n_particles: int, seed: int, backend: Backend,
         counts = rng.multinomial(n_particles, probs)
         fresh: list[Particle] = []
         for p, c in zip(particles, counts):
-            for _ in range(c):
-                fresh.append(p.copy_for_resample(FirstDrawRng(seed, round_idx + 1, len(fresh))))
+            group = [p.copy_for_resample(FirstDrawRng(seed, round_idx + 1, len(fresh) + k))
+                     for k in range(c)]
+            for child in group[1:]:
+                child.twin = group[0]
+            fresh += group
         particles = fresh
     else:
         raise EvalError("model did not terminate within the round limit")
@@ -461,12 +509,19 @@ def run_model(program: Program, n_particles: int, seed: int, backend: Backend,
     components = []
     casts: list[tuple[int, str]] = []
     out_casts = 0
+    shared = {}  # id of a twin -> (its output tree, its output casts), if it drew nothing
     for i, w in enumerate(probs):
         p, particles[i] = particles[i], None  # free each state once read
         casts.extend(p.state.casts.events)
-        p.state.casts = CastLog()  # counts only the forcing done to extract outputs
-        components.append((w, distribution(p.value, p.state, backend)))
-        out_casts += len(p.state.casts)
+        tree, n = shared.get(id(p.twin), (None, 0))
+        if tree is None:
+            p.state.casts = CastLog()  # counts only the forcing done to extract outputs
+            tree = distribution(p.value, p.state, backend)
+            n = len(p.state.casts)
+            if not p.state.rng.drawn:
+                shared[id(p)] = tree, n
+        components.append((w, tree))
+        out_casts += n
     return Mixture(components, casts, out_casts)
 
 

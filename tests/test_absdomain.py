@@ -125,9 +125,9 @@ def test_rename_join_example():
     # joining X1+1 under {X1 -> N(1,1)} with X2+2 under {X2 -> N(0,1)}
     # renames X2 to X1, giving X1+UnkC with X1 -> N(UnkC, 1)
     g1 = AbsState()
-    x1 = g1.fresh(Annotation.SYMBOLIC, DNormal(VConst(1.0), VConst(1.0)), None, "rv:0", "x1")
+    x1 = g1.fresh(Annotation.SYMBOLIC, DNormal(VConst(1.0), VConst(1.0)), None, "x1", "rv:0")
     g2 = AbsState(g1.counter, g1.sites, g1.labels)
-    x2 = g2.fresh(Annotation.SYMBOLIC, DNormal(VConst(0.0), VConst(1.0)), None, "rv:0", "x2")
+    x2 = g2.fresh(Annotation.SYMBOLIC, DNormal(VConst(0.0), VConst(1.0)), None, "x2", "rv:0")
     e1 = VAdd(VRV(x1), VConst(1.0))
     e2 = VAdd(VRV(x2), VConst(2.0))
     joined, gj = rename_join(e1, e2, g1, g2)

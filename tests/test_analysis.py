@@ -81,7 +81,7 @@ def test_analysis_deterministic():
 def test_abstract_value_fails_on_symbolic():
     g = AbsState()
     backend = AbsSsi()
-    rid = g.fresh(Annotation.SYMBOLIC, DNormal(VConst(0.0), VConst(1.0)), None, "rv:0", "x")
+    rid = g.fresh(Annotation.SYMBOLIC, DNormal(VConst(0.0), VConst(1.0)), None, "x", "rv:0")
     with pytest.raises(AnalysisFail):
         backend.value(rid, g)
 
@@ -89,7 +89,7 @@ def test_abstract_value_fails_on_symbolic():
 def test_abstract_value_on_sample_root():
     g = AbsState()
     backend = AbsSsi()
-    rid = g.fresh(Annotation.SAMPLE, DNormal(VConst(0.0), VConst(1.0)), None, "rv:0", "x")
+    rid = g.fresh(Annotation.SAMPLE, DNormal(VConst(0.0), VConst(1.0)), None, "x", "rv:0")
     assert backend.value(rid, g) == UNK
     assert g.realized_value(rid) is not None
 
@@ -97,8 +97,8 @@ def test_abstract_value_on_sample_root():
 def test_set_top_escalates_through_unknown_distribution():
     # parent has an unknown distribution over a symbolic ancestor: failure
     g = AbsState()
-    x3 = g.fresh(Annotation.SYMBOLIC, DNormal(VConst(1.0), VConst(1.0)), None, "rv:3", "x3")
-    x1 = g.fresh(Annotation.NONE, ADUnk(frozenset({x3})), None, "rv:1", "x1")
+    x3 = g.fresh(Annotation.SYMBOLIC, DNormal(VConst(1.0), VConst(1.0)), None, "x3", "rv:3")
+    x1 = g.fresh(Annotation.NONE, ADUnk(frozenset({x3})), None, "x1", "rv:1")
     with pytest.raises(AnalysisFail) as exc:
         set_top(g, x1)
     assert ("rv:3", "x3") in exc.value.witnesses
@@ -106,17 +106,17 @@ def test_set_top_escalates_through_unknown_distribution():
 
 def test_swap_on_unknown_prior_sets_top_and_fails_symbolic():
     g = AbsState()
-    x3 = g.fresh(Annotation.SYMBOLIC, DNormal(VConst(1.0), VConst(1.0)), None, "rv:3", "x3")
-    x1 = g.fresh(Annotation.NONE, ADUnk(frozenset({x3})), None, "rv:1", "x1")
-    x2 = g.fresh(Annotation.NONE, DNormal(VRV(x1), VConst(1.0)), None, "rv:2", "x2")
+    x3 = g.fresh(Annotation.SYMBOLIC, DNormal(VConst(1.0), VConst(1.0)), None, "x3", "rv:3")
+    x1 = g.fresh(Annotation.NONE, ADUnk(frozenset({x3})), None, "x1", "rv:1")
+    x2 = g.fresh(Annotation.NONE, DNormal(VRV(x1), VConst(1.0)), None, "x2", "rv:2")
     with pytest.raises(AnalysisFail):
         swap(x1, x2, g)
 
 
 def test_set_top_without_symbolic_just_tops():
     g = AbsState()
-    x3 = g.fresh(Annotation.SAMPLE, DNormal(VConst(1.0), VConst(1.0)), None, "rv:3", "x3")
-    x1 = g.fresh(Annotation.NONE, ADUnk(frozenset({x3})), None, "rv:1", "x1")
+    x3 = g.fresh(Annotation.SAMPLE, DNormal(VConst(1.0), VConst(1.0)), None, "x3", "rv:3")
+    x1 = g.fresh(Annotation.NONE, ADUnk(frozenset({x3})), None, "x1", "rv:1")
     set_top(g, x1)
     assert isinstance(g.distr(x1), ATopD)
     assert isinstance(g.distr(x3), ATopD)
@@ -126,9 +126,9 @@ def test_node_join_mismatch_escalates_to_symbolic_failure():
     from symppl.absdomain import join_states
 
     g1 = AbsState()
-    x1 = g1.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)), MargRootN(frozenset()), "rv:1", "x1")
-    x2 = g1.fresh(Annotation.NONE, DNormal(VRV(x1), VConst(1.0)), InitN(x1, frozenset()), "rv:2", "x2")
-    x3 = g1.fresh(Annotation.SYMBOLIC, DNormal(VRV(x2), VConst(1.0)), InitN(x2, frozenset()), "rv:3", "x3")
+    x1 = g1.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)), MargRootN(frozenset()), "x1", "rv:1")
+    x2 = g1.fresh(Annotation.NONE, DNormal(VRV(x1), VConst(1.0)), InitN(x1, frozenset()), "x2", "rv:2")
+    x3 = g1.fresh(Annotation.SYMBOLIC, DNormal(VRV(x2), VConst(1.0)), InitN(x2, frozenset()), "x3", "rv:3")
     g2 = g1.copy()
     g2.set_node(x2, MargN(x1, DNormal(VRV(x1), VConst(1.0)), frozenset({x3})))
     g2.set_node(x3, MargN(x2, DNormal(VRV(x2), VConst(1.0)), frozenset()))
@@ -221,8 +221,8 @@ def _entry(g, rid):
 
 def test_hoist_over_unknown_prior_forces_it():
     g = AbsState()
-    x1 = g.fresh(Annotation.NONE, ATopD(), None, "rv:1", "x1")
-    x2 = g.fresh(Annotation.NONE, DNormal(VRV(x1), VConst(1.0)), None, "rv:2", "x2")
+    x1 = g.fresh(Annotation.NONE, ATopD(), None, "x1", "rv:1")
+    x2 = g.fresh(Annotation.NONE, DNormal(VRV(x1), VConst(1.0)), None, "x2", "rv:2")
     AbsSsi().hoist(x2, g)
     assert g.realized_value(x1) == UNK
     assert g.parents(x2) == []
@@ -231,9 +231,9 @@ def test_hoist_over_unknown_prior_forces_it():
 
 def test_hoist_under_unknown_distribution_forces_symbolic_ancestor():
     g = AbsState()
-    x3 = g.fresh(Annotation.SYMBOLIC, DNormal(VConst(1.0), VConst(1.0)), None, "rv:3", "x3")
-    x1 = g.fresh(Annotation.NONE, ADUnk(frozenset({x3})), None, "rv:1", "x1")
-    x2 = g.fresh(Annotation.NONE, DNormal(VRV(x1), VConst(1.0)), None, "rv:2", "x2")
+    x3 = g.fresh(Annotation.SYMBOLIC, DNormal(VConst(1.0), VConst(1.0)), None, "x3", "rv:3")
+    x1 = g.fresh(Annotation.NONE, ADUnk(frozenset({x3})), None, "x1", "rv:1")
+    x2 = g.fresh(Annotation.NONE, DNormal(VRV(x1), VConst(1.0)), None, "x2", "rv:2")
     with pytest.raises(AnalysisFail) as exc:
         AbsSsi().value(x2, g)
     assert exc.value.witnesses == [("rv:3", "x3")]
@@ -243,14 +243,14 @@ def _cycle(ann_a, ann_b):
     """a and b each conditioned on the other, as a merging join can leave them."""
     g = AbsState()
     a, b = 0, 1
-    g.fresh(ann_a, DNormal(VRV(b), VConst(1.0)), None, "rv:0", "a")
-    g.fresh(ann_b, DNormal(VRV(a), VConst(1.0)), None, "rv:1", "b")
+    g.fresh(ann_a, DNormal(VRV(b), VConst(1.0)), None, "a", "rv:0")
+    g.fresh(ann_b, DNormal(VRV(a), VConst(1.0)), None, "b", "rv:1")
     return g, a, b
 
 
 def test_hoist_through_dependency_cycle_tops_it():
     g, a, b = _cycle(Annotation.NONE, Annotation.SAMPLE)
-    c = g.fresh(Annotation.NONE, DNormal(VRV(a), VConst(1.0)), None, "rv:2", "c")
+    c = g.fresh(Annotation.NONE, DNormal(VRV(a), VConst(1.0)), None, "c", "rv:2")
     AbsSsi().hoist(c, g)
     assert g.realized_value(a) == UNK
     assert isinstance(g.distr(b), ATopD)
@@ -259,7 +259,7 @@ def test_hoist_through_dependency_cycle_tops_it():
 
 def test_hoist_through_dependency_cycle_fails_on_symbolic_member():
     g, a, b = _cycle(Annotation.NONE, Annotation.SYMBOLIC)
-    c = g.fresh(Annotation.NONE, DNormal(VRV(a), VConst(1.0)), None, "rv:2", "c")
+    c = g.fresh(Annotation.NONE, DNormal(VRV(a), VConst(1.0)), None, "c", "rv:2")
     with pytest.raises(AnalysisFail) as exc:
         AbsSsi().hoist(c, g)
     assert exc.value.witnesses == [("rv:1", "b")]
@@ -267,7 +267,7 @@ def test_hoist_through_dependency_cycle_fails_on_symbolic_member():
 
 def test_hoist_over_cycle_among_parents():
     g, a, b = _cycle(Annotation.SAMPLE, Annotation.SAMPLE)
-    d = g.fresh(Annotation.NONE, DNormal(VAdd(VRV(a), VRV(b)), VConst(1.0)), None, "rv:3", "d")
+    d = g.fresh(Annotation.NONE, DNormal(VAdd(VRV(a), VRV(b)), VConst(1.0)), None, "d", "rv:3")
     AbsSsi().hoist(d, g)
     assert g.realized_value(a) == UNK and g.realized_value(b) == UNK
     assert g.parents(d) == []
@@ -276,8 +276,8 @@ def test_hoist_over_cycle_among_parents():
 def _ds_pair(parent_distr, child_cond, parent_node=None, ann=Annotation.NONE):
     """x1 a marginalized root, x2 initialized under it."""
     g = AbsState()
-    x1 = g.fresh(ann, parent_distr, parent_node or MargRootN(frozenset({1})), "rv:1", "x1")
-    x2 = g.fresh(Annotation.NONE, child_cond, InitN(x1, frozenset()), "rv:2", "x2")
+    x1 = g.fresh(ann, parent_distr, parent_node or MargRootN(frozenset({1})), "x1", "rv:1")
+    x2 = g.fresh(Annotation.NONE, child_cond, InitN(x1, frozenset()), "x2", "rv:2")
     return g, x1, x2
 
 
@@ -306,9 +306,9 @@ def test_graft_under_unknown_prior_tops_child_and_parent():
 def _ds_marginalized(parent_distr, cond):
     """x1 a marginalized root, x2 its marginalized child."""
     g = AbsState()
-    x1 = g.fresh(Annotation.NONE, parent_distr, MargRootN(frozenset({1})), "rv:1", "x1")
+    x1 = g.fresh(Annotation.NONE, parent_distr, MargRootN(frozenset({1})), "x1", "rv:1")
     x2 = g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(2.0)), MargN(x1, cond, frozenset()),
-                 "rv:2", "x2")
+                 "x2", "rv:2")
     return g, x1, x2
 
 
@@ -331,10 +331,10 @@ def test_realize_under_unknown_prior_tops_parent():
 def _two_marginalized_children(ann):
     g = AbsState()
     x1 = g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)),
-                 MargRootN(frozenset({1, 2})), "rv:1", "x1")
+                 MargRootN(frozenset({1, 2})), "x1", "rv:1")
     for i in (1, 2):
         g.fresh(ann, DNormal(VConst(0.0), VConst(2.0)),
-                MargN(x1, DNormal(VRV(x1), VConst(1.0)), frozenset()), f"rv:{i + 1}", f"x{i + 1}")
+                MargN(x1, DNormal(VRV(x1), VConst(1.0)), frozenset()), f"x{i + 1}", f"rv:{i + 1}")
     return g, x1
 
 
@@ -353,7 +353,7 @@ def test_graft_with_two_marginalized_children_fails_on_symbolic_child():
 
 def test_graft_on_top_node_tops_it():
     g = AbsState()
-    x = g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)), ATopN(frozenset()), "rv:0", "x")
+    x = g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)), ATopN(frozenset()), "x", "rv:0")
     AbsDs().graft(x, g)
     assert _entry(g, x) == ("ATopD", "ATopN")
     assert AbsDs().value(x, g) == UNK
@@ -362,7 +362,7 @@ def test_graft_on_top_node_tops_it():
 def test_graft_on_top_node_fails_on_symbolic():
     g = AbsState()
     x = g.fresh(Annotation.SYMBOLIC, DNormal(VConst(0.0), VConst(1.0)), ATopN(frozenset()),
-                "rv:0", "x")
+                "x", "rv:0")
     with pytest.raises(AnalysisFail) as exc:
         AbsDs().graft(x, g)
     assert exc.value.witnesses == [("rv:0", "x")]
@@ -377,7 +377,7 @@ def test_graft_under_top_parent_tops_the_pair():
 
 def test_graft_on_realized_node_fails():
     g = AbsState()
-    x = g.fresh(Annotation.SAMPLE, DNormal(VConst(0.0), VConst(1.0)), RealizedN(), "rv:0", "x")
+    x = g.fresh(Annotation.SAMPLE, DNormal(VConst(0.0), VConst(1.0)), RealizedN(), "x", "rv:0")
     with pytest.raises(AnalysisFail) as exc:
         AbsDs().graft(x, g)
     assert exc.value.witnesses == [("rv:0", "x")]
@@ -418,7 +418,7 @@ def test_analysis_state_is_the_runtime_state(monkeypatch):
     for name in ("AbsEntry", "abs_reachable", "abs_weak_eq", "set_ann", "ADSampledDelta"):
         assert not hasattr(absdomain, name)
     g = AbsState()
-    g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)), None, "rv:0", "x")
+    g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)), None, "x", "rv:0")
     # a forced sample is the runtime's sampled delta, on some constant
     d, v = g.copy().forced(0)
     assert type(d) is sym.DSampledDelta and d.v is v is UNK
@@ -462,11 +462,11 @@ def test_weak_eq_follows_delayed_sampling_edges():
     def state(x1_mean, x3_mean, node=MargN):
         g = AbsState()
         x1 = g.fresh(Annotation.NONE, DNormal(VConst(x1_mean), VConst(1.0)),
-                     MargRootN(frozenset({2})), "rv:1", "x1")
-        x3 = g.fresh(Annotation.NONE, DNormal(VConst(x3_mean), VConst(1.0)), None, "rv:3", "x3")
+                     MargRootN(frozenset({2})), "x1", "rv:1")
+        x3 = g.fresh(Annotation.NONE, DNormal(VConst(x3_mean), VConst(1.0)), None, "x3", "rv:3")
         cond = DNormal(VAdd(VRV(x1), VRV(x3)), VConst(1.0))
         n = MargN(x1, cond, frozenset()) if node is MargN else InitN(x1, frozenset())
-        x2 = g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(2.0)), n, "rv:2", "x2")
+        x2 = g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(2.0)), n, "x2", "rv:2")
         return g, VRV(x2)
 
     g, e = state(0.0, 0.0)

@@ -464,3 +464,107 @@ def test_substitution_only_closes_paused_frames(monkeypatch):
         monkeypatch.undo()
         per_pause.append((calls[0] - 1) / (2 * timesteps))  # one call closes ``main``
     assert per_pause[0] == per_pause[1] <= 2
+
+
+def model_run(model, plan, backend, particles, timesteps, seed=0):
+    from symppl.benchmarks import BENCHMARKS
+
+    program = apply_plan(BENCHMARKS[model].program(), plan)
+    data, _ = data_for(model, seed, timesteps)
+    return run_model(program, particles, seed, backend, data)
+
+
+def every_particle_evaluates(monkeypatch):
+    """Makes every generator look drawn, so no particle adopts a twin's step
+    or output tree."""
+    monkeypatch.setattr(runtime.FirstDrawRng, "drawn", property(lambda self: True))
+
+
+@pytest.mark.parametrize("model,plan,backend,particles,timesteps,shares", [
+    ("noise", 3, SsiBackend, 16, 30, True),
+    ("tree", 1, SsiBackend, 4, 8, True),
+    ("tree", 1, DsBackend, 4, 8, True),
+    ("slam", 0, SsiBackend, 4, 8, True),
+    ("noise", 4, DsBackend, 4, 8, False),
+], ids=["noise3-ssi", "tree1-ssi", "tree1-ds", "slam0-ssi", "noise4-ds"])
+def test_shared_steps_and_outputs_do_not_change_the_mixture(
+        monkeypatch, model, plan, backend, particles, timesteps, shares):
+    adopted = counting(monkeypatch, Particle, "adopt")
+    mix = model_run(model, plan, backend(), particles, timesteps)
+    assert (adopted[0] > 0) == shares
+    every_particle_evaluates(monkeypatch)
+    adopted[0] = 0
+    alone = model_run(model, plan, backend(), particles, timesteps)
+    assert adopted[0] == 0
+    assert repr(mix.components) == repr(alone.components)
+    assert mix.casts == alone.casts and mix.output_casts == alone.output_casts
+
+
+# r is symbolic and draws nothing in round 0, so copies adopt that step;
+# round 1 samples ``other`` and then forces r
+CAST_AFTER_A_SHARED_STEP = """
+let symbolic r <- invgamma(1., 1.) in
+let () = resample() in
+let other <- invgamma(1., 10.) in
+let () = observe(gaussian(0., r + other), 0.3) in
+r
+"""
+
+
+def test_casts_are_the_same_with_shared_steps(monkeypatch):
+    from symppl.interface import CastError
+
+    adopted = counting(monkeypatch, Particle, "adopt")
+    prog = parse(CAST_AFTER_A_SHARED_STEP)
+    outcomes = []
+    for share in (True, False):
+        if not share:
+            assert adopted[0] == 2 * 3  # round 0 of each run
+            every_particle_evaluates(monkeypatch)
+        mix = run_model(prog, 4, 0, SsiBackend(), VLst(()))
+        with pytest.raises(CastError) as err:
+            run_model(prog, 4, 0, SsiBackend(), VLst(()), strict_casts=True)
+        outcomes.append((mix.casts, str(err.value)))
+    assert len(outcomes[0][0]) == 4  # each particle forces its own r once
+    assert outcomes[0] == outcomes[1]
+
+
+def first_draw_particle(expr, i):
+    return Particle(expr, SymState(runtime.FirstDrawRng(0, 0, i), CastLog()), 0.0, False)
+
+
+def twins(src):
+    prog = parse(src)
+    ev = Evaluator(prog, SsiBackend())
+    first = first_draw_particle(prog.main, 0)
+    second = first_draw_particle(prog.main, 1)
+    second.twin = first
+    return ev, first, second
+
+
+def test_a_draw_free_step_is_adopted_with_a_state_of_its_own():
+    ev, first, second = twins("let symbolic x <- gaussian(0., 1.) in let () = resample() in x")
+    ev.eval_particle(first)
+    ev.eval_particle(second)
+    assert second.twin is first and second.flag and second.cont is first.cont
+    assert second.state is not first.state and second.state.entries == first.state.entries
+    assert second.state.casts is not first.state.casts
+    assert second.state.rng is not first.state.rng and not second.state.rng.drawn
+
+
+def test_a_twin_that_drew_is_not_adopted(monkeypatch):
+    adopted = counting(monkeypatch, Particle, "adopt")
+    ev, first, second = twins("let sample x <- gaussian(0., 1.) in x")
+    ev.eval_particle(first)
+    assert first.state.rng.drawn
+    ev.eval_particle(second)
+    assert adopted[0] == 0 and second.twin is None
+    assert second.value != first.value  # a draw of its own generator
+
+
+def test_a_twin_that_has_not_stepped_is_not_adopted(monkeypatch):
+    adopted = counting(monkeypatch, Particle, "adopt")
+    ev, first, second = twins("let symbolic x <- gaussian(0., 1.) in x")
+    ev.eval_particle(second)
+    assert adopted[0] == 0 and second.twin is None and second.value is not None
+    assert first.value is None and not first.flag
