@@ -509,12 +509,13 @@ def run_model(program: Program, n_particles: int, seed: int, backend: Backend,
     components = []
     casts: list[tuple[int, str]] = []
     out_casts = 0
-    shared = {}  # id of a twin -> (its output tree, its output casts), if it drew nothing
+    shared = {}  # id of a particle -> its output tree and output casts, if extracting drew nothing
     for i, w in enumerate(probs):
         p, particles[i] = particles[i], None  # free each state once read
         casts.extend(p.state.casts.events)
-        tree, n = shared.get(id(p.twin), (None, 0))
-        if tree is None:
+        if id(p.twin) in shared:
+            tree, n = shared[id(p.twin)]
+        else:
             p.state.casts = CastLog()  # counts only the forcing done to extract outputs
             tree = distribution(p.value, p.state, backend)
             n = len(p.state.casts)

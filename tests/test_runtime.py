@@ -212,12 +212,16 @@ r
     assert len(mix.casts) == 1
 
 
-def noise_run(plan, backend, particles, timesteps, seed=0):
+def model_run(model, plan, backend, particles, timesteps, seed=0):
     from symppl.benchmarks import BENCHMARKS
 
-    program = apply_plan(BENCHMARKS["noise"].program(), plan)
-    data, _ = data_for("noise", seed, timesteps)
+    program = apply_plan(BENCHMARKS[model].program(), plan)
+    data, _ = data_for(model, seed, timesteps)
     return run_model(program, particles, seed, backend, data)
+
+
+def noise_run(plan, backend, particles, timesteps, seed=0):
+    return model_run("noise", plan, backend, particles, timesteps, seed)
 
 
 def eval_value_calls_per_step(monkeypatch, plan, backend, timesteps, particles=2):
@@ -464,14 +468,6 @@ def test_substitution_only_closes_paused_frames(monkeypatch):
         monkeypatch.undo()
         per_pause.append((calls[0] - 1) / (2 * timesteps))  # one call closes ``main``
     assert per_pause[0] == per_pause[1] <= 2
-
-
-def model_run(model, plan, backend, particles, timesteps, seed=0):
-    from symppl.benchmarks import BENCHMARKS
-
-    program = apply_plan(BENCHMARKS[model].program(), plan)
-    data, _ = data_for(model, seed, timesteps)
-    return run_model(program, particles, seed, backend, data)
 
 
 def every_particle_evaluates(monkeypatch):
