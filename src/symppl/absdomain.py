@@ -30,10 +30,8 @@ are each some constant, and ``give_up``, which over-approximates with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ds import InitN, MargN, MargRootN, RealizedN
-from .lang import Annotation
+from .lang import Annotation, immutable
 from .sym import (
     _CMP,
     CONTAINERS,
@@ -81,17 +79,17 @@ class AnalysisFail(Exception):
 # Abstract-only values; the others are ``sym``'s ``VConst`` .. ``VLst``.
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class AUnkC(Val):
     """Some constant."""
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class ATopE(Val):
     """Any expression."""
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class AEUnk(_Node):
     """Some expression over the variables ``fv``."""
 
@@ -101,7 +99,7 @@ class AEUnk(_Node):
         object.__setattr__(self, "_fv", tuple(sorted(self.fv)))
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class ALst(_List):
     """A list of known leading ``items`` and an unknown suffix over the
     variables ``tail``."""
@@ -125,13 +123,13 @@ TOP_E = ATopE()
 # ``DMixIte`` with abstract parameters.
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class ADUnk(Distr):
     fv: frozenset[int]
     unknown = True
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class ATopD(Distr):
     unknown = True
 
@@ -142,7 +140,7 @@ TOP_D = ATopD()
 # The delayed-sampling node lattice: ``ds``'s nodes and a top.
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class ATopN:
     children: frozenset[int]
 
@@ -496,8 +494,8 @@ class AbsState(SymState):
         self.labels[rid] = label or site
         return rid
 
-    def set_distr(self, rid: int, d: Distr) -> None:
-        super().set_distr(rid, widen_distr(d))
+    def set_distr(self, rid: int, d: Distr, node: AbsNode | None = None) -> None:
+        super().set_distr(rid, widen_distr(d), node)
 
     def deps(self, rid: int) -> frozenset[int]:
         """The variables of the stored distribution and the node's edges."""

@@ -44,7 +44,7 @@ from .absdomain import (
     suffix_vars,
 )
 from .ds import DsBackend
-from .lang import Expr, Pattern, Program, PTuple
+from .lang import Expr, Pattern, Program, PTuple, immutable
 from .runtime import Evaluator, match_pattern, pattern_mismatch, subst as esubst
 from .ssi import SsiBackend
 from .sym import UNIT, EvalError, VConst, VLst, VTup, Val, _List, weak_eq
@@ -56,7 +56,7 @@ class AnalysisError(EvalError):
     """A program the analysis cannot interpret (a limit, not a verdict)."""
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class Verdict:
     satisfiable: bool
     witnesses: tuple[tuple[str, str], ...] = ()

@@ -9,19 +9,18 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from importlib import resources
 from typing import Callable
 
 import numpy as np
 
 from .parser import parse
-from .lang import Program
+from .lang import Program, immutable
 from .runtime import Mixture, posterior_stats
 from .sym import VConst, VLst, VTup, Val
 
 
-@dataclass(frozen=True)
+@immutable
 class VarSpec:
     """Where one evaluated variable lives in the output tuple."""
 
@@ -30,7 +29,7 @@ class VarSpec:
     series: bool  # one entry per timestep vs a single value
 
 
-@dataclass(frozen=True)
+@immutable
 class BenchmarkSpec:
     name: str
     data_columns: tuple[str, ...]

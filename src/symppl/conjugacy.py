@@ -18,9 +18,13 @@ nodes; the runtime applies the rules through its smart constructors
 exactly the pairs the runtime does.  The backends take the algebra from
 their state (``g.alg``).
 
-``swap`` gives an SSI swap both halves from one rule match.  ``marginal``
-and ``posterior`` each match on their own: delayed sampling needs them at
-different times, and output extraction needs only the marginal.
+Each application of a rule matches it once: ``swap`` gives an SSI swap
+both halves from one match, and ``marginal`` and ``posterior`` each match on
+their own, since delayed sampling needs them at different times and output
+extraction needs only the marginal.  ``match_case`` is the one matcher; the
+affine decomposition it finds for a linear-Gaussian child is handed to the
+rule's shared parts (``_parts``), so the child's mean is decomposed once
+per application.
 
 ``posterior`` expressions reference the child through ``child_ref``, which
 is the child variable during a swap and a realized constant during a
@@ -47,7 +51,7 @@ from .sym import (
 
 
 def _free(v, allow: frozenset[int], alg: Algebra) -> bool:
-    return all(r in allow for r in free_vars(v)) and not alg.has_top(v)
+    return isinstance(v, VConst) or (allow.issuperset(free_vars(v)) and not alg.has_top(v))
 
 
 def affine_of(e, rid: int, alg: Algebra = CONCRETE):
@@ -59,7 +63,8 @@ def affine_of(e, rid: int, alg: Algebra = CONCRETE):
         return None if alg.has_top(e) else (VConst(0.0), e)
     op = ARITH.get(type(e))
     if op is None:
-        return (VConst(1.0), VConst(0.0)) if e == VRV(rid) else None
+        # a variable with ``rid`` free is ``rid`` itself
+        return (VConst(1.0), VConst(0.0)) if isinstance(e, VRV) else None
     cl, cr = affine_of(e.left, rid, alg), affine_of(e.right, rid, alg)
     if cl is None or cr is None:
         return None
@@ -87,27 +92,30 @@ BERNOULLI_BERNOULLI = "bernoulli_bernoulli"
 
 
 def match_case(prior: Distr, cond: Distr, par: int,
-               allow: frozenset[int] = frozenset(), alg: Algebra = CONCRETE) -> str | None:
+               allow: frozenset[int] = frozenset(), alg: Algebra = CONCRETE,
+               found: list | None = None) -> str | None:
     """Which conjugacy case applies for ``cond`` as a child of ``par``.
 
     Both distributions must be pre-evaluated.  ``allow`` lists variables to
     treat as constants (used when choosing which extra parents to force).
+    A linear-Gaussian match appends the affine decomposition ``(a, b)`` of
+    the child's mean to ``found``, when given, for the rule to apply.
     """
     match prior, cond:
         case DNormal(_, var0), DNormal(mu, var):
-            if (
-                _free(var0, allow, alg)
-                and _free(var, allow, alg)
-                and par in free_vars(mu)
-                and affine_of(mu, par, alg) is not None
-            ):
-                return LINEAR_GAUSSIAN
+            if _free(var0, allow, alg) and _free(var, allow, alg) and par in free_vars(mu):
+                ab = affine_of(mu, par, alg)
+                if ab is not None:
+                    if found is not None:
+                        found.append(ab)
+                    return LINEAR_GAUSSIAN
         case DBeta(a, b), DBernoulli(p):
-            if p == VRV(par) and _free(a, allow, alg) and _free(b, allow, alg):
+            if (isinstance(p, VRV) and p.rid == par and _free(a, allow, alg)
+                    and _free(b, allow, alg)):
                 return BETA_BERNOULLI
         case DInvGamma(a, b), DNormal(mu, var):
-            if (var == VRV(par) and _free(mu, allow, alg) and _free(a, allow, alg)
-                    and _free(b, allow, alg)):
+            if (isinstance(var, VRV) and var.rid == par and _free(mu, allow, alg)
+                    and _free(a, allow, alg) and _free(b, allow, alg)):
                 return INVGAMMA_VARIANCE
         case DBernoulli(_), DBernoulli(p2):
             # the parent's own probability may reference other live
@@ -117,22 +125,25 @@ def match_case(prior: Distr, cond: Distr, par: int,
     return None
 
 
-def _parts(case: str, prior: Distr, cond: Distr, par: int, alg: Algebra):
-    """What the marginal and the posterior of ``case`` both read: the
-    affine decomposition of a Gaussian child's mean and the parent-scaled
-    mean and variance, or the enumerated child probabilities."""
+def _parts(prior: Distr, cond: Distr, par: int, alg: Algebra):
+    """The case for ``cond`` as a child of ``par``, and what both its
+    marginal and its posterior read: the affine decomposition of a Gaussian
+    child's mean, as the match found it, and the parent-scaled mean and
+    variance, or the enumerated child probabilities."""
+    found = []
+    case = match_case(prior, cond, par, alg=alg, found=found)
     if case == LINEAR_GAUSSIAN:
-        a, b = affine_of(cond.mu, par, alg)
+        a, b = found[0]
         mu01 = alg.add(alg.mul(a, prior.mu), b)
         var01 = alg.mul(alg.mul(a, a), prior.var)
-        return a, b, mu01, var01
+        return case, (a, b, mu01, var01)
     if case == BERNOULLI_BERNOULLI:
         # the child's probability given a true parent, and its marginal
         p1 = prior.p
         p_t = alg.subst_rv(cond.p, par, VConst(True))
         p_f = alg.subst_rv(cond.p, par, VConst(False))
-        return p_t, alg.add(alg.mul(p1, p_t), alg.mul(alg.sub(VConst(1.0), p1), p_f))
-    return None
+        return case, (p_t, alg.add(alg.mul(p1, p_t), alg.mul(alg.sub(VConst(1.0), p1), p_f)))
+    return case, None
 
 
 def _marginal(case: str | None, prior: Distr, cond: Distr, alg: Algebra, parts) -> Distr | None:
@@ -178,23 +189,22 @@ def _posterior(case: str | None, prior: Distr, cond: Distr, child_ref, alg: Alge
 
 def marginal(prior: Distr, cond: Distr, par: int, alg: Algebra = CONCRETE) -> Distr | None:
     """Marginal distribution of the child after integrating out the parent."""
-    case = match_case(prior, cond, par, alg=alg)
-    return _marginal(case, prior, cond, alg, _parts(case, prior, cond, par, alg))
+    case, parts = _parts(prior, cond, par, alg)
+    return _marginal(case, prior, cond, alg, parts)
 
 
 def posterior(prior: Distr, cond: Distr, par: int, child_ref,
               alg: Algebra = CONCRETE) -> Distr | None:
     """Parent's distribution conditioned on the child taking ``child_ref``."""
-    case = match_case(prior, cond, par, alg=alg)
-    return _posterior(case, prior, cond, child_ref, alg, _parts(case, prior, cond, par, alg))
+    case, parts = _parts(prior, cond, par, alg)
+    return _posterior(case, prior, cond, child_ref, alg, parts)
 
 
 def swap(prior: Distr, cond: Distr, par: int, child_ref,
          alg: Algebra = CONCRETE) -> tuple[Distr, Distr] | None:
     """``(marginal, posterior)`` from one rule match, or None when no rule
     applies or the marginal has no closed form."""
-    case = match_case(prior, cond, par, alg=alg)
-    parts = _parts(case, prior, cond, par, alg)
+    case, parts = _parts(prior, cond, par, alg)
     marg = _marginal(case, prior, cond, alg, parts)
     if marg is None:
         return None

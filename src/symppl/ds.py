@@ -19,15 +19,14 @@ chain of any length costs no Python stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import ClassVar
 
 from . import conjugacy
-from .lang import Annotation
+from .lang import Annotation, immutable
 from .sym import DDelta, Distr, EvalError, SymState, VConst
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class MargRootN:
     children: frozenset[int]
 
@@ -35,7 +34,7 @@ class MargRootN:
         return MargRootN(children)
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class MargN:
     parent: int
     prior: Distr  # conditional distribution recorded at marginalize time
@@ -45,7 +44,7 @@ class MargN:
         return MargN(self.parent, self.prior, children)
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class InitN:
     parent: int
     children: frozenset[int]
@@ -54,7 +53,7 @@ class InitN:
         return InitN(self.parent, children)
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class RealizedN:
     children: ClassVar[frozenset[int]] = frozenset()
 
@@ -209,8 +208,7 @@ class DsBackend:
         if marg is None:
             g.give_up([rid, node.parent], f"conjugacy lost marginalizing {rid}")
             return
-        g.set_distr(rid, marg)
-        g.set_node(rid, MargN(node.parent, cond, node.children))
+        g.set_distr(rid, marg, MargN(node.parent, cond, node.children))
 
     def realize(self, rid: int, d: Distr, g: SymState) -> None:
         node = g.node(rid)
@@ -218,8 +216,7 @@ class DsBackend:
             raise EvalError(f"realize on non-terminal variable {rid}")
         if marginalized_child(g, node) is not None:
             raise EvalError(f"realize on variable {rid} with marginalized child")
-        g.set_distr(rid, d)
-        g.set_node(rid, RealizedN())
+        g.set_distr(rid, d, RealizedN())
         if isinstance(node, MargN):
             parent = node.parent
             prior = g.distr(parent)

@@ -8,13 +8,57 @@ and functions may not recurse.
 structural walk (``walk``, ``runtime.subst``, ``checker.apply_plan`` and
 ``checker.check``) keeps only its own cases and recurses through them for
 the rest, as ``sym.children``/``rebuild`` do for values.
+
+``immutable`` declares every node class of the package: expressions here,
+values, distributions and state entries in ``sym``, delayed-sampling nodes
+in ``ds`` and the abstract forms in ``absdomain``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from operator import attrgetter, is_
+
+
+def immutable(cls):
+    """``@dataclass(frozen=True, slots=True)`` with a constructor that
+    stores each field through its slot's member descriptor.
+
+    The dataclass's own frozen constructor pays ``object.__setattr__`` per
+    field, about twice a direct slot store, and nodes are built on every
+    filter step.  Equality, hashing, ``repr``, ``__match_args__``, field
+    defaults and keywords are the dataclass's.  Assigning or deleting any
+    attribute raises ``FrozenInstanceError`` (the dataclass's own check
+    fails with a ``TypeError`` on a name that is no field of a slotted
+    class).  A class with ``__post_init__`` has it called last, as the
+    dataclass would.
+    """
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    env, params, body = {}, [], []
+    for f in fields(cls):
+        if f.default_factory is not MISSING:
+            raise TypeError(f"{cls.__name__}.{f.name}: default_factory is not supported")
+        slot = next(k.__dict__[f.name] for k in cls.__mro__ if f.name in k.__dict__)
+        env[f"_set_{f.name}"] = slot.__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            env[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        body.append(f"    _set_{f.name}(self, {f.name})\n")
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()\n")
+    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body) or '    pass'}", env)
+    init = env["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    return cls
+
+
+def _frozen(self, name, *value):
+    raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
 
 
 class Annotation(enum.Enum):
@@ -43,34 +87,34 @@ class Expr:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class EConst(Expr):
     value: float | bool | None  # None is unit
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class EVal(Expr):
     """Runtime-substituted value leaf; never produced by the parser."""
 
     v: object
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class EVar(Expr):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class ETuple(Expr):
     items: tuple[Expr, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class EList(Expr):
     items: tuple[Expr, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class EOp(Expr):
     """Built-in operator application: arithmetic, comparisons, list ops."""
 
@@ -78,7 +122,7 @@ class EOp(Expr):
     args: tuple[Expr, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class ECall(Expr):
     """Application of a declared top-level function."""
 
@@ -86,21 +130,21 @@ class ECall(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class EIf(Expr):
     cond: Expr
     then: Expr
     orelse: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class ELet(Expr):
     pat: "Pattern"
     bound: Expr
     body: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class ELetRV(Expr):
     annotation: Annotation
     name: str
@@ -110,26 +154,26 @@ class ELetRV(Expr):
     site: int = field(default=-1, compare=False)  # source order of the declaration
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class EObserve(Expr):
     dist: str
     args: tuple[Expr, ...]
     value: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class EResample(Expr):
     site: int = field(default=-1, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class EFold(Expr):
     func: str
     lst: Expr
     init: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class EFoldRest(Expr):
     """Residual of a fold paused inside a step: ``acc`` is the paused
     step's residual, whose value is the accumulator, and ``items[pos:]`` are
@@ -149,34 +193,34 @@ class Pattern:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class PVar(Pattern):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class PWild(Pattern):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class PUnit(Pattern):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class PTuple(Pattern):
     items: tuple[Pattern, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class FunDecl:
     name: str
     param: Pattern
     body: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class Program:
     functions: tuple[FunDecl, ...]
     main: Expr

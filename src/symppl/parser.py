@@ -9,7 +9,6 @@ with ``resample()``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .lang import (
     BUILTIN_ARITIES,
@@ -34,6 +33,7 @@ from .lang import (
     PVar,
     PWild,
     Program,
+    immutable,
 )
 from .sym import DIST_ARITIES
 
@@ -45,7 +45,7 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class Token:
     kind: str
     text: str

@@ -19,14 +19,14 @@ variable: both return it without rebuilding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from itertools import chain
 from operator import attrgetter
 from typing import Callable
 
 import numpy as np
 
-from .lang import Annotation
+from .lang import Annotation, immutable
 
 
 class EvalError(Exception):
@@ -52,60 +52,60 @@ class _List(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class VConst(Val):
     v: float | bool | None
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class VRV(Val):
     rid: int
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class VAdd(_Node):
     left: Val
     right: Val
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class VSub(_Node):
     left: Val
     right: Val
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class VMul(_Node):
     left: Val
     right: Val
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class VDiv(_Node):
     left: Val
     right: Val
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class VIte(_Node):
     cond: Val
     then: Val
     orelse: Val
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class VCmp(_Node):
     op: str  # "=", "!=", "<", "<="
     left: Val
     right: Val
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class VTup(_Node):
     items: tuple[Val, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class VLst(_List):
     """A list of known length."""
 
@@ -321,8 +321,11 @@ def free_vars(v: Val) -> tuple[int, ...]:
     except AttributeError:
         pass
     fv = _union([free_vars(k) for k in children(v)])
-    object.__setattr__(v, "_fv", fv)
+    _set_fv(v, fv)
     return fv
+
+
+_set_fv = _Node._fv.__set__  # a slot store past the frozen ``__setattr__``
 
 
 def _union(parts: list[tuple[int, ...]]) -> tuple[int, ...]:
@@ -372,34 +375,34 @@ class Distr:
     unknown = False
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class DNormal(Distr):
     name = "gaussian"
     mu: Val
     var: Val
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class DBernoulli(Distr):
     name = "bernoulli"
     p: Val
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class DInvGamma(Distr):
     name = "invgamma"
     a: Val
     b: Val
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class DBeta(Distr):
     name = "beta"
     a: Val
     b: Val
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class DStudentT(Distr):
     name = "student_t"
     loc: Val
@@ -407,13 +410,13 @@ class DStudentT(Distr):
     scale: Val
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class DDelta(Distr):
     name = "delta"
     v: Val
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class DSampledDelta(DDelta):
     """A variable forced to a sample: a delta on the drawn value, kept
     apart from an observed one."""
@@ -424,7 +427,7 @@ FAMILIES = {cls.name: cls for cls in (DNormal, DInvGamma, DBeta, DBernoulli, DSt
 DIST_ARITIES = {name: len(cls.__match_args__) for name, cls in FAMILIES.items()}
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class DMixIte(Distr):
     """Conditional posterior: one of two distributions selected by a guard."""
 
@@ -491,7 +494,7 @@ def make_dist(name: str, args: tuple[Val, ...]) -> Distr:
 # --- the value operations of the conjugacy rules ---
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class Algebra:
     """The smart constructors of one value domain, and the value operations
     the conjugacy rules need beyond the shared node classes.
@@ -542,7 +545,7 @@ CONCRETE = Algebra(
 # --- symbolic state ---
 
 
-@dataclass(frozen=True, slots=True)
+@immutable
 class Entry:
     ann: Annotation
     distr: Distr
@@ -619,9 +622,11 @@ class SymState:
     def label(self, rid: int) -> str:
         return self.entries[rid].label
 
-    def set_distr(self, rid: int, d: Distr) -> None:
+    def set_distr(self, rid: int, d: Distr, node: object | None = None) -> None:
+        """Store ``d`` as the distribution of ``rid``, and ``node``, when
+        given, as its node in the same entry."""
         e = self.entries[rid]
-        self.entries[rid] = Entry(e.ann, d, e.node, e.label)
+        self.entries[rid] = Entry(e.ann, d, e.node if node is None else node, e.label)
 
     def set_node(self, rid: int, node) -> None:
         e = self.entries[rid]
@@ -716,7 +721,7 @@ class SymState:
                 return d
             return DMixIte(c, t, o)
         for p in distr_params(d):
-            if self._touches_realized(p):
+            if not isinstance(p, VConst) and self._touches_realized(p):
                 return map_params(d, self.eval_value)
         return d
 

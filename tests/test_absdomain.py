@@ -23,6 +23,7 @@ from symppl.absdomain import (
     rename_join,
     scalar_depth,
     widen,
+    widen_distr,
     widen_sets,
 )
 from symppl.lang import Annotation
@@ -112,6 +113,27 @@ def test_widen_depth_cap():
     assert widen(e) == e  # at the threshold: kept
     deeper = VAdd(e, VConst(1.0))
     assert widen(deeper) == AEUnk(frozenset({0}))
+
+
+def test_distribution_and_node_written_together_widen_as_set_distr_does():
+    from symppl.ds import InitN, MargN, RealizedN
+    from symppl.sym import DDelta
+
+    deep = VRV(0)
+    for _ in range(DEPTH_LIMIT + 1):
+        deep = VAdd(deep, VConst(1.0))
+    g = AbsState()
+    parent = g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)))
+    rid = g.fresh(Annotation.NONE, DNormal(VRV(parent), VConst(1.0)), InitN(parent, frozenset()))
+    for d, node in ((DNormal(deep, VConst(1.0)), MargN(parent, g.entries[rid].distr, frozenset())),
+                    (DDelta(deep), RealizedN())):
+        apart, together = g.copy(), g.copy()
+        apart.set_distr(rid, d)
+        apart.set_node(rid, node)
+        together.set_distr(rid, d, node)
+        assert together.entries[rid] == apart.entries[rid]
+        assert together.node(rid) is node
+        assert together.entries[rid].distr == widen_distr(d) != d
 
 
 def test_widen_set_cardinality_cap():

@@ -1,10 +1,14 @@
 """Parser, checker, pretty-printer, plan numbering, and the child map."""
 
+import dataclasses
+import importlib
+import pkgutil
 import sys
 from dataclasses import replace
 
 import pytest
 
+import symppl
 from symppl import apply_plan, check, enumerate_plans, parse, print_program, rv_sites
 from symppl.benchmarks import BENCHMARKS
 from symppl.checker import plan_annotations
@@ -33,7 +37,7 @@ from symppl.lang import (
 )
 from symppl.parser import ParseError, print_expr
 from symppl.runtime import subst
-from symppl.sym import VConst
+from symppl.sym import DDelta, Entry, VConst
 
 
 def test_minimal_let():
@@ -278,3 +282,60 @@ def test_apply_plan_rewrites_a_site_nested_in_every_form():
                 expected = rebuild(outer, kids[:i] + (replace(site, annotation=ann),)
                                    + kids[i + 1:])
                 assert apply_plan(prog, plan).main == expected
+
+
+def frozen_classes():
+    """Every frozen dataclass the package declares."""
+    out = []
+    for info in pkgutil.iter_modules(symppl.__path__):
+        module = importlib.import_module(f"symppl.{info.name}")
+        out += [cls for cls in vars(module).values()
+                if isinstance(cls, type) and cls.__module__ == module.__name__
+                and dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen]
+    return out
+
+
+FROZEN = frozen_classes()
+
+
+def test_every_node_class_is_found():
+    names = {cls.__name__ for cls in FROZEN}
+    assert {"EConst", "ELetRV", "VConst", "VAdd", "DNormal", "DSampledDelta", "Entry",
+            "MargN", "RealizedN", "AEUnk", "ALst", "ATopN", "Token", "Verdict"} <= names
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=lambda c: c.__name__)
+def test_immutable_constructor_contract(cls):
+    fields = dataclasses.fields(cls)
+    names = tuple(f.name for f in fields)
+    assert cls.__match_args__ == names
+    # hashable stand-ins, fresh per call: nothing checks the fields' types
+    args = [frozenset({i}) for i in range(len(fields))]
+    node = cls(*args)
+    assert all(getattr(node, f) is a for f, a in zip(names, args))
+    assert cls(**dict(zip(names, args))) == node
+    twin = cls(*[frozenset(a) for a in args])
+    assert twin == node and hash(twin) == hash(node)
+    assert repr(node).startswith(f"{cls.__name__}(")
+    for i, f in enumerate(fields):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, f.name, None)
+        other = cls(*args[:i], frozenset({-1}), *args[i + 1:])
+        assert (other == node) is not f.compare
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        node.extra = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del node.extra
+    required = [a for f, a in zip(fields, args) if f.default is dataclasses.MISSING]
+    defaulted = cls(*required)
+    for f in fields[len(required):]:
+        assert getattr(defaulted, f.name) == f.default
+
+
+def test_immutable_defaults_and_keywords():
+    d = DDelta(VConst(1.0))
+    e = Entry(Annotation.NONE, d, label="x#0")
+    assert (e.node, e.label) == (None, "x#0")
+    assert e == Entry(Annotation.NONE, d) and hash(e) == hash(Entry(Annotation.NONE, d))
+    assert ELetRV(Annotation.NONE, "x", "delta", (), EVar("x")).site == -1
+    assert replace(e, node=1) == Entry(Annotation.NONE, d, 1)

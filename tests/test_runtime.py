@@ -296,6 +296,33 @@ def test_ds_matches_six_rules_per_particle_step(monkeypatch):
     assert matches[0] == 6 * 2 * 20
 
 
+def test_one_affine_decomposition_per_linear_gaussian_rule_application(monkeypatch):
+    import symppl.conjugacy as conjugacy
+
+    # the match's decomposition of the child's mean is the one the rule
+    # applies: nothing decomposes it a second time
+    linear, top, depth = [0], [0], [0]
+    match_case, affine_of = conjugacy.match_case, conjugacy.affine_of
+
+    def counted_match(*args, **kwargs):
+        case = match_case(*args, **kwargs)
+        linear[0] += case == conjugacy.LINEAR_GAUSSIAN
+        return case
+
+    def counted_affine(*args):
+        top[0] += not depth[0]  # recursion into subterms is not counted
+        depth[0] += 1
+        try:
+            return affine_of(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(conjugacy, "match_case", counted_match)
+    monkeypatch.setattr(conjugacy, "affine_of", counted_affine)
+    noise_run(3, SsiBackend(), 2, 20)
+    assert linear[0] > 0 and top[0] == linear[0]
+
+
 def test_resampled_particles_that_never_draw_build_no_generator(monkeypatch):
     built = []
     original = runtime._particle_rng

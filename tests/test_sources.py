@@ -36,3 +36,33 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def frozen_dataclasses(source: str) -> list[str]:
+    """Classes declared with ``dataclass(frozen=True, ...)``, which builds
+    each field through ``object.__setattr__``: ``lang.immutable`` is the
+    package's declaration of an immutable class."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for dec in node.decorator_list:
+            if (isinstance(dec, ast.Call)
+                    and getattr(dec.func, "id", getattr(dec.func, "attr", None)) == "dataclass"
+                    and any(k.arg == "frozen" and getattr(k.value, "value", False)
+                            for k in dec.keywords)):
+                out.append(node.name)
+    return out
+
+
+def test_frozen_dataclass_is_found():
+    source = ("@dataclass(frozen=True, slots=True)\nclass A:\n    x: int\n"
+              "@dataclasses.dataclass(frozen=True)\nclass B:\n    pass\n"
+              "@dataclass(slots=True)\nclass C:\n    pass\n"
+              "@immutable\nclass D:\n    pass\n")
+    assert frozen_dataclasses(source) == ["A", "B"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_frozen_dataclass(path):
+    assert frozen_dataclasses(path.read_text()) == []
