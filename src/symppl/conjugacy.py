@@ -50,6 +50,9 @@ from .sym import (
 )
 
 
+ZERO, ONE = VConst(0.0), VConst(1.0)
+
+
 def _free(v, allow: frozenset[int], alg: Algebra) -> bool:
     return isinstance(v, VConst) or (allow.issuperset(free_vars(v)) and not alg.has_top(v))
 
@@ -60,11 +63,11 @@ def affine_of(e, rid: int, alg: Algebra = CONCRETE):
     Coefficients may reference other live variables.
     """
     if rid not in free_vars(e):
-        return None if alg.has_top(e) else (VConst(0.0), e)
+        return None if alg.has_top(e) else (ZERO, e)
     op = ARITH.get(type(e))
     if op is None:
         # a variable with ``rid`` free is ``rid`` itself
-        return (VConst(1.0), VConst(0.0)) if isinstance(e, VRV) else None
+        return (ONE, ZERO) if isinstance(e, VRV) else None
     cl, cr = affine_of(e.left, rid, alg), affine_of(e.right, rid, alg)
     if cl is None or cr is None:
         return None
@@ -73,14 +76,13 @@ def affine_of(e, rid: int, alg: Algebra = CONCRETE):
         return (alg.add(a1, a2), alg.add(b1, b2))
     if op == "-":
         return (alg.sub(a1, a2), alg.sub(b1, b2))
-    zero = VConst(0.0)
     if op == "*":
-        if a1 == zero:
+        if a1 == ZERO:
             return (alg.mul(b1, a2), alg.mul(b1, b2))
-        if a2 == zero:
+        if a2 == ZERO:
             return (alg.mul(a1, b2), alg.mul(b1, b2))
         return None  # quadratic in rid
-    if a2 == zero:
+    if a2 == ZERO:
         return (alg.div(a1, b2), alg.div(b1, b2))
     return None
 
@@ -142,7 +144,7 @@ def _parts(prior: Distr, cond: Distr, par: int, alg: Algebra):
         p1 = prior.p
         p_t = alg.subst_rv(cond.p, par, VConst(True))
         p_f = alg.subst_rv(cond.p, par, VConst(False))
-        return case, (p_t, alg.add(alg.mul(p1, p_t), alg.mul(alg.sub(VConst(1.0), p1), p_f)))
+        return case, (p_t, alg.add(alg.mul(p1, p_t), alg.mul(alg.sub(ONE, p1), p_f)))
     return case, None
 
 
@@ -165,16 +167,15 @@ def _marginal(case: str | None, prior: Distr, cond: Distr, alg: Algebra, parts) 
 
 def _posterior(case: str | None, prior: Distr, cond: Distr, child_ref, alg: Algebra,
                parts) -> Distr | None:
-    one = VConst(1.0)
     if case == LINEAR_GAUSSIAN:
         a, b, mu01, var01 = parts
         var = cond.var
-        var02 = alg.div(one, alg.add(alg.div(one, var01), alg.div(one, var)))
+        var02 = alg.div(ONE, alg.add(alg.div(ONE, var01), alg.div(ONE, var)))
         mu02 = alg.mul(alg.add(alg.div(mu01, var01), alg.div(child_ref, var)), var02)
         return DNormal(alg.div(alg.sub(mu02, b), a), alg.div(var02, alg.mul(a, a)))
     if case == BETA_BERNOULLI:
         a, b = prior.a, prior.b
-        return DMixIte(child_ref, DBeta(alg.add(a, one), b), DBeta(a, alg.add(b, one)))
+        return DMixIte(child_ref, DBeta(alg.add(a, ONE), b), DBeta(a, alg.add(b, ONE)))
     if case == INVGAMMA_VARIANCE:
         resid = alg.sub(child_ref, cond.mu)
         return DInvGamma(alg.add(prior.a, VConst(0.5)),
@@ -182,7 +183,7 @@ def _posterior(case: str | None, prior: Distr, cond: Distr, child_ref, alg: Alge
     if case == BERNOULLI_BERNOULLI:
         p_t, marg = parts
         pos_t = alg.div_total(alg.mul(prior.p, p_t), marg)
-        pos_f = alg.div_total(alg.mul(prior.p, alg.sub(one, p_t)), alg.sub(one, marg))
+        pos_f = alg.div_total(alg.mul(prior.p, alg.sub(ONE, p_t)), alg.sub(ONE, marg))
         return DMixIte(child_ref, DBernoulli(pos_t), DBernoulli(pos_f))
     return None
 

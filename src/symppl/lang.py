@@ -37,8 +37,6 @@ def immutable(cls):
     cls = dataclass(frozen=True, slots=True, init=False)(cls)
     env, params, body = {}, [], []
     for f in fields(cls):
-        if f.default_factory is not MISSING:
-            raise TypeError(f"{cls.__name__}.{f.name}: default_factory is not supported")
         slot = next(k.__dict__[f.name] for k in cls.__mro__ if f.name in k.__dict__)
         env[f"_set_{f.name}"] = slot.__set__
         if f.default is MISSING:
@@ -49,7 +47,8 @@ def immutable(cls):
         body.append(f"    _set_{f.name}(self, {f.name})\n")
     if hasattr(cls, "__post_init__"):
         body.append("    self.__post_init__()\n")
-    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body) or '    pass'}", env)
+    source = f"def __init__(self, {', '.join(params)}):\n{''.join(body) or '    pass'}"
+    exec(compile(source, f"<{cls.__qualname__}.__init__>", "exec"), env)
     init = env["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__init__ = init
