@@ -6,7 +6,8 @@ through the state's smart constructors (``absdomain.ALGEBRA``), so
 ``AbsInterp`` supplies only the rest of that domain: the list operators,
 pattern binding, the join of both branches of an ``if`` whose forced
 condition stays unknown, the fixpoint of a fold over a list of unknown
-length, and the abstract backends.  Values are forced by the runtime's
+length (a ``map`` is one: the parser writes it as a fold), and the
+abstract backends.  Values are forced by the runtime's
 ``interface.value_star``; one that stays unknown is some constant.
 ``main`` is closed over an unknown ``data`` with ``runtime.subst``, as
 ``run_model`` closes it over the data, and one abstract particle runs it;
@@ -138,12 +139,6 @@ class AbsInterp(Evaluator):
 
     def _resample(self, site: int, p: AbsParticle):
         return UNIT, False
-
-    def _map_items(self, lst: Val, p: AbsParticle) -> tuple[Val, ...]:
-        lst = p.state.eval_value(lst)
-        if not isinstance(lst, VLst):
-            raise AnalysisError("map over an unknown list is unsupported")
-        return lst.items
 
     def _fold(self, fname: str, lst: Val, init: Val, p: AbsParticle):
         if isinstance(lst, VLst):

@@ -98,8 +98,6 @@ def _resamples_at(e: Expr, resampling: set[str]) -> str | None:
             return "resample"
         case ECall(func, _) | EFold(func, _, _) if func in resampling:
             return f"call of {func}, which can resample,"
-        case EOp("map", (EVar(func), _)) if func in resampling:
-            return f"map of {func}, which can resample,"
     return None
 
 
@@ -155,7 +153,7 @@ def is_pure(e: Expr, impure: set[str]) -> bool:
         match x:
             case EObserve(_, _, _) | EResample():
                 return False
-            case ECall(func, _) | EFold(func, _, _) | EOp("map", (EVar(func), _)):
+            case ECall(func, _) | EFold(func, _, _):
                 if func in impure:
                     return False
             case _:

@@ -2,7 +2,8 @@
 
 Programs are first-order: a sequence of top-level function declarations
 followed by a main expression.  ``fold`` is the only iteration construct
-and functions may not recurse.
+(the parser writes ``List.map`` and ``fold_resample`` as folds) and
+functions may not recurse.
 
 ``children`` and ``rebuild`` are the one child map of expressions: every
 structural walk (``walk``, ``runtime.subst``, ``checker.apply_plan`` and
@@ -76,7 +77,7 @@ BUILTIN_ARITIES = {
     "rev": 1,
     "len": 1,
     "cons": 2,
-    "map": 2,
+    "map": 2,  # parsed as a fold; a malformed map stays an ``EOp`` for ``check``
     "range": 2,
     "not": 1,
 }

@@ -2,8 +2,15 @@
 
 Surface syntax is ML-flavoured: ``let``/``in``, ``<-`` for random-variable
 bindings, ``fun (pat) ->`` for top-level declarations, and ``(* ... *)``
-comments.  ``fold_resample(f, l, a)`` is sugar for a fold whose body ends
-with ``resample()``.
+comments.  Two forms are sugar for a fold over a generated step function,
+declared right after the function it wraps (at the end when that one is
+undeclared, so ``check`` reports it), so every rule and loop for folds
+covers them:
+
+- ``fold_resample(f, l, a)`` folds ``__f_resample``: ``f``, then ``resample()``;
+- ``List.map(f, l)`` is ``rev(fold(__map_f, l, []))``: ``__map_f`` conses
+  ``f`` of each element onto the accumulator.  A map whose arguments are
+  not a bare name and one more stays an ``EOp`` for ``check`` to reject.
 """
 
 from __future__ import annotations
@@ -116,7 +123,8 @@ class _Parser:
         self.i = 0
         self.rv_site = 0
         self.resample_site = 0
-        self.fold_wrappers: dict[str, str] = {}
+        # generated step functions, in order of first use: name -> (base, kind)
+        self.wrappers: dict[str, tuple[str, str]] = {}
 
     def peek(self, k: int = 0) -> Token:
         return self.tokens[min(self.i + k, len(self.tokens) - 1)]
@@ -146,14 +154,21 @@ class _Parser:
         t = self.peek()
         if t.kind != "eof":
             raise ParseError(f"trailing input starting at {t.text!r}", t.line, t.col)
-        for base, wrapper in self.fold_wrappers.items():
-            body = ELet(
-                PVar("__acc"),
-                ECall(base, ETuple((EVar("__el"), EVar("__ac")))),
-                ELet(PUnit(), self._resample(), EVar("__acc")),
-            )
-            functions.append(FunDecl(wrapper, PTuple((PVar("__el"), PVar("__ac"))), body))
-        return Program(tuple(functions), main)
+        after: dict[str, list[FunDecl]] = {}  # base -> the wrappers declared after it
+        for name, (base, kind) in self.wrappers.items():
+            if kind == "map":
+                body = ELet(PVar("__y"), ECall(base, EVar("__el")),
+                            EOp("cons", (EVar("__y"), EVar("__ac"))))
+            else:
+                body = ELet(PVar("__acc"), ECall(base, ETuple((EVar("__el"), EVar("__ac")))),
+                            ELet(PUnit(), self._resample(), EVar("__acc")))
+            after.setdefault(base, []).append(
+                FunDecl(name, PTuple((PVar("__el"), PVar("__ac"))), body))
+        decls: list[FunDecl] = []
+        for f in functions:
+            decls += [f, *after.pop(f.name, ())]
+        decls += [w for ws in after.values() for w in ws]
+        return Program(tuple(decls), main)
 
     def _at_fun_decl(self) -> bool:
         return (
@@ -342,7 +357,7 @@ class _Parser:
             init = self.parse_cmp()
             self.expect(")")
             if t.text == "fold_resample":
-                func = self.fold_wrappers.setdefault(func, f"__{func}_resample")
+                func = self._wrapper(f"__{func}_resample", func, "resample")
             return EFold(func, lst, init)
         if t.kind == "ident":
             name = t.text
@@ -357,6 +372,9 @@ class _Parser:
                         f"distribution {name!r} may only appear in a random-variable binding or observe",
                         t.line, t.col,
                     )
+                if name == "map" and len(args) == 2 and isinstance(args[0], EVar):
+                    wrapper = self._wrapper(f"__map_{args[0].name}", args[0].name, "map")
+                    return EOp("rev", (EFold(wrapper, args[1], EList(())),))
                 if name in BUILTIN_ARITIES:
                     return EOp(name, tuple(args))
                 arg = args[0] if len(args) == 1 else ETuple(tuple(args))
@@ -380,6 +398,10 @@ class _Parser:
             self.next()
             args.append(self.parse_arg())
         return args
+
+    def _wrapper(self, name: str, base: str, kind: str) -> str:
+        self.wrappers.setdefault(name, (base, kind))
+        return name
 
     def _resample(self) -> EResample:
         site = self.resample_site

@@ -9,7 +9,9 @@ particle pauses: each enclosing ``let`` substitutes its environment into
 the rest of its body, so the residual a particle keeps is a closed
 expression that resampled copies can share.  Sequencing positions (``let``
 bodies, fold steps) are iterated rather than recursed so long folds do not
-grow the Python stack.
+grow the Python stack.  The fold is the only loop over a list: the parser
+writes ``List.map(f, l)`` as ``rev(fold(__map_f, l, []))``, so a map costs
+a fold step and a ``cons`` per element.
 
 List elements are evaluated only where they are used (``cons`` evaluates
 its head, ``hd`` the element it returns, a fold each element as it is
@@ -185,7 +187,7 @@ class Evaluator:
     ``sym``'s value nodes, through the smart constructors of the particle
     state's ``alg``.  A domain supplies its pattern binding (``bind``), its
     list operators and the hooks below, which sit only at nodes that call
-    out anyway: ``if``, ``observe``, ``fold``, ``map`` and ``resample``.
+    out anyway: ``if``, ``observe``, ``fold`` and ``resample``.
     """
 
     bind = staticmethod(match_pattern)
@@ -229,11 +231,6 @@ class Evaluator:
         p.checkpoint = site
         return EVal(UNIT), True
 
-    def _map_items(self, lst: Val, p: Particle) -> tuple[Val, ...]:
-        if not isinstance(lst, VLst):
-            raise EvalError("map over a non-list value")
-        return lst.items
-
     def _fold(self, fname: str, lst: Val, init: Val, p: Particle):
         if not isinstance(lst, VLst):
             raise EvalError("fold over a non-list value")
@@ -261,16 +258,6 @@ class Evaluator:
             case "not":
                 return alg.ite(a[0], FALSE, TRUE)
         raise EvalError(f"unknown operator {op}")
-
-    def _apply_map(self, fname: str, lst: Val, p: Particle) -> Val:
-        f = self.program.function(fname)
-        out = []
-        for el in self._map_items(lst, p):
-            r, interrupted = self._run(f.body, self.bind(f.param, el), p)
-            if interrupted:
-                raise EvalError("resample inside map is not supported")
-            out.append(r)
-        return VLst(tuple(out))
 
     def _fold_from(self, fname: str, items: tuple[Val, ...], pos: int, acc: Val, p: Particle):
         """Runs the steps of a fold from ``items[pos]`` on; like ``_run``."""
@@ -341,9 +328,6 @@ class Evaluator:
                         v, _ = self._run(x, env, p)
                         vals.append(v)
                     return VLst(tuple(vals)), False
-                case EOp("map", (EVar(fname), lst_e)):
-                    lst, _ = self._run(lst_e, env, p)
-                    return self._apply_map(fname, lst, p), False
                 case EOp(op, args):
                     vals = []
                     for x in args:
@@ -424,15 +408,19 @@ class Mixture:
     components: list[tuple[float, object]]  # (weight, tree of Distr)
     casts: list[tuple[int, str]]  # semantic casts, aggregated over particles
     output_casts: int  # forcing performed only to extract output marginals
+    # the sequential Monte Carlo estimate of the log-evidence: the sum over
+    # rounds of the log mean weight
+    log_evidence: float = math.nan
 
 
-def _normalized(logws: list[float]) -> list[float]:
+def _normalized(logws: list[float]) -> tuple[list[float], float]:
+    """The normalized weights and the log of their mean before normalizing."""
     m = max(logws)
     if m == -math.inf:
         raise DegenerateWeights("all particle weights are zero")
     ws = [math.exp(w - m) for w in logws]
     total = sum(ws)
-    return [w / total for w in ws]
+    return [w / total for w in ws], m + math.log(total / len(ws))
 
 
 def _particle_rng(seed: int, round_idx: int, i: int) -> np.random.Generator:
@@ -471,7 +459,8 @@ def run_model(program: Program, n_particles: int, seed: int, backend: Backend,
     Copies of one state form a group: all particles in round 0, and the
     copies of one parent after each resampling.  Every copy but the first
     has the first as its ``twin``, and takes over its step and its output
-    tree when these drew nothing.
+    tree when these drew nothing.  The mixture carries the log-evidence
+    estimate, summed over the rounds' log mean weights.
     """
     reset_intern()
     ev = Evaluator(program, backend)
@@ -482,6 +471,7 @@ def run_model(program: Program, n_particles: int, seed: int, backend: Backend,
     ]
     for p in particles[1:]:
         p.twin = particles[0]
+    log_evidence = 0.0
     for round_idx in range(MAX_ROUNDS):
         for p in particles:
             if not p.flag and p.value is None:
@@ -491,7 +481,8 @@ def run_model(program: Program, n_particles: int, seed: int, backend: Backend,
         sites = {p.checkpoint for p in particles if p.flag}
         if len(sites) > 1:
             raise EvalError(f"particles paused at different checkpoints: {sites}")
-        probs = _normalized([p.logw for p in particles])
+        probs, log_mean = _normalized([p.logw for p in particles])
+        log_evidence += log_mean
         rng = _particle_rng(seed, round_idx, n_particles)
         counts = rng.multinomial(n_particles, probs)
         fresh: list[Particle] = []
@@ -505,7 +496,7 @@ def run_model(program: Program, n_particles: int, seed: int, backend: Backend,
     else:
         raise EvalError("model did not terminate within the round limit")
 
-    probs = _normalized([p.logw for p in particles])
+    probs, log_mean = _normalized([p.logw for p in particles])
     components = []
     casts: list[tuple[int, str]] = []
     out_casts = 0
@@ -523,27 +514,7 @@ def run_model(program: Program, n_particles: int, seed: int, backend: Backend,
                 shared[id(p)] = tree, n
         components.append((w, tree))
         out_casts += n
-    return Mixture(components, casts, out_casts)
-
-
-def total_log_weight(program: Program, seed: int, backend: Backend, data: Val) -> float:
-    """Accumulated log-weight of a single particle run to termination.
-
-    Only meaningful for programs without resampling (or one particle):
-    resampling resets weights.
-    """
-    ev = Evaluator(program, backend)
-    main = subst(program.main, {"data": data})
-    p = Particle(main, SymState(FirstDrawRng(seed, 0, 0), CastLog()), 0.0, False)
-    total = 0.0
-    for _ in range(100000):
-        ev.eval_particle(p)
-        total += p.logw
-        if not p.flag:
-            return total
-        p.logw = 0.0
-        p.flag = False
-    raise EvalError("model did not terminate")
+    return Mixture(components, casts, out_casts, log_evidence + log_mean)
 
 
 def mixture_moments(components: list[tuple[float, Distr]]) -> tuple[float, float]:

@@ -636,9 +636,6 @@ class SymState:
         d = self.entries[rid].distr
         return d.v if isinstance(d, DDelta) and isinstance(d.v, VConst) else None
 
-    def is_realized(self, rid: int) -> bool:
-        return self.realized_value(rid) is not None
-
     def parents(self, rid: int) -> list[int]:
         """Live random variables referenced by this entry's distribution."""
         return [p for p in self.distr_fv(self.distr(rid)) if p != rid]

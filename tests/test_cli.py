@@ -208,6 +208,98 @@ def test_map_of_observing_function_is_impure(method, tmp_path, capsys):
     assert (json.loads(verdict)["verdict"] == "satisfiable") != cast_error
 
 
+# `List.map(f, l)` is parsed as a fold over a generated `__map_f`, declared
+# right after `f`, and `fold_resample(f, l, a)` as a fold over `__f_resample`:
+# the checker's no-recursion rule and the analysis's fold fixpoint cover both.
+MAP_RECURSION = {
+    "g": "let g = fun x -> List.map(g, [x])\ng(1.)\n",
+    "h": "let g = fun x -> List.map(h, [x])\nlet h = fun y -> y + 1.\ng(1.)\n",
+}
+
+FOLD_RESAMPLE_STEP = """\
+let step = fun (z, acc) ->
+  let x <- gaussian(acc, 1.) in
+  let () = observe(gaussian(x, 1.), z) in
+  x
+"""
+FOLD_RESAMPLE_IN_FUNCTION = (FOLD_RESAMPLE_STEP + "let g = fun l -> fold_resample(step, l, 0.)\n"
+                             "g(data)\n")
+FOLD_RESAMPLE_IN_MAIN = FOLD_RESAMPLE_STEP + "fold_resample(step, data, 0.)\n"
+
+# a map over the data stream, whose length the analysis does not know; the
+# second forces its symbolic `w` through a mean that is not linear in it
+MAP_OVER_DATA = {
+    "satisfiable": "let f = fun (z) -> z + 1.\nlet ys = List.map(f, data) in\nys\n",
+    "fail": """\
+let f = fun (z) -> let w <- gaussian(z, 1.) in w
+let ws = List.map(f, data) in
+let w = List.hd(ws) in
+let () = observe(gaussian(w * w, 1.), 0.5) in
+w
+""",
+}
+
+
+@pytest.mark.parametrize("command", ["run", "analyze"])
+@pytest.mark.parametrize("base", sorted(MAP_RECURSION))
+def test_recursion_through_map_is_one_error_line(base, command, tmp_path, capsys):
+    from symppl import check, parse
+
+    message = f"function g may not fold over __map_{base} (no recursion)"
+    assert check(parse(MAP_RECURSION[base])) == [message]
+    src = tmp_path / "rec.si"
+    src.write_text(MAP_RECURSION[base])
+    assert main_out(capsys, command, str(src), "--plan", "0") == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("method", ["ssi", "ds"])
+def test_fold_resample_in_a_function_body_runs_and_analyzes(method, tmp_path, capsys):
+    # as it does in main: the same run output and the same verdict
+    from symppl import check, parse
+
+    results = []
+    for name, source in [("function", FOLD_RESAMPLE_IN_FUNCTION), ("main", FOLD_RESAMPLE_IN_MAIN)]:
+        assert check(parse(source)) == []
+        src = tmp_path / f"{name}.si"
+        src.write_text(source)
+        code, out, err = main_out(capsys, "run", str(src), "--method", method, "--plan", "0",
+                                  "--benchmark", "noise", "--timesteps", "4", "--particles", "4")
+        assert (code, err) == (0, "")
+        run = json.loads(out)
+        run.pop("wall_ms")
+        code, out, err = main_out(capsys, "analyze", str(src), "--method", method, "--plan", "0")
+        assert code in (0, 2) and err == ""
+        verdict = json.loads(out)
+        verdict.pop("elapsed_ms")
+        results.append((run, verdict))
+    assert results[0] == results[1]
+    assert results[0][0]["casts"] == []
+
+
+@pytest.mark.parametrize("method", ["ssi", "ds"])
+@pytest.mark.parametrize("expected", sorted(MAP_OVER_DATA))
+def test_map_over_data_gets_the_verdict_a_strict_run_confirms(expected, method, tmp_path, capsys):
+    src = tmp_path / "map.si"
+    src.write_text(MAP_OVER_DATA[expected])
+    _, verdict, _ = main_out(capsys, "analyze", str(src), "--method", method, "--plan", "0")
+    assert json.loads(verdict)["verdict"] == expected
+    code, _, err = main_out(capsys, "run", str(src), "--method", method, "--plan", "0",
+                            "--benchmark", "noise", "--timesteps", "4", "--particles", "2",
+                            "--strict-casts")
+    cast_error = code == 3 and err.startswith("error: unsatisfiable annotation")
+    assert cast_error or (code, err) == (0, "")
+    assert (expected == "satisfiable") != cast_error
+
+
+def test_map_and_fold_resample_programs_round_trip():
+    from symppl import parse, print_program
+
+    for source in [*MAP_RECURSION.values(), FOLD_RESAMPLE_IN_FUNCTION, FOLD_RESAMPLE_IN_MAIN,
+                   *MAP_OVER_DATA.values()]:
+        prog = parse(source)
+        assert parse(print_program(prog)) == prog, source
+
+
 # SHA-256 of `run ... --particles 4 --seed 0 --timesteps 8` JSON without
 # `wall_ms`, recorded before the evaluator became environment-based: one
 # satisfiable and one rejected plan per model, both backends.  `outlier-0-ssi`
@@ -281,8 +373,6 @@ def test_run_sweep_matches_recorded_digest(capsys):
 
 
 ANALYSIS_LIMITS = {
-    "map over an unknown list is unsupported":
-        "let f = fun (z) -> z + 1.\nlet ys = List.map(f, data) in ys\n",
     "pattern arity mismatch": "let (a, b) = (1., 2., 3.) in a\n",
 }
 

@@ -146,7 +146,7 @@ def test_a_read_stores_its_evaluated_distribution():
     y = backend.assume(Annotation.NONE, DNormal(VRV(x), VConst(1.0)), g)
     backend.observe(y, 1.0, g)
     d = g.distr(x)
-    assert not any(g.is_realized(r) for r in distr_rvs(d))
+    assert all(g.realized_value(r) is None for r in distr_rvs(d))
     assert g.entries[x].distr is d
     assert g.distr(x) is d
 
@@ -207,7 +207,7 @@ def test_value_star_forces_ascending():
     x = g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)))
     c = value_star(add(VRV(x), VConst(1.0)), g, backend)
     assert isinstance(c, VConst)
-    assert g.is_realized(x)
+    assert g.realized_value(x) is not None
 
 
 def test_distribution_of_two_node_chain():
