@@ -29,7 +29,6 @@ raises ``AnalysisError``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from .absdomain import (
     AbsState,
@@ -111,11 +110,13 @@ def _abs_match(pat: Pattern, v: Val) -> dict[str, Val]:
     return out
 
 
-@dataclass(slots=True)
 class AbsParticle:
     """The analysis's one particle: a state, with no weight and no pause."""
 
-    state: AbsState
+    __slots__ = ("state",)
+
+    def __init__(self, state: AbsState) -> None:
+        self.state = state
 
 
 class AbsInterp(Evaluator):

@@ -83,24 +83,6 @@ def marginalized_child(g: SymState, node: DsNode) -> int | None:
     return marg[0] if marg else None
 
 
-def validate_forest(g: SymState) -> None:
-    """Check the one-parent and single-marginalized-path invariants."""
-    for rid, entry in g.entries.items():
-        node = entry.node
-        if node is None:
-            continue
-        marginalized_child(g, node)
-        match node:
-            case MargN(parent, _, _) | InitN(parent, _):
-                pnode = g.node(parent)
-                if isinstance(pnode, RealizedN):
-                    raise EvalError(f"{rid} linked under realized parent {parent}")
-                if rid not in pnode.children:
-                    raise EvalError(f"{rid} missing from parent {parent} child set")
-            case _:
-                pass
-
-
 class DsBackend:
     name = "ds"
 

@@ -12,48 +12,79 @@ the rest, as ``sym.children``/``rebuild`` do for values.
 
 ``immutable`` declares every node class of the package: expressions here,
 values, distributions and state entries in ``sym``, delayed-sampling nodes
-in ``ds`` and the abstract forms in ``absdomain``.
+in ``ds`` and the abstract forms in ``absdomain``.  It builds the methods
+``dataclass(frozen=True, slots=True)`` would, without that decorator's
+per-class cost, which was half of the package's import time.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
+from dataclasses import MISSING, Field, FrozenInstanceError, field
 from operator import attrgetter, is_
+
+# The fields of each immutable class, in order: name -> (default, compared).
+_FIELDS: dict[type, dict[str, tuple[object, bool]]] = {}
 
 
 def immutable(cls):
-    """``@dataclass(frozen=True, slots=True)`` with a constructor that
-    stores each field through its slot's member descriptor.
+    """``cls`` rebuilt as an immutable slotted class.
 
-    The dataclass's own frozen constructor pays ``object.__setattr__`` per
-    field, about twice a direct slot store, and nodes are built on every
-    filter step.  Equality, hashing, ``repr``, ``__match_args__``, field
-    defaults and keywords are the dataclass's.  Assigning or deleting any
-    attribute raises ``FrozenInstanceError`` (the dataclass's own check
-    fails with a ``TypeError`` on a name that is no field of a slotted
-    class).  A class with ``__post_init__`` has it called last, as the
-    dataclass would.
+    Its fields are an immutable base's, then its own annotated names; a
+    ``ClassVar`` or un-annotated attribute stays a class attribute.  A
+    field's value in the class body is its default, and a
+    ``dataclasses.field`` marker gives its ``default`` and ``compare``.
+    One compiled source gives ``__init__``, which stores each field through
+    its slot's member descriptor (half the cost of ``object.__setattr__``)
+    and then calls any ``__post_init__``; ``__eq__`` and ``__hash__`` over
+    the tuple of compared fields; and ``__repr__``.  Setting or deleting
+    any attribute raises ``FrozenInstanceError``.
     """
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
-    env, params, body = {}, [], []
-    for f in fields(cls):
-        slot = next(k.__dict__[f.name] for k in cls.__mro__ if f.name in k.__dict__)
-        env[f"_set_{f.name}"] = slot.__set__
-        if f.default is MISSING:
-            params.append(f.name)
+    ns = dict(cls.__dict__)
+    own = {}
+    for name, annotation in ns.get("__annotations__", {}).items():
+        if not str(annotation).startswith(("ClassVar", "typing.ClassVar")):
+            value = ns.pop(name, MISSING)
+            own[name] = ((value.default, value.compare) if isinstance(value, Field)
+                         else (value, True))
+    fields = {}
+    for base in reversed(cls.__mro__[1:]):
+        fields.update(_FIELDS.get(base, {}))
+    fields.update(own)
+    ns["__slots__"] = tuple(own)
+    ns.pop("__dict__", None)
+    ns.pop("__weakref__", None)
+    qualname = cls.__qualname__
+    compared = "".join(f"self.{name}," for name, (_, c) in fields.items() if c)
+    env, params, stores = {}, [], []
+    for name, (default, _) in fields.items():
+        if default is MISSING:
+            params.append(name)
         else:
-            env[f"_default_{f.name}"] = f.default
-            params.append(f"{f.name}=_default_{f.name}")
-        body.append(f"    _set_{f.name}(self, {f.name})\n")
+            env[f"_default_{name}"] = default
+            params.append(f"{name}=_default_{name}")
+        stores.append(f"    _set_{name}(self, {name})\n")
     if hasattr(cls, "__post_init__"):
-        body.append("    self.__post_init__()\n")
-    source = f"def __init__(self, {', '.join(params)}):\n{''.join(body) or '    pass'}"
-    exec(compile(source, f"<{cls.__qualname__}.__init__>", "exec"), env)
-    init = env["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    cls.__init__ = init
-    cls.__setattr__ = cls.__delattr__ = _frozen
+        stores.append("    self.__post_init__()\n")
+    shown = ", ".join(f"{name}={{self.{name}!r}}" for name in fields)
+    source = (
+        f"def __init__(self, {', '.join(params)}):\n{''.join(stores) or '    pass'}\n"
+        "def __eq__(self, other):\n"
+        "    if other.__class__ is self.__class__:\n"
+        f"        return ({compared}) == ({compared.replace('self.', 'other.')})\n"
+        "    return NotImplemented\n"
+        f"def __hash__(self):\n    return hash(({compared}))\n"
+        f"def __repr__(self):\n    return f\"{qualname}({shown})\"\n")
+    exec(compile(source, f"<{qualname}>", "exec"), env)
+    for method in ("__init__", "__eq__", "__hash__", "__repr__"):
+        ns[method] = env[method]
+        env[method].__qualname__ = f"{qualname}.{method}"
+    ns["__match_args__"] = tuple(fields)
+    ns["__setattr__"] = ns["__delattr__"] = _frozen
+    cls = type(cls)(cls.__name__, cls.__bases__, ns)
+    for name in fields:
+        env[f"_set_{name}"] = getattr(cls, name).__set__  # the slot's member descriptor
+    _FIELDS[cls] = fields
     return cls
 
 

@@ -29,7 +29,6 @@ adopts that result, and reuses the twin's output tree on the same terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -60,6 +59,7 @@ from .lang import (
     PVar,
     PWild,
     children,
+    immutable,
     pattern_vars,
     rebuild,
 )
@@ -154,17 +154,20 @@ def _copy_state(g: SymState, rng: np.random.Generator | FirstDrawRng) -> SymStat
     return state
 
 
-@dataclass
 class Particle:
-    cont: Expr
-    state: SymState  # holds the particle's generator and cast log
-    logw: float
-    flag: bool
-    checkpoint: int | None = None  # site of the resample that paused us
-    value: Val | None = None
-    # the first copy of this particle's parent in this round, whose step
-    # this particle takes over if that step drew nothing
-    twin: Particle | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("cont", "state", "logw", "flag", "checkpoint", "value", "twin")
+
+    def __init__(self, cont: Expr, state: SymState, logw: float, flag: bool,
+                 checkpoint: int | None = None, value: Val | None = None) -> None:
+        self.cont = cont
+        self.state = state  # holds the particle's generator and cast log
+        self.logw = logw
+        self.flag = flag
+        self.checkpoint = checkpoint  # site of the resample that paused us
+        self.value = value
+        # the first copy of this particle's parent in this round, whose step
+        # this particle takes over if that step drew nothing
+        self.twin: Particle | None = None
 
     def copy_for_resample(self, rng: np.random.Generator | FirstDrawRng) -> "Particle":
         """An unpaused child with its own state, generator ``rng`` and copy
@@ -398,7 +401,7 @@ class Evaluator:
                     raise TypeError(e)
 
 
-@dataclass
+@immutable
 class Mixture:
     """Normalized per-particle output distributions.
 

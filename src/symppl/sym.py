@@ -722,23 +722,6 @@ class SymState:
                 return map_params(d, self.eval_value)
         return d
 
-    def check_acyclic(self) -> None:
-        color: dict[int, int] = {}
-
-        def visit(rid: int) -> None:
-            state = color.get(rid, 0)
-            if state == 1:
-                raise EvalError(f"dependency cycle through variable {rid}")
-            if state == 2:
-                return
-            color[rid] = 1
-            for p in self.parents(rid):
-                visit(p)
-            color[rid] = 2
-
-        for rid in self.entries:
-            visit(rid)
-
 
 def reachable(roots, *states: SymState, until: set[int] | None = None) -> set[int]:
     """Transitive closure of variable references through each state's

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from symppl.ds import DsBackend, InitN, MargN, MargRootN, RealizedN, validate_forest
+from symppl.ds import DsBackend, InitN, MargN, MargRootN, RealizedN, marginalized_child
 from symppl.interface import CastLog
 from symppl.lang import Annotation
 from symppl.sym import (
@@ -14,6 +14,7 @@ from symppl.sym import (
     DInvGamma,
     DNormal,
     DStudentT,
+    EvalError,
     SymState,
     VConst,
     VRV,
@@ -24,6 +25,22 @@ from symppl.sym import (
 
 def rng():
     return np.random.default_rng(3)
+
+
+def validate_forest(g: SymState) -> None:
+    """Check the one-parent and single-marginalized-path invariants."""
+    for rid, entry in g.entries.items():
+        node = entry.node
+        if node is None:
+            continue
+        marginalized_child(g, node)
+        match node:
+            case MargN(parent, _, _) | InitN(parent, _):
+                pnode = g.node(parent)
+                if isinstance(pnode, RealizedN):
+                    raise EvalError(f"{rid} linked under realized parent {parent}")
+                if rid not in pnode.children:
+                    raise EvalError(f"{rid} missing from parent {parent} child set")
 
 
 def setup_chain():

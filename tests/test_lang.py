@@ -1,15 +1,17 @@
 """Parser, checker, pretty-printer, plan numbering, and the child map."""
 
-import dataclasses
 import importlib
+import inspect
+import math
 import pkgutil
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError
 
 import pytest
 
 import symppl
 from symppl import apply_plan, check, enumerate_plans, parse, print_program, rv_sites
+from symppl import lang
 from symppl.benchmarks import BENCHMARKS
 from symppl.checker import plan_annotations
 from symppl.lang import (
@@ -236,7 +238,7 @@ def one_of_each_form():
 
 def test_child_map_covers_every_form():
     forms = one_of_each_form()
-    # a new form must join the map; a slotted dataclass leaves its unslotted
+    # a new form must join the map; ``immutable`` leaves its unslotted
     # first version among the subclasses, so count what the modules define
     defined = {cls for cls in Expr.__subclasses__()
                if getattr(sys.modules[cls.__module__], cls.__name__) is cls}
@@ -269,6 +271,11 @@ def test_subst_respects_let_and_random_variable_shadowing():
             assert subst(e, {"a": v}) == rebuild(e, swapped)
 
 
+def replace(obj, /, **changes):
+    """``obj`` with the fields named in ``changes`` set to new values."""
+    return type(obj)(**{f: getattr(obj, f) for f in obj.__match_args__} | changes)
+
+
 def test_apply_plan_rewrites_a_site_nested_in_every_form():
     site = ELetRV(Annotation.NONE, "s", "gaussian", (EConst(0.0), EConst(1.0)), EVar("s"),
                   site=1)
@@ -285,51 +292,69 @@ def test_apply_plan_rewrites_a_site_nested_in_every_form():
 
 
 def frozen_classes():
-    """Every frozen dataclass the package declares."""
+    """Every class the package declares with ``lang.immutable``."""
     out = []
     for info in pkgutil.iter_modules(symppl.__path__):
         module = importlib.import_module(f"symppl.{info.name}")
         out += [cls for cls in vars(module).values()
                 if isinstance(cls, type) and cls.__module__ == module.__name__
-                and dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen]
+                and vars(cls).get("__setattr__") is lang._frozen]
     return out
 
 
 FROZEN = frozen_classes()
 
+# The fields that equality and hashing ignore, and the declared defaults.
+NOT_COMPARED = {"ELetRV": {"site"}, "EResample": {"site"}, "Entry": {"label"}}
+DEFAULTS = {
+    "ELetRV": {"site": -1},
+    "EResample": {"site": -1},
+    "Entry": {"node": None, "label": ""},
+    "Verdict": {"witnesses": (), "elapsed_ms": 0.0},
+    "BenchmarkSpec": {"bool_columns": ()},
+    "Mixture": {"log_evidence": math.nan},
+}
+
 
 def test_every_node_class_is_found():
     names = {cls.__name__ for cls in FROZEN}
     assert {"EConst", "ELetRV", "VConst", "VAdd", "DNormal", "DSampledDelta", "Entry",
-            "MargN", "RealizedN", "AEUnk", "ALst", "ATopN", "Token", "Verdict"} <= names
+            "MargN", "RealizedN", "AEUnk", "ALst", "ATopN", "Token", "Verdict",
+            "Mixture"} <= names
+    assert len(FROZEN) == len(names) == 56
 
 
 @pytest.mark.parametrize("cls", FROZEN, ids=lambda c: c.__name__)
 def test_immutable_constructor_contract(cls):
-    fields = dataclasses.fields(cls)
-    names = tuple(f.name for f in fields)
+    params = inspect.signature(cls).parameters
+    names = tuple(params)
     assert cls.__match_args__ == names
+    ignored = NOT_COMPARED.get(cls.__name__, set())
     # hashable stand-ins, fresh per call: nothing checks the fields' types
-    args = [frozenset({i}) for i in range(len(fields))]
+    args = [frozenset({i}) for i in range(len(names))]
     node = cls(*args)
     assert all(getattr(node, f) is a for f, a in zip(names, args))
     assert cls(**dict(zip(names, args))) == node
     twin = cls(*[frozenset(a) for a in args])
     assert twin == node and hash(twin) == hash(node)
-    assert repr(node).startswith(f"{cls.__name__}(")
-    for i, f in enumerate(fields):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(node, f.name, None)
+    assert hash(node) == hash(tuple(a for f, a in zip(names, args) if f not in ignored))
+    assert node.__eq__(object()) is NotImplemented
+    assert repr(node) == f"{cls.__name__}({', '.join(f'{f}={a!r}' for f, a in zip(names, args))})"
+    for i, f in enumerate(names):
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, f, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(node, f)
         other = cls(*args[:i], frozenset({-1}), *args[i + 1:])
-        assert (other == node) is not f.compare
-    with pytest.raises(dataclasses.FrozenInstanceError):
+        assert (other == node) is (f in ignored)
+    with pytest.raises(FrozenInstanceError):
         node.extra = 1
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(FrozenInstanceError):
         del node.extra
-    required = [a for f, a in zip(fields, args) if f.default is dataclasses.MISSING]
-    defaulted = cls(*required)
-    for f in fields[len(required):]:
-        assert getattr(defaulted, f.name) == f.default
+    defaults = {f: p.default for f, p in params.items() if p.default is not p.empty}
+    assert defaults == DEFAULTS.get(cls.__name__, {})
+    defaulted = cls(*args[:len(names) - len(defaults)])
+    assert all(getattr(defaulted, f) is d for f, d in defaults.items())
 
 
 def test_immutable_defaults_and_keywords():

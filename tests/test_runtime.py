@@ -1,6 +1,5 @@
 """Particle evaluation, resampling, and mixture statistics."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -428,8 +427,8 @@ def free_names(e: Expr, bound: frozenset = frozenset()) -> set[str]:
             return set().union(*(free_names(x, bound) for x in args),
                                free_names(body, bound | {name}))
     out: set[str] = set()
-    for field in dataclasses.fields(e):
-        value = getattr(e, field.name)
+    for name in e.__match_args__:
+        value = getattr(e, name)
         for x in value if isinstance(value, tuple) else (value,):
             if isinstance(x, Expr):
                 out |= free_names(x, bound)

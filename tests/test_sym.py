@@ -103,7 +103,26 @@ def test_fresh_ids_increase_and_acyclic():
     a = g.fresh(Annotation.NONE, DNormal(VConst(0.0), VConst(1.0)))
     b = g.fresh(Annotation.NONE, DNormal(VRV(a), VConst(1.0)))
     assert b > a
-    g.check_acyclic()
+    check_acyclic(g)
+
+
+def check_acyclic(g: SymState) -> None:
+    """Raise ``EvalError`` on a dependency cycle among ``g``'s variables."""
+    color: dict[int, int] = {}
+
+    def visit(rid: int) -> None:
+        state = color.get(rid, 0)
+        if state == 1:
+            raise EvalError(f"dependency cycle through variable {rid}")
+        if state == 2:
+            return
+        color[rid] = 1
+        for p in g.parents(rid):
+            visit(p)
+        color[rid] = 2
+
+    for rid in g.entries:
+        visit(rid)
 
 
 def test_score_standard_gaussian():
