@@ -146,7 +146,7 @@ class AbsInterp(Evaluator):
             return self._fold_from(fname, lst.items, 0, init, p)
         return self.fold_fixpoint(fname, lst, init, p), False
 
-    def _list_op(self, op: str, args: list[Val], p: AbsParticle) -> Val:
+    def _list_op(self, op: str, args: tuple[Val, ...], p: AbsParticle) -> Val:
         """The list operators, over lists whose length may be unknown."""
         a = [p.state.eval_value(x) for x in args]
         lst = a[0]
@@ -182,7 +182,7 @@ class AbsInterp(Evaluator):
         accumulator until the accumulator and the state stop changing."""
         g = p.state
         elem: Val = TOP_E if contains_top(lst) else AEUnk(fv(lst))
-        f = self.program.function(fname)
+        f = self.functions[fname]
         for _ in range(FOLD_ITER_LIMIT):
             it = AbsParticle(g.copy())
             vf, _ = self._run(f.body, _abs_match(f.param, VTup((elem, acc))), it)

@@ -256,12 +256,6 @@ class Program:
     functions: tuple[FunDecl, ...]
     main: Expr
 
-    def function(self, name: str) -> FunDecl:
-        for f in self.functions:
-            if f.name == name:
-                return f
-        raise KeyError(name)
-
 
 def pattern_vars(p: Pattern) -> list[str]:
     match p:

@@ -11,23 +11,23 @@ expression that resampled copies can share.  Sequencing positions (``let``
 bodies, fold steps) are iterated rather than recursed so long folds do not
 grow the Python stack.  The fold is the only loop over a list: the parser
 writes ``List.map(f, l)`` as ``rev(fold(__map_f, l, []))``, so a map costs
-a fold step and a ``cons`` per element.
+a fold step and a ``cons`` per element.  List elements are evaluated only
+where they are used (``cons`` evaluates its head, ``hd`` the element it
+returns, a fold each element as it is consumed), so the cost of one step
+does not grow with the lists a model carries along.
 
-List elements are evaluated only where they are used (``cons`` evaluates
-its head, ``hd`` the element it returns, a fold each element as it is
-consumed), so the cost of one step does not grow with the lists a model
-carries along.
-
-Copies of one state share work that draws nothing: a resampled copy whose
-twin, the first copy of the same parent, has taken its step without a draw
-adopts that result, and reuses the twin's output tree on the same terms.
+Resampled copies of one parent share its unmutated state until each first
+steps, and then copy it, or, when their twin (the first copy) took its step
+without a draw, copy the twin's state and adopt its result and output tree.
 
 ``Evaluator._run`` is the package's only evaluation loop: the analysis
-(``analysis.AbsInterp``) runs it over abstract values.
+(``analysis.AbsInterp``) runs it over abstract values.  It tests the five
+commonest forms by type before its ``match``, and reads leaf arguments in place.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import repeat
 
@@ -145,17 +145,8 @@ def _as_list(v: Val, g: SymState, error: str) -> VLst:
     return v
 
 
-def _copy_state(g: SymState, rng: np.random.Generator | FirstDrawRng) -> SymState:
-    """A copy of ``g`` with generator ``rng`` and its own copy of the cast log."""
-    state = g.copy()
-    state.rng = rng
-    casts = state.casts = CastLog(g.casts.strict)
-    casts.events = list(g.casts.events)
-    return state
-
-
 class Particle:
-    __slots__ = ("cont", "state", "logw", "flag", "checkpoint", "value", "twin")
+    __slots__ = ("cont", "state", "logw", "flag", "checkpoint", "value", "twin", "rng")
 
     def __init__(self, cont: Expr, state: SymState, logw: float, flag: bool,
                  checkpoint: int | None = None, value: Val | None = None) -> None:
@@ -168,17 +159,29 @@ class Particle:
         # the first copy of this particle's parent in this round, whose step
         # this particle takes over if that step drew nothing
         self.twin: Particle | None = None
+        self.rng = state.rng  # our generator; a state holding another is our parent's
 
     def copy_for_resample(self, rng: np.random.Generator | FirstDrawRng) -> "Particle":
-        """An unpaused child with its own state, generator ``rng`` and copy
-        of the cast log."""
-        return Particle(self.cont, _copy_state(self.state, rng), 0.0, False,
-                        self.checkpoint, self.value)
+        """An unpaused child with generator ``rng``.  It shares this
+        particle's state, which nothing mutates after resampling, until it
+        takes a copy of its own (``own_state``) or its twin's (``adopt``)."""
+        child = Particle(self.cont, self.state, 0.0, False, self.checkpoint, self.value)
+        child.rng = rng
+        return child
+
+    def own_state(self, g: SymState | None = None) -> None:
+        """Gives this particle a copy of ``g``, or of the state it still
+        shares with its parent, with its own generator and cast log."""
+        if g is not None or self.state.rng is not self.rng:
+            g = self.state if g is None else g
+            state = self.state = g.copy()
+            state.rng, state.casts = self.rng, CastLog(g.casts.strict)
+            state.casts.events = list(g.casts.events)
 
     def adopt(self, twin: "Particle") -> None:
         """Take ``twin``'s result of a step that drew nothing, keeping this
         particle's own generator."""
-        self.state = _copy_state(twin.state, self.state.rng)
+        self.own_state(twin.state)
         self.cont, self.logw, self.flag = twin.cont, twin.logw, twin.flag
         self.checkpoint, self.value = twin.checkpoint, twin.value
 
@@ -196,13 +199,13 @@ class Evaluator:
     bind = staticmethod(match_pattern)
 
     def __init__(self, program: Program, backend: Backend):
-        self.program = program
+        self.functions = {f.name: f for f in program.functions}
         self.backend = backend
         self.impure = impure_functions(program)
 
     # --- domain hooks ---
 
-    def _list_op(self, op: str, args: list[Val], p: Particle) -> Val:
+    def _list_op(self, op: str, args: tuple[Val, ...], p: Particle) -> Val:
         g = p.state
         match op:
             case "cons":
@@ -241,7 +244,7 @@ class Evaluator:
 
     # --- shared steps ---
 
-    def _eval_op(self, op: str, args: list[Val], p: Particle) -> Val:
+    def _eval_op(self, op: str, args: tuple[Val, ...], p: Particle) -> Val:
         if op in LIST_OPS:
             return self._list_op(op, args, p)
         g = p.state
@@ -264,7 +267,7 @@ class Evaluator:
 
     def _fold_from(self, fname: str, items: tuple[Val, ...], pos: int, acc: Val, p: Particle):
         """Runs the steps of a fold from ``items[pos]`` on; like ``_run``."""
-        f = self.program.function(fname)
+        f = self.functions[fname]
         for pos in range(pos, len(items)):
             head = p.state.eval_value(items[pos])
             acc, interrupted = self._run(f.body, self.bind(f.param, VTup((head, acc))), p)
@@ -289,6 +292,7 @@ class Evaluator:
             p.adopt(twin)
             return
         p.twin = None
+        p.own_state()
         r, interrupted = self._run(p.cont, {}, p)
         if interrupted:
             p.cont = r
@@ -297,6 +301,23 @@ class Evaluator:
             p.value = r
             p.cont = EVal(r)
             p.flag = False
+
+    def _args(self, args: tuple[Expr, ...], env: dict[str, Val], p: Particle,
+              force=None) -> tuple[Val, ...]:
+        """The values of ``args``, each through ``force`` (if given) before the
+        next is evaluated.  A leaf is read in place; an unbound name fails in ``_run``."""
+        vals = []
+        for x in args:
+            if (t := type(x)) is EVar and x.name in env:
+                v = env[x.name]
+            elif t is EVal:
+                v = x.v
+            elif t is EConst:
+                v = VConst(x.value)
+            else:
+                v, _ = self._run(x, env, p)
+            vals.append(v if force is None else force(v))
+        return tuple(vals)
 
     def _run(self, e: Expr, env: dict[str, Val], p: Particle):
         """Evaluates ``e`` under ``env``.
@@ -307,16 +328,27 @@ class Evaluator:
         never mutated, since an enclosing frame may still read it.
         """
         while True:
+            t = type(e)  # the five most frequent forms first
+            if t is EVar:
+                try:
+                    return env[e.name], False
+                except KeyError:
+                    raise EvalError(f"unbound variable {e.name}") from None
+            if t is EVal:
+                return e.v, False
+            if t is EOp:
+                return self._eval_op(e.op, self._args(e.args, env, p), p), False
+            if t is ELet:
+                r, interrupted = self._run(e.bound, env, p)
+                if interrupted:
+                    rest = {k: v for k, v in env.items() if k not in pattern_vars(e.pat)}
+                    return ELet(e.pat, r, subst(e.body, rest)), True
+                e, env = e.body, ({**env, e.pat.name: r} if type(e.pat) is PVar
+                                  else env | self.bind(e.pat, r))
+                continue
+            if t is EConst:
+                return VConst(e.value), False
             match e:
-                case EVal(v):
-                    return v, False
-                case EConst(c):
-                    return VConst(c), False
-                case EVar(name):
-                    try:
-                        return env[name], False
-                    except KeyError:
-                        raise EvalError(f"unbound variable {name}") from None
                 case ETuple(items):
                     vals = []
                     for x in items:
@@ -326,20 +358,10 @@ class Evaluator:
                         vals.append(v)
                     return VTup(tuple(vals)), False
                 case EList(items):
-                    vals = []
-                    for x in items:
-                        v, _ = self._run(x, env, p)
-                        vals.append(v)
-                    return VLst(tuple(vals)), False
-                case EOp(op, args):
-                    vals = []
-                    for x in args:
-                        v, _ = self._run(x, env, p)
-                        vals.append(v)
-                    return self._eval_op(op, vals, p), False
+                    return VLst(self._args(items, env, p)), False
                 case ECall(fname, arg):
                     v, _ = self._run(arg, env, p)
-                    f = self.program.function(fname)
+                    f = self.functions[fname]
                     e, env = f.body, self.bind(f.param, v)
                 case EIf(ce, te, oe):
                     cv, _ = self._run(ce, env, p)
@@ -356,29 +378,16 @@ class Evaluator:
                         if not isinstance(cv, VConst):  # an abstract value can stay unknown
                             return self._join_branches(te, oe, env, p), False
                     e = te if cv.v else oe
-                case ELet(pat, bound, body):
-                    r, interrupted = self._run(bound, env, p)
-                    if interrupted:
-                        names = pattern_vars(pat)
-                        rest = {k: v for k, v in env.items() if k not in names}
-                        return ELet(pat, r, subst(body, rest)), True
-                    e, env = body, env | self.bind(pat, r)
                 case ELetRV(ann, name, dist, args, body, site):
-                    argv = []
-                    for x in args:
-                        v, _ = self._run(x, env, p)
-                        argv.append(p.state.eval_value(v))
-                    rid = self.backend.assume(ann, make_dist(dist, tuple(argv)), p.state,
+                    argv = self._args(args, env, p, p.state.eval_value)
+                    rid = self.backend.assume(ann, make_dist(dist, argv), p.state,
                                               label=name, site=f"rv:{site}")
                     bound_v = (self.backend.value(rid, p.state) if ann is Annotation.SAMPLE
                                else VRV(rid))
                     e, env = body, {**env, name: bound_v}
                 case EObserve(dist, args, value_e):
-                    argv = []
-                    for x in args:
-                        v, _ = self._run(x, env, p)
-                        argv.append(p.state.eval_value(v))
-                    rid = self.backend.assume(Annotation.NONE, make_dist(dist, tuple(argv)),
+                    argv = self._args(args, env, p, p.state.eval_value)
+                    rid = self.backend.assume(Annotation.NONE, make_dist(dist, argv),
                                               p.state, label="obs", site="obs")
                     ve, _ = self._run(value_e, env, p)
                     self._observe(rid, value_star(ve, p.state, self.backend), p)
@@ -426,14 +435,60 @@ def _normalized(logws: list[float]) -> tuple[list[float], float]:
     return [w / total for w in ws], m + math.log(total / len(ws))
 
 
+_M32 = 0xFFFFFFFF
+_OUT_H = [0x8B51F9DD * pow(0x58F38DED, k, 1 << 32) & _M32 for k in range(9)]
+
+
+def _words(n: int) -> list[int]:
+    """``n`` as 32-bit words, least significant first; ``[0]`` for 0."""
+    return [n >> k & _M32 for k in range(0, max(int(n).bit_length(), 1), 32)]
+
+
+@functools.lru_cache(maxsize=4)
+def _round_pool(seed: int, round_idx: int) -> tuple[int, ...]:
+    """The hash constant, then the pool, of ``SeedSequence(seed,
+    spawn_key=(round_idx, i))`` before ``i`` is mixed in: 16 hashes fill
+    and stir the pool, and each word past the first four takes 4."""
+    pool = np.random.SeedSequence(seed, spawn_key=(round_idx,)).pool.tolist()
+    hashes = 16 + 4 * (max(len(_words(seed)), 4) - 4 + len(_words(round_idx)))
+    return (0x43B0D7E5 * pow(0x931E8875, hashes, 1 << 32) & _M32, *pool)
+
+
+@functools.cache
+def _seed_words() -> type:
+    """A seed sequence type that hands PCG64 the ``uint64`` words it holds,
+    made on first use so that commands that never draw skip ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+    return SeedWords
+
+
 def _particle_rng(seed: int, round_idx: int, i: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(round_idx, i))))
+    """``Generator(PCG64(SeedSequence(seed, spawn_key=(round_idx, i))))``, hashed
+    here from the round's pool: numpy's per-call overhead outweighs the hashing."""
+    h, *pool = _round_pool(seed, round_idx)
+    for w in _words(i):
+        for d in range(4):
+            g = h * 0x931E8875 & _M32
+            x = (w ^ h) * g & _M32
+            r = 0xCA01F9DD * pool[d] - 0x4973F715 * (x ^ x >> 16) & _M32
+            pool[d], h = r ^ r >> 16, g
+    out = [(pool[k & 3] ^ _OUT_H[k]) * _OUT_H[k + 1] & _M32 for k in range(8)]
+    out = [w ^ w >> 16 for w in out]
+    words = np.array([out[k] | out[k + 1] << 32 for k in (0, 2, 4, 6)], dtype=np.uint64)
+    return np.random.Generator(np.random.PCG64(_seed_words()(words)))
 
 
 class FirstDrawRng:
     """A particle's generator, ``_particle_rng(seed, round_idx, i)``, built
-    on first use.  Building one costs more than a step of most plans, and
-    after resampling many particles never draw again."""
+    on first use: after resampling many particles never draw again, and one
+    costs 9-19 us on 2 vCPUs, more than a step adopted from a twin (7-12 us)."""
 
     def __init__(self, seed: int, round_idx: int, i: int) -> None:
         self._key = (seed, round_idx, i)
@@ -506,10 +561,11 @@ def run_model(program: Program, n_particles: int, seed: int, backend: Backend,
     shared = {}  # id of a particle -> its output tree and output casts, if extracting drew nothing
     for i, w in enumerate(probs):
         p, particles[i] = particles[i], None  # free each state once read
-        casts.extend(p.state.casts.events)
+        casts.extend(p.state.casts.events)  # a shared state's events are the copy's too
         if id(p.twin) in shared:
             tree, n = shared[id(p.twin)]
         else:
+            p.own_state()
             p.state.casts = CastLog()  # counts only the forcing done to extract outputs
             tree = distribution(p.value, p.state, backend)
             n = len(p.state.casts)

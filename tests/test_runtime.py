@@ -1,9 +1,12 @@
 """Particle evaluation, resampling, and mixture statistics."""
 
+import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symppl import parse
 from symppl.benchmarks import data_for
@@ -354,6 +357,78 @@ def test_generator_built_on_first_draw_keeps_the_stream():
     lazy, eager = runtime.FirstDrawRng(7, 3, 1), runtime._particle_rng(7, 3, 1)
     assert [lazy.normal(0.0, 1.0), lazy.random(), lazy.normal(1.0, 2.0)] == \
         [eager.normal(0.0, 1.0), eager.random(), eager.normal(1.0, 2.0)]
+
+
+def numpy_generator_state(seed, round_idx, i):
+    return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(round_idx, i))).state
+
+
+def test_particle_generator_is_numpys_seed_sequence_on_a_grid():
+    # one 32-bit word and several, for the seed, the round and the index
+    seeds = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 5)
+    for seed, round_idx, i in itertools.product(seeds, (0, 3, 2**32 + 1), (0, 31, 2**32, 2**40 + 7)):
+        assert runtime._particle_rng(seed, round_idx, i).bit_generator.state == \
+            numpy_generator_state(seed, round_idx, i)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**140), st.integers(0, 2**70), st.integers(0, 2**70))
+def test_particle_generator_is_numpys_seed_sequence(seed, round_idx, i):
+    assert runtime._particle_rng(seed, round_idx, i).bit_generator.state == \
+        numpy_generator_state(seed, round_idx, i)
+
+
+def test_each_resampled_copy_copies_one_state_per_round(monkeypatch):
+    # a copy shares its parent's state until its step, then copies either
+    # the parent's state or, when it adopts, its twin's; never both
+    copies = counting(monkeypatch, SymState, "copy")
+    adopted = counting(monkeypatch, Particle, "adopt")
+    noise_run(3, SsiBackend(), 8, 20)
+    assert adopted[0] > 0 and copies[0] == 8 * 20
+
+
+# ``jitter`` samples, so an argument that calls it draws and touches the
+# state while the other arguments of the same declaration are evaluated
+SAMPLING_ARGUMENTS = """
+let jitter = fun m ->
+  let sample z <- gaussian(m, 1.) in
+  z
+let spread = fun v ->
+  let symbolic s <- invgamma(3., v) in
+  s
+let step = fun (obs, mu) ->
+  let symbolic x <- gaussian(jitter(mu), spread(jitter(2.) * jitter(2.) + 1.)) in
+  let () = observe(gaussian(x + jitter(0.), spread(1.)), obs) in
+  let () = resample() in
+  x
+let last = fold(step, data, 0.) in
+last
+"""
+
+# SHA-256 of the repr of (components, casts, output_casts, log_evidence)
+SAMPLING_ARGUMENTS_DIGESTS = {
+    "ssi": "378fd87eeca862ef8aa82deba8552f97a8c981d71c58f98b74ddf8b1f53dc27a",
+    "ds": "a41a857573103d66affeecf9257c7f3d3d413ee77b5bca33d470b018cdea6a72",
+}
+
+
+@pytest.mark.parametrize("backend", [SsiBackend, DsBackend], ids=["ssi", "ds"])
+def test_arguments_that_sample_keep_their_order_of_state_accesses(backend):
+    data = VLst(tuple(VConst(v) for v in (0.4, -0.3, 1.2, 0.8)))
+    mix = run_model(parse(SAMPLING_ARGUMENTS), 6, 3, backend(), data)
+    text = repr((mix.components, mix.casts, mix.output_casts, mix.log_evidence))
+    assert hashlib.sha256(text.encode()).hexdigest() == SAMPLING_ARGUMENTS_DIGESTS[backend.name]
+
+
+@pytest.mark.parametrize("src", [
+    "let a = 1. in a + b",
+    "let a = 1. in [a, b]",
+    "let symbolic x <- gaussian(0., b) in x",
+    "let () = observe(gaussian(b, 1.), 0.) in 0.",
+], ids=["op", "list", "random-variable", "observe"])
+def test_unbound_variable_in_an_argument_is_an_eval_error(src):
+    with pytest.raises(EvalError, match="unbound variable b"):
+        run_src(src)
 
 
 def test_single_parent_hoist_builds_no_closure(monkeypatch):

@@ -1,6 +1,8 @@
 """Static checks over the package's own sources."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,3 +69,12 @@ def test_frozen_dataclass_is_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_frozen_dataclass(path):
     assert dataclass_classes(path.read_text()) == []
+
+
+def test_importing_the_package_leaves_numpy_random_unloaded():
+    # every command imports the package, and only filters that draw need
+    # numpy.random, whose import costs about 15 ms
+    code = "import sys, symppl.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert out.stdout.strip() == "False"
