@@ -28,6 +28,7 @@ raises ``AnalysisError``.
 
 from __future__ import annotations
 
+import functools
 import time
 
 from .absdomain import (
@@ -44,7 +45,7 @@ from .absdomain import (
     suffix_vars,
 )
 from .ds import DsBackend
-from .lang import Expr, Pattern, Program, PTuple, immutable
+from .lang import Expr, Program, PTuple, immutable
 from .runtime import Evaluator, match_pattern, pattern_mismatch, subst as esubst
 from .ssi import SsiBackend
 from .sym import UNIT, EvalError, VConst, VLst, VTup, Val, _List, weak_eq
@@ -93,21 +94,17 @@ class AbsDs:
 # --- abstract interpreter ---
 
 
-def _abs_match(pat: Pattern, v: Val) -> dict[str, Val]:
-    """Bind a pattern against an abstract value: ``runtime.match_pattern``,
-    where an unknown tuple binds each item to the same unknown."""
-    if not isinstance(pat, PTuple):
-        return match_pattern(pat, v)
+def _abs_items(pat: PTuple, v: Val) -> tuple[Val, ...]:
+    """``runtime.tuple_items`` over abstract values, where an unknown tuple
+    binds each item to the same unknown."""
     if isinstance(v, (AEUnk, ATopE)):
-        vals = (v,) * len(pat.items)
-    elif isinstance(v, VTup) and len(v.items) == len(pat.items):
-        vals = v.items
-    else:
-        raise AnalysisError(pattern_mismatch(pat, v))
-    out: dict[str, Val] = {}
-    for q, x in zip(pat.items, vals):
-        out.update(_abs_match(q, x))
-    return out
+        return (v,) * len(pat.items)
+    if isinstance(v, VTup) and len(v.items) == len(pat.items):
+        return v.items
+    raise AnalysisError(pattern_mismatch(pat, v))
+
+
+_abs_match = functools.partial(match_pattern, items=_abs_items)
 
 
 class AbsParticle:
@@ -185,7 +182,7 @@ class AbsInterp(Evaluator):
         f = self.functions[fname]
         for _ in range(FOLD_ITER_LIMIT):
             it = AbsParticle(g.copy())
-            vf, _ = self._run(f.body, _abs_match(f.param, VTup((elem, acc))), it)
+            vf, _ = self._run(f.body, self.bind(f.param, VTup((elem, acc))), it)
             vj, gj = rename_join(acc, vf, g, it.state, in_fold=True)
             if vj == acc and weak_eq(g, gj, VTup((lst, vj))):
                 return acc

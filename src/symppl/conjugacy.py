@@ -23,8 +23,9 @@ both halves from one match, and ``marginal`` and ``posterior`` each match on
 their own, since delayed sampling needs them at different times and output
 extraction needs only the marginal.  ``match_case`` is the one matcher; the
 affine decomposition it finds for a linear-Gaussian child is handed to the
-rule's shared parts (``_parts``), so the child's mean is decomposed once
-per application.
+rule's shared parts, so the child's mean is decomposed once per match.
+Callers reach it through ``rule``, which remembers the last pair: delayed
+sampling applies a pair's rule to assume, marginalize and realize the child.
 
 ``posterior`` expressions reference the child through ``child_ref``, which
 is the child variable during a swap and a realized constant during a
@@ -127,25 +128,34 @@ def match_case(prior: Distr, cond: Distr, par: int,
     return None
 
 
-def _parts(prior: Distr, cond: Distr, par: int, alg: Algebra):
+_last = [(None,) * 6]  # rule's one entry: its key, then its result
+
+
+def rule(prior: Distr, cond: Distr, par: int, allow: frozenset[int] = frozenset(),
+         alg: Algebra = CONCRETE):
     """The case for ``cond`` as a child of ``par``, and what both its
     marginal and its posterior read: the affine decomposition of a Gaussian
     child's mean, as the match found it, and the parent-scaled mean and
-    variance, or the enumerated child probabilities."""
+    variance, or the enumerated child probabilities.  A call on the same
+    objects as the last one (held here; all immutable) returns its result."""
+    m = _last[0]
+    if m[0] is prior and m[1] is cond and m[2] == par and m[3] == allow and m[4] is alg:
+        return m[5]
     found = []
-    case = match_case(prior, cond, par, alg=alg, found=found)
+    case, parts = match_case(prior, cond, par, allow, alg, found), None
     if case == LINEAR_GAUSSIAN:
         a, b = found[0]
         mu01 = alg.add(alg.mul(a, prior.mu), b)
         var01 = alg.mul(alg.mul(a, a), prior.var)
-        return case, (a, b, mu01, var01)
-    if case == BERNOULLI_BERNOULLI:
+        parts = (a, b, mu01, var01)
+    elif case == BERNOULLI_BERNOULLI:
         # the child's probability given a true parent, and its marginal
         p1 = prior.p
         p_t = alg.subst_rv(cond.p, par, VConst(True))
         p_f = alg.subst_rv(cond.p, par, VConst(False))
-        return case, (p_t, alg.add(alg.mul(p1, p_t), alg.mul(alg.sub(ONE, p1), p_f)))
-    return case, None
+        parts = (p_t, alg.add(alg.mul(p1, p_t), alg.mul(alg.sub(ONE, p1), p_f)))
+    _last[0] = (prior, cond, par, allow, alg, (case, parts))
+    return _last[0][5]
 
 
 def _marginal(case: str | None, prior: Distr, cond: Distr, alg: Algebra, parts) -> Distr | None:
@@ -190,14 +200,14 @@ def _posterior(case: str | None, prior: Distr, cond: Distr, child_ref, alg: Alge
 
 def marginal(prior: Distr, cond: Distr, par: int, alg: Algebra = CONCRETE) -> Distr | None:
     """Marginal distribution of the child after integrating out the parent."""
-    case, parts = _parts(prior, cond, par, alg)
+    case, parts = rule(prior, cond, par, alg=alg)
     return _marginal(case, prior, cond, alg, parts)
 
 
 def posterior(prior: Distr, cond: Distr, par: int, child_ref,
               alg: Algebra = CONCRETE) -> Distr | None:
     """Parent's distribution conditioned on the child taking ``child_ref``."""
-    case, parts = _parts(prior, cond, par, alg)
+    case, parts = rule(prior, cond, par, alg=alg)
     return _posterior(case, prior, cond, child_ref, alg, parts)
 
 
@@ -205,7 +215,7 @@ def swap(prior: Distr, cond: Distr, par: int, child_ref,
          alg: Algebra = CONCRETE) -> tuple[Distr, Distr] | None:
     """``(marginal, posterior)`` from one rule match, or None when no rule
     applies or the marginal has no closed form."""
-    case, parts = _parts(prior, cond, par, alg)
+    case, parts = rule(prior, cond, par, alg=alg)
     marg = _marginal(case, prior, cond, alg, parts)
     if marg is None:
         return None

@@ -69,11 +69,6 @@ def _add_child(g: SymState, parent: int, child: int) -> None:
     g.set_node(parent, node.with_children(node.children | {child}))
 
 
-def _drop_child(g: SymState, parent: int, child: int) -> None:
-    node = g.node(parent)
-    g.set_node(parent, node.with_children(node.children - {child}))
-
-
 def marginalized_child(g: SymState, node: DsNode) -> int | None:
     """The node's one marginalized child; with several, gives up on them."""
     marg = [c for c in node.children if c in g.entries and isinstance(g.node(c), MargN)]
@@ -104,8 +99,7 @@ class DsBackend:
         keeper = None
         for p in parents:
             others = frozenset(q for q in parents if q != p)
-            prior = g.distr(p)
-            if conjugacy.match_case(prior, dist, p, allow=others, alg=g.alg) is not None:
+            if conjugacy.rule(g.distr(p), dist, p, others, g.alg)[0] is not None:
                 keeper = p
                 break
         if keeper is not None and len(parents) == 1:
@@ -115,8 +109,7 @@ class DsBackend:
                 self.value(p, g)
         dist = g.eval_distr(dist)
         if keeper is not None:
-            prior = g.distr(keeper)
-            if conjugacy.match_case(prior, dist, keeper, alg=g.alg) is None:
+            if conjugacy.rule(g.distr(keeper), dist, keeper, alg=g.alg)[0] is None:
                 self.value(keeper, g)
                 dist = g.eval_distr(dist)
                 keeper = None
@@ -201,14 +194,16 @@ class DsBackend:
         g.set_distr(rid, d, RealizedN())
         if isinstance(node, MargN):
             parent = node.parent
-            prior = g.distr(parent)
-            post = conjugacy.posterior(prior, g.eval_distr(node.prior), parent,
+            post = conjugacy.posterior(g.distr(parent), g.eval_distr(node.prior), parent,
                                        g.realized_value(rid), g.alg)
             if post is None:
                 g.give_up([parent], f"conjugacy lost realizing {rid}")
+            pnode = g.node(parent)
+            pnode = pnode.with_children(pnode.children - {rid})
+            if post is None:
+                g.set_node(parent, pnode)
             else:
-                g.set_distr(parent, post)
-            _drop_child(g, parent, rid)
+                g.set_distr(parent, post, pnode)  # one write of the parent's entry
         for c in node.children:
             cnode = g.node(c)
             if isinstance(cnode, InitN):

@@ -19,10 +19,12 @@ does not grow with the lists a model carries along.
 Resampled copies of one parent share its unmutated state until each first
 steps, and then copy it, or, when their twin (the first copy) took its step
 without a draw, copy the twin's state and adopt its result and output tree.
+A parent's only copy takes over the state that the parent owned.  A round's
+generators are built on first draw, from seed words hashed for all at once.
 
 ``Evaluator._run`` is the package's only evaluation loop: the analysis
 (``analysis.AbsInterp``) runs it over abstract values.  It tests the five
-commonest forms by type before its ``match``, and reads leaf arguments in place.
+commonest forms by type before its ``match``, and reads leaves in place.
 """
 
 from __future__ import annotations
@@ -120,20 +122,27 @@ def pattern_mismatch(pat: PTuple, v: Val) -> str:
     return f"pattern arity mismatch: {print_pattern(pat)} does not match {shape(v)}"
 
 
-def match_pattern(pat: Pattern, v: Val) -> dict[str, Val]:
-    match pat:
-        case PVar(name):
-            return {name: v}
-        case PWild() | PUnit():
-            return {}
-        case PTuple(items):
-            if not isinstance(v, VTup) or len(v.items) != len(items):
-                raise EvalError(pattern_mismatch(pat, v))
-            out: dict[str, Val] = {}
-            for q, x in zip(items, v.items):
-                out.update(match_pattern(q, x))
-            return out
-    raise TypeError(pat)
+def tuple_items(pat: PTuple, v: Val) -> tuple[Val, ...]:
+    """The values that the items of ``pat`` bind: those of a tuple of its arity."""
+    if not isinstance(v, VTup) or len(v.items) != len(pat.items):
+        raise EvalError(pattern_mismatch(pat, v))
+    return v.items
+
+
+def match_pattern(pat: Pattern, v: Val, items=tuple_items) -> dict[str, Val]:
+    """The bindings of ``pat`` to ``v``, made left to right in one loop."""
+    out: dict[str, Val] = {}
+    pats, vals = [pat], [v]  # two stacks: a stack of pairs raised the peak memory
+    while pats:
+        pat, v = pats.pop(), vals.pop()
+        if type(pat) is PVar:
+            out[pat.name] = v
+        elif type(pat) is PTuple:
+            vals += reversed(items(pat, v))
+            pats += reversed(pat.items)
+        elif not isinstance(pat, (PWild, PUnit)):
+            raise TypeError(pat)
+    return out
 
 
 def _as_list(v: Val, g: SymState, error: str) -> VLst:
@@ -339,10 +348,18 @@ class Evaluator:
             if t is EOp:
                 return self._eval_op(e.op, self._args(e.args, env, p), p), False
             if t is ELet:
-                r, interrupted = self._run(e.bound, env, p)
-                if interrupted:
-                    rest = {k: v for k, v in env.items() if k not in pattern_vars(e.pat)}
-                    return ELet(e.pat, r, subst(e.body, rest)), True
+                b = e.bound  # a leaf is read in place, as in ``_args``
+                if (tb := type(b)) is EVar and b.name in env:
+                    r = env[b.name]
+                elif tb is EVal:
+                    r = b.v
+                elif tb is EConst:
+                    r = VConst(b.value)
+                else:
+                    r, interrupted = self._run(b, env, p)
+                    if interrupted:
+                        rest = {k: v for k, v in env.items() if k not in pattern_vars(e.pat)}
+                        return ELet(e.pat, r, subst(e.body, rest)), True
                 e, env = e.body, ({**env, e.pat.name: r} if type(e.pat) is PVar
                                   else env | self.bind(e.pat, r))
                 continue
@@ -439,19 +456,41 @@ _M32 = 0xFFFFFFFF
 _OUT_H = [0x8B51F9DD * pow(0x58F38DED, k, 1 << 32) & _M32 for k in range(9)]
 
 
-def _words(n: int) -> list[int]:
-    """``n`` as 32-bit words, least significant first; ``[0]`` for 0."""
-    return [n >> k & _M32 for k in range(0, max(int(n).bit_length(), 1), 32)]
-
-
 @functools.lru_cache(maxsize=4)
-def _round_pool(seed: int, round_idx: int) -> tuple[int, ...]:
-    """The hash constant, then the pool, of ``SeedSequence(seed,
-    spawn_key=(round_idx, i))`` before ``i`` is mixed in: 16 hashes fill
-    and stir the pool, and each word past the first four takes 4."""
+def _round_pool(seed: int, round_idx: int) -> list[tuple[int, int, int]]:
+    """Per word of the pool of ``SeedSequence(seed, spawn_key=(round_idx, i))``
+    before ``i`` is mixed in: the hash constant, its successor and 0xCA01F9DD
+    times the word.  16 hashes fill and stir; each later entropy word takes 4."""
     pool = np.random.SeedSequence(seed, spawn_key=(round_idx,)).pool.tolist()
-    hashes = 16 + 4 * (max(len(_words(seed)), 4) - 4 + len(_words(round_idx)))
-    return (0x43B0D7E5 * pow(0x931E8875, hashes, 1 << 32) & _M32, *pool)
+    seed_words, round_words = (max(-(-int(n).bit_length() // 32), 1) for n in (seed, round_idx))
+    k = 16 + 4 * (max(seed_words, 4) - 4 + round_words)
+    h = [0x43B0D7E5 * pow(0x931E8875, k + d, 1 << 32) & _M32 for d in range(5)]
+    return [(h[d], h[d + 1], 0xCA01F9DD * w & _M32) for d, w in enumerate(pool)]
+
+
+def _mix(w, round_pool: list[tuple[int, int, int]]) -> list:
+    """The pool after mixing in ``w``: a 32-bit int, or a ``uint64`` array of them."""
+    pool = []
+    for h, g, c in round_pool:
+        x = (w ^ h) * g & _M32
+        r = c - 0x4973F715 * (x ^ x >> 16) & _M32
+        pool.append(r ^ r >> 16)
+    return pool
+
+
+def _state_words(pool: list) -> np.ndarray:
+    """The four ``uint64`` words that ``generate_state`` draws from ``pool``."""
+    out = [(pool[k & 3] ^ _OUT_H[k]) * _OUT_H[k + 1] & _M32 for k in range(8)]
+    out = [w ^ w >> 16 for w in out]
+    return np.array([out[k] | out[k + 1] << 32 for k in (0, 2, 4, 6)], dtype=np.uint64)
+
+
+@functools.lru_cache(maxsize=2)
+def _round_words(seed: int, round_idx: int, n: int) -> np.ndarray:
+    """The seed words of generators ``0..n-1`` of a round, one row each,
+    hashed together with ``uint64`` array operations."""
+    pool = _mix(np.arange(n, dtype=np.uint64), _round_pool(seed, round_idx))
+    return np.ascontiguousarray(_state_words(pool).T)  # PCG64 reads a row's memory
 
 
 @functools.cache
@@ -469,29 +508,26 @@ def _seed_words() -> type:
     return SeedWords
 
 
-def _particle_rng(seed: int, round_idx: int, i: int) -> np.random.Generator:
+def _particle_rng(seed: int, round_idx: int, i: int, n: int = 0) -> np.random.Generator:
     """``Generator(PCG64(SeedSequence(seed, spawn_key=(round_idx, i))))``, hashed
-    here from the round's pool: numpy's per-call overhead outweighs the hashing."""
-    h, *pool = _round_pool(seed, round_idx)
-    for w in _words(i):
-        for d in range(4):
-            g = h * 0x931E8875 & _M32
-            x = (w ^ h) * g & _M32
-            r = 0xCA01F9DD * pool[d] - 0x4973F715 * (x ^ x >> 16) & _M32
-            pool[d], h = r ^ r >> 16, g
-    out = [(pool[k & 3] ^ _OUT_H[k]) * _OUT_H[k + 1] & _M32 for k in range(8)]
-    out = [w ^ w >> 16 for w in out]
-    words = np.array([out[k] | out[k + 1] << 32 for k in (0, 2, 4, 6)], dtype=np.uint64)
-    return np.random.Generator(np.random.PCG64(_seed_words()(words)))
+    here from the round's pool: numpy's per-call overhead outweighs the hashing.
+    An index below a round's particle count ``n`` reads the batch that the
+    round's first draw hashed for all of them, and costs only numpy's two calls."""
+    if i < n <= 1 << 32:
+        seq = _seed_words()(_round_words(seed, round_idx, n)[i])
+    elif i <= _M32:
+        seq = _seed_words()(_state_words(_mix(i, _round_pool(seed, round_idx))))
+    else:  # an index of several words: no round has that many particles
+        seq = np.random.SeedSequence(seed, spawn_key=(round_idx, i))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 class FirstDrawRng:
-    """A particle's generator, ``_particle_rng(seed, round_idx, i)``, built
-    on first use: after resampling many particles never draw again, and one
-    costs 9-19 us on 2 vCPUs, more than a step adopted from a twin (7-12 us)."""
+    """A particle's generator, ``_particle_rng(seed, round_idx, i, n)``, built
+    on first use: after resampling many particles never draw again."""
 
-    def __init__(self, seed: int, round_idx: int, i: int) -> None:
-        self._key = (seed, round_idx, i)
+    def __init__(self, seed: int, round_idx: int, i: int, n: int = 0) -> None:
+        self._key = (seed, round_idx, i, n)
         self._gen = None
 
     @property
@@ -523,10 +559,9 @@ def run_model(program: Program, n_particles: int, seed: int, backend: Backend,
     reset_intern()
     ev = Evaluator(program, backend)
     main = subst(program.main, {"data": data})
-    particles = [
-        Particle(main, SymState(FirstDrawRng(seed, 0, i), CastLog(strict_casts)), 0.0, False)
-        for i in range(n_particles)
-    ]
+    particles = [Particle(main, SymState(FirstDrawRng(seed, 0, i, n_particles),
+                                         CastLog(strict_casts)), 0.0, False)
+                 for i in range(n_particles)]
     for p in particles[1:]:
         p.twin = particles[0]
     log_evidence = 0.0
@@ -545,8 +580,10 @@ def run_model(program: Program, n_particles: int, seed: int, backend: Backend,
         counts = rng.multinomial(n_particles, probs)
         fresh: list[Particle] = []
         for p, c in zip(particles, counts):
-            group = [p.copy_for_resample(FirstDrawRng(seed, round_idx + 1, len(fresh) + k))
-                     for k in range(c)]
+            group = [p.copy_for_resample(FirstDrawRng(seed, round_idx + 1, k, n_particles))
+                     for k in range(len(fresh), len(fresh) + c)]
+            if c == 1 and p.state.rng is p.rng:
+                p.state.rng = group[0].rng  # a sole heir takes over its parent's own state
             for child in group[1:]:
                 child.twin = group[0]
             fresh += group

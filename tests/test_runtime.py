@@ -1,5 +1,6 @@
 """Particle evaluation, resampling, and mixture statistics."""
 
+import collections
 import hashlib
 import itertools
 import math
@@ -304,11 +305,41 @@ def test_one_rule_match_per_swap_and_per_chain_marginal(monkeypatch):
 def test_ds_matches_six_rules_per_particle_step(monkeypatch):
     import symppl.conjugacy as conjugacy
 
-    # x and y each match once to be assumed, once to be marginalized and
-    # once to condition their parent (q, r) when realized
+    # x and y each apply their rule once to be assumed, once to be
+    # marginalized and once to condition their parent (q, r) when realized;
+    # the rule's memo matches each pair only the first time
     matches = counting(monkeypatch, conjugacy, "match_case")
+    rules = counting(monkeypatch, conjugacy, "rule")
     noise_run(4, DsBackend(), 2, 20)
-    assert matches[0] == 6 * 2 * 20
+    assert rules[0] == 6 * 2 * 20
+    assert matches[0] == 2 * 2 * 20
+
+
+def test_rule_memo_holds_one_pair(monkeypatch):
+    import symppl.conjugacy as conjugacy
+    from symppl.sym import VRV
+
+    prior = DNormal(VConst(0.0), VConst(1.0))
+    cond1 = DNormal(VRV(0), VConst(2.0))
+    cond2 = DNormal(VRV(0), VConst(3.0))
+    matched = []
+    match_case = conjugacy.match_case
+
+    def recording(prior, cond, *args):
+        matched.append(cond)
+        return match_case(prior, cond, *args)
+
+    monkeypatch.setattr(conjugacy, "match_case", recording)
+    first = conjugacy.rule(prior, cond1, 0)
+    assert conjugacy.rule(prior, cond1, 0) is first
+    conjugacy.rule(prior, cond2, 0)
+    conjugacy.rule(prior, cond1, 0, frozenset({1}))
+    # an equal pair that is not the same objects is matched again
+    again = conjugacy.rule(prior, DNormal(VRV(0), VConst(2.0)), 0)
+    conjugacy.rule(prior, cond1, 0)
+    assert again == first and matched == [cond1, cond2, cond1, cond1, cond1]
+    (entry,) = conjugacy._last
+    assert entry[0] is prior and entry[1] is cond1 and entry[5] == first
 
 
 def test_one_affine_decomposition_per_linear_gaussian_rule_application(monkeypatch):
@@ -342,9 +373,9 @@ def test_resampled_particles_that_never_draw_build_no_generator(monkeypatch):
     built = []
     original = runtime._particle_rng
 
-    def recording(seed, round_idx, i):
+    def recording(seed, round_idx, i, n=0):
         built.append((round_idx, i))
-        return original(seed, round_idx, i)
+        return original(seed, round_idx, i, n)
 
     monkeypatch.setattr(runtime, "_particle_rng", recording)
     # plan 3 samples q and r in round 0 and draws nothing after it; each
@@ -371,6 +402,37 @@ def test_particle_generator_is_numpys_seed_sequence_on_a_grid():
             numpy_generator_state(seed, round_idx, i)
 
 
+@pytest.mark.parametrize("n", [1, 16, 32, 33, 200])
+def test_round_batch_is_numpys_seed_sequence_for_every_index(n):
+    for seed, round_idx in ((0, 0), (5, 7), (2**64 + 3, 2**32 + 1), (2**130 + 5, 2**40)):
+        words = runtime._round_words(seed, round_idx, n)
+        assert words.shape == (n, 4)
+        for i in range(n):
+            expected = np.random.SeedSequence(seed, spawn_key=(round_idx, i))
+            assert words[i].tolist() == expected.generate_state(4, np.uint64).tolist()
+            assert runtime._particle_rng(seed, round_idx, i, n).bit_generator.state == \
+                numpy_generator_state(seed, round_idx, i)
+
+
+def test_index_outside_the_round_builds_no_batch(monkeypatch):
+    built = []
+    round_words = runtime._round_words
+
+    def recording(seed, round_idx, n):
+        built.append(n)
+        assert n <= 4, "a batch for an index beyond the round"  # never allocate it
+        return round_words(seed, round_idx, n)
+
+    monkeypatch.setattr(runtime, "_round_words", recording)
+    for i, n in ((2**32, 2**32 + 1), (2**32 + 5, 2**40), (3, 2), (7, 0)):
+        runtime.FirstDrawRng(1, 2, i, n).random()
+        assert runtime._particle_rng(1, 2, i, n).bit_generator.state == \
+            numpy_generator_state(1, 2, i)
+    assert built == []
+    runtime.FirstDrawRng(1, 2, 1, 4).random()
+    assert built == [4]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**140), st.integers(0, 2**70), st.integers(0, 2**70))
 def test_particle_generator_is_numpys_seed_sequence(seed, round_idx, i):
@@ -380,11 +442,22 @@ def test_particle_generator_is_numpys_seed_sequence(seed, round_idx, i):
 
 def test_each_resampled_copy_copies_one_state_per_round(monkeypatch):
     # a copy shares its parent's state until its step, then copies either
-    # the parent's state or, when it adopts, its twin's; never both
+    # the parent's state or, when it adopts, its twin's; never both.  The
+    # only copy of a parent that owns its state takes that state over.
     copies = counting(monkeypatch, SymState, "copy")
     adopted = counting(monkeypatch, Particle, "adopt")
+    parents = []  # each kept alive, so that no two share an id
+    copy_for_resample = Particle.copy_for_resample
+
+    def recording(self, rng):
+        parents.append((self, self.state.rng is self.rng))
+        return copy_for_resample(self, rng)
+
+    monkeypatch.setattr(Particle, "copy_for_resample", recording)
     noise_run(3, SsiBackend(), 8, 20)
-    assert adopted[0] > 0 and copies[0] == 8 * 20
+    children = collections.Counter(id(p) for p, _ in parents)
+    heirs = sum(owns and children[id(p)] == 1 for p, owns in parents)
+    assert adopted[0] > 0 and heirs > 0 and copies[0] == 8 * 20 - heirs
 
 
 # ``jitter`` samples, so an argument that calls it draws and touches the
