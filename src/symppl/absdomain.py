@@ -630,18 +630,28 @@ def join_node(a: AbsNode | None, b: AbsNode | None, escalate: list[int]) -> AbsN
     return ATopN(a.children | b.children)
 
 
-def join_states(g1: AbsState, g2: AbsState, in_fold: bool) -> AbsState:
+def join_states(g1: AbsState, g2: AbsState, in_fold: bool,
+                sigma: dict[int, int] | None = None) -> AbsState:
+    """A copy of g1 with each of g2's entries joined in under its id
+    renamed by ``sigma``: one pass and one set of rules for g1/g2 pairs
+    and for g2's entries that ``sigma`` merges onto one id.  Each side is
+    read evaluated in its own state (g2's before renaming).  Fails at the
+    first symbolic variable whose node the join tops, then at any that
+    ``set_top`` reaches from the topped nodes' edges."""
     out = g1.copy()
     escalate: list[int] = []
-    changed_to_top: list[int] = []
+    topped: list[int] = []
+    renaming = _renaming(sigma) if sigma else None
     for rid, e2 in g2.entries.items():
-        e1 = out.entries.get(rid)
-        if e1 is None:
-            out.entries[rid] = e2
+        if renaming:
+            rid = sigma.get(rid, rid)
+            d2 = _drop_self(map_vars_distr(g2.eval_distr(e2.distr), *renaming), rid)
+            e2 = Entry(e2.ann, d2, rename_node(e2.node, sigma))
+        e1 = out.entries.setdefault(rid, e2)
+        if e1 is e2 or e1 == e2:  # a fresh id, or an unchanged entry
             continue
-        if e1 == e2:
-            continue
-        d = join_distr(g1.eval_distr(e1.distr), g2.eval_distr(e2.distr))
+        d1 = g1.eval_distr(e1.distr) if g1.entries.get(rid) is e1 else e1.distr
+        d = join_distr(d1, e2.distr if renaming else g2.eval_distr(e2.distr))
         if e1.distr != e2.distr:
             _check_joined_entry(out, d)
         d = widen_distr(d)
@@ -650,13 +660,10 @@ def join_states(g1: AbsState, g2: AbsState, in_fold: bool) -> AbsState:
         local: list[int] = []
         node = join_node(e1.node, e2.node, local)
         if local or (isinstance(node, ATopN) and not isinstance(e1.node, ATopN)):
-            changed_to_top.append(rid)
+            topped.append(rid)
             escalate.extend(local)
         out.entries[rid] = Entry(join_ann(e1.ann, e2.ann), d, node)
-    for rid in changed_to_top:
-        if out.entries[rid].ann is Annotation.SYMBOLIC:
-            raise AnalysisFail([out.witness(rid)])
-    set_top(out, *escalate, nodes_only=True)
+    set_top(out, *escalate, *reversed(topped), nodes_only=True)
     return out
 
 
@@ -715,10 +722,6 @@ def _renaming(sigma: dict[int, int]):
     return (lambda r: VRV(sigma[r]) if r in sigma else None), (lambda s: _rename(s, sigma))
 
 
-def rename_apply(v: Val, sigma: dict[int, int]) -> Val:
-    return map_vars(v, *_renaming(sigma)) if sigma else v
-
-
 def rename_node(node: AbsNode | None, sigma: dict[int, int]) -> AbsNode | None:
     if node is None or not sigma:
         return node
@@ -771,38 +774,13 @@ def _check_joined_entry(g: AbsState, d: Distr) -> None:
                 raise AnalysisFail([g.witness(rid)])
 
 
-def rename_state(g: AbsState, sigma: dict[int, int]) -> AbsState:
-    """Apply a (possibly merging) renaming; colliding entries are joined."""
-    if not sigma:
-        return g
-    out = AbsState(g.counter, g.sites, g.labels)
-    renaming = _renaming(sigma)
-    escalate: list[int] = []
-    for rid, e in g.entries.items():
-        new_rid = sigma.get(rid, rid)
-        d = _drop_self(map_vars_distr(g.eval_distr(e.distr), *renaming), new_rid)
-        renamed = Entry(e.ann, d, rename_node(e.node, sigma))
-        prev = out.entries.get(new_rid)
-        if prev is None:
-            out.entries[new_rid] = renamed
-        else:
-            d = join_distr(_drop_self(prev.distr, new_rid), d)
-            _check_joined_entry(g, d)
-            node = join_node(prev.node, renamed.node, escalate)
-            out.entries[new_rid] = Entry(join_ann(prev.ann, renamed.ann), widen_distr(d), node)
-            if isinstance(node, ATopN) and out.entries[new_rid].ann is Annotation.SYMBOLIC:
-                raise AnalysisFail([out.witness(new_rid)])
-    set_top(out, *escalate, nodes_only=True)
-    return out
-
-
 def rename_join(e1: Val, e2: Val, g1: AbsState, g2: AbsState,
                 in_fold: bool = False) -> tuple[Val, AbsState]:
-    """Align g2's fresh variables with g1's, then take least upper bounds."""
+    """Align g2's fresh variables with g1's (``build_sigma``), then take
+    least upper bounds: of the values, and of the states in one
+    ``join_states`` pass that renames g2's entries as it joins them."""
     sigma = build_sigma(e1, e2, g1, g2)
-    e3 = rename_apply(e2, sigma)
-    g3 = rename_state(g2, sigma)
-    joined = widen(join_expr(e1, e3))
+    joined = widen(join_expr(e1, map_vars(e2, *_renaming(sigma)) if sigma else e2))
     if in_fold:
         joined = widen_sets(joined)
-    return joined, join_states(g1, g3, in_fold)
+    return joined, join_states(g1, g2, in_fold, sigma)

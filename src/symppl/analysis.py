@@ -123,12 +123,12 @@ class AbsInterp(Evaluator):
     bind = staticmethod(_abs_match)
 
     def _join_branches(self, te: Expr, oe: Expr, env: dict, p: AbsParticle) -> Val:
-        """Both branches from copies of the state, joined."""
+        """Both branches from the same state, joined: the then-branch runs
+        on a copy of the state, the else-branch on the state itself."""
         p1 = AbsParticle(p.state.copy())
         tv, _ = self._run(te, env, p1)
-        p2 = AbsParticle(p.state.copy())
-        ov, _ = self._run(oe, env, p2)
-        joined, gj = rename_join(tv, ov, p1.state, p2.state, in_fold=False)
+        ov, _ = self._run(oe, env, p)
+        joined, gj = rename_join(tv, ov, p1.state, p.state, in_fold=False)
         p.state.entries = gj.entries
         return joined
 

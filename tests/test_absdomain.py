@@ -10,6 +10,7 @@ import pytest
 
 from symppl.absdomain import (
     AEUnk,
+    AnalysisFail,
     ATopE,
     AbsState,
     AUnkC,
@@ -170,3 +171,130 @@ def test_concretization_membership_smoke():
         e = random_expr(rng)
         x = random_expr(rng)
         assert leq_expr(e, join_expr(e, x))
+
+
+# --- the join cases no shipped model reaches, one table row each ---
+
+
+def _n(mu, var=1.0):
+    return DNormal(VConst(mu) if isinstance(mu, float) else mu, VConst(var))
+
+
+def test_join_node_table():
+    from symppl.absdomain import ATopN, join_node
+    from symppl.ds import InitN, MargN, MargRootN, RealizedN
+
+    c1, c2 = frozenset({7}), frozenset({8})
+    prior = _n(VRV(5))
+    rows = [
+        # a, b, joined, escalated
+        (None, InitN(1, c1), InitN(1, c1), []),
+        (MargRootN(c1), None, MargRootN(c1), []),
+        (InitN(1, c1), InitN(1, c2), InitN(1, c1 | c2), []),
+        (MargN(1, prior, c1), MargN(1, _n(VRV(6)), c2),
+         MargN(1, DNormal(AEUnk(frozenset({5, 6})), VConst(1.0)), c1 | c2), []),
+        (ATopN(c1), ATopN(c2), ATopN(c1 | c2), []),
+        (RealizedN(), ATopN(c2), ATopN(c2), []),
+        (ATopN(c1), RealizedN(), ATopN(c1), []),
+        (ATopN(c1), InitN(1, c2), ATopN(c1 | c2), [1]),
+        (MargN(1, prior, c2), ATopN(c1), ATopN(c1 | c2), [1, 5]),
+        (InitN(1, c1), InitN(2, c2), ATopN(c1 | c2), [1, 2]),
+    ]
+    for a, b, joined, escalated in rows:
+        escalate: list[int] = []
+        assert join_node(a, b, escalate) == joined, (a, b)
+        assert sorted(escalate) == escalated, (a, b)
+
+
+def test_join_distr_table():
+    from symppl.absdomain import ADUnk, TOP_D, join_distr
+    from symppl.sym import DBeta, DDelta, DSampledDelta
+
+    s1, s2 = frozenset({1}), frozenset({2})
+    topped = DNormal(TOP_E, VConst(1.0))
+    rows = [
+        (TOP_D, _n(0.0), TOP_D),
+        (ADUnk(s1), TOP_D, TOP_D),
+        (ADUnk(s1), ADUnk(s2), ADUnk(s1 | s2)),
+        (ADUnk(s1), _n(VRV(3)), ADUnk(frozenset({1, 3}))),
+        (_n(VRV(3)), ADUnk(s2), ADUnk(frozenset({2, 3}))),
+        (ADUnk(s1), topped, TOP_D),
+        (topped, ADUnk(s2), TOP_D),
+        (DDelta(VConst(1.0)), DSampledDelta(VConst(2.0)), DSampledDelta(UNK)),
+        (DSampledDelta(VRV(1)), DDelta(VConst(2.0)), DSampledDelta(VRV(1))),
+        (_n(VRV(1)), DBeta(VRV(2), VConst(1.0)), ADUnk(frozenset({1, 2}))),
+        (topped, DBeta(VConst(1.0), VConst(1.0)), TOP_D),
+    ]
+    for a, b, joined in rows:
+        out = join_distr(a, b)
+        assert out == joined and type(out) is type(joined), (a, b)
+
+
+def test_set_top_nodes_only_stops_at_no_node_and_at_a_top_node():
+    from symppl.absdomain import ATopN, set_top
+    from symppl.ds import MargN, MargRootN
+
+    g = AbsState()
+    x = g.fresh(Annotation.NONE, _n(0.0), MargRootN(frozenset()), "x", "rv:0")
+    plain = g.fresh(Annotation.NONE, _n(VRV(x)), None, "plain", "rv:1")
+    topped = g.fresh(Annotation.NONE, _n(0.0), None, "topped", "rv:2")
+    child = g.fresh(Annotation.NONE, _n(0.0), MargN(topped, _n(VRV(topped)), frozenset()),
+                    "child", "rv:3")
+    g.set_node(topped, ATopN(frozenset({child})))
+    before = dict(g.entries)
+    set_top(g, plain, topped, nodes_only=True)
+    assert g.entries == before  # neither the distribution's x nor the child is reached
+    set_top(g, topped)  # the full spread does reach the marginalized child
+    assert isinstance(g.node(child), ATopN)
+    # the annotation is read before the stop
+    sym_plain = g.fresh(Annotation.SYMBOLIC, _n(0.0), None, "sym", "rv:4")
+    with pytest.raises(AnalysisFail) as exc:
+        set_top(g, sym_plain, nodes_only=True)
+    assert exc.value.witnesses == [("rv:4", "sym")]
+
+
+def test_rename_join_collision_joins_all_three_entries():
+    # x is older than the branch; the other branch's y is renamed onto it,
+    # so x of g1, x of g2 and y of g2 all land on x
+    g1 = AbsState()
+    x = g1.fresh(Annotation.NONE, _n(1.0, 1.0), None, "x", "rv:0")
+    g2 = g1.copy()
+    g2.set_distr(x, _n(1.0, 2.0))
+    y = g2.fresh(Annotation.SAMPLE, _n(3.0, 1.0), None, "y", "rv:0")
+    joined, gj = rename_join(VRV(x), VRV(y), g1, g2)
+    assert joined == VRV(x)
+    assert y not in gj.entries
+    assert gj.entries[x].ann is Annotation.SAMPLE
+    assert gj.entries[x].distr == DNormal(UNK, UNK)
+    assert g1.entries[x].distr == _n(1.0, 1.0)  # g1 is joined into a copy
+
+
+def test_rename_join_collision_topping_a_symbolic_node_fails():
+    from symppl.ds import InitN, MargRootN
+
+    g1 = AbsState()
+    p = g1.fresh(Annotation.NONE, _n(0.0), MargRootN(frozenset()), "p", "rv:0")
+    q = g1.fresh(Annotation.NONE, _n(0.0), MargRootN(frozenset()), "q", "rv:1")
+    x = g1.fresh(Annotation.SYMBOLIC, _n(VRV(p)), InitN(p, frozenset()), "x", "rv:2")
+    g2 = g1.copy()
+    y = g2.fresh(Annotation.SYMBOLIC, _n(VRV(q)), InitN(q, frozenset()), "y", "rv:2")
+    with pytest.raises(AnalysisFail) as exc:
+        rename_join(VRV(x), VRV(y), g1, g2)
+    assert exc.value.witnesses == [("rv:2", "x")]
+
+
+def test_join_fails_at_the_first_symbolic_variable_it_tops():
+    from symppl.absdomain import join_states
+    from symppl.ds import InitN, MargRootN
+
+    g1 = AbsState()
+    p = g1.fresh(Annotation.NONE, _n(0.0), MargRootN(frozenset()), "p", "rv:0")
+    q = g1.fresh(Annotation.NONE, _n(0.0), MargRootN(frozenset()), "q", "rv:1")
+    a = g1.fresh(Annotation.SYMBOLIC, _n(0.0), InitN(p, frozenset()), "a", "rv:2")
+    b = g1.fresh(Annotation.SYMBOLIC, _n(0.0), InitN(p, frozenset()), "b", "rv:3")
+    g2 = g1.copy()
+    g2.set_node(a, InitN(q, frozenset()))
+    g2.set_node(b, InitN(q, frozenset()))
+    with pytest.raises(AnalysisFail) as exc:
+        join_states(g1, g2, in_fold=False)
+    assert exc.value.witnesses == [("rv:2", "a")]

@@ -502,3 +502,21 @@ def test_analysis_uses_the_runtime_values():
             if isinstance(n, ast.Name) and n.id in ctors:
                 assert id(n) in inside, (module.__name__, n.id, n.lineno)
     assert {absdomain.ALGEBRA.add, absdomain.ALGEBRA.ite} == {absdomain.aadd, absdomain.aite}
+
+
+def test_states_are_joined_in_one_place():
+    # a rename-join renames g2's entries as join_states joins them: no
+    # second copy of the entry join
+    import ast
+    import inspect
+
+    from symppl import absdomain
+
+    for name in ("rename_state", "rename_apply"):
+        assert not hasattr(absdomain, name)
+    callers = []
+    for fn in ast.walk(ast.parse(inspect.getsource(absdomain))):
+        if isinstance(fn, ast.FunctionDef):
+            callers += [fn.name for n in ast.walk(fn) if isinstance(n, ast.Call)
+                        and isinstance(n.func, ast.Name) and n.func.id == "join_node"]
+    assert callers == ["join_states"]

@@ -159,6 +159,34 @@ def test_realize_roots_initialized_children():
     validate_forest(g)
 
 
+
+def test_realize_roots_initialized_child_in_run_and_analysis(monkeypatch):
+    # observing x as a value realizes it while y is still initialized under it
+    from symppl import parse, sym
+    from symppl.absdomain import AbsState
+    from symppl.analysis import analyze
+    from symppl.runtime import run_model
+    from symppl.sym import VLst
+
+    rooted = []
+    real = sym.SymState.set_node
+
+    def recording(self, rid, node):
+        if isinstance(node, MargRootN) and isinstance(self.node(rid), InitN):
+            rooted.append(type(self))
+        return real(self, rid, node)
+
+    monkeypatch.setattr(sym.SymState, "set_node", recording)
+    prog = parse("let x <- gaussian(0., 1.) in let y <- gaussian(x, 1.) in "
+                 "let () = observe(gaussian(0., 1.), x) in (x, y)")
+    mix = run_model(prog, 4, 0, DsBackend(), VLst(()), strict_casts=True)
+    for _, (dx, dy) in mix.components:
+        assert dy == DNormal(dx.v, VConst(1.0))
+    assert rooted and set(rooted) == {SymState}
+    rooted.clear()
+    assert analyze(prog, "ds").satisfiable
+    assert set(rooted) == {AbsState}
+
 def test_invgamma_variance_marginalizes_to_student_t():
     g = SymState(rng(), CastLog())
     backend = DsBackend()
