@@ -63,10 +63,12 @@ def _planned(program, plan: int | None):
         _usage_error(str(exc))
 
 
-def _int_list(text: str, flag: str) -> list[int]:
-    """Comma-separated integers; exits with the usage-error code otherwise."""
+def _int_list(text: str, flag: str, words: dict | None = None) -> list:
+    """Comma-separated integers, or keys of ``words`` standing for their
+    values; exits with the usage-error code otherwise."""
+    words = words or {}
     try:
-        return [int(p) for p in text.split(",")]
+        return [words[p] if p in words else int(p) for p in text.split(",")]
     except ValueError:
         _usage_error(f"{flag} takes comma-separated integers, not {text!r}")
 
@@ -250,16 +252,17 @@ def _bench_trial(name, program, method, particles, trial_seed, timesteps, timeou
 
 def cmd_bench(args) -> int:
     spec = _benchmark(args.benchmark)
-    plans = _int_list(args.plans, "--plans")
+    plans = _int_list(args.plans, "--plans", {"default": None})  # the default heuristic
+    labels = ["default" if plan is None else str(plan) for plan in plans]
     particle_counts = [_at_least("--particles", n, _MINIMUM["particles"])
                        for n in _int_list(args.particles, "--particles")]
     _at_least("--timesteps", args.timesteps, 1)  # an error over no steps is undefined
     program = spec.program()
     planned = [_planned(program, plan) for plan in plans]
     if not args.allow_casts:
-        for plan, prog in zip(plans, planned):
+        for label, prog in zip(labels, planned):
             if not analyze(prog, args.method).satisfiable:
-                print(f"error: plan {plan} is unsatisfiable under {args.method} "
+                print(f"error: plan {label} is unsatisfiable under {args.method} "
                       "(use --allow-casts to run anyway)", file=sys.stderr)
                 return 1
     results = [_bench_trial(args.benchmark, prog, args.method, n, args.seed + trial,
@@ -273,12 +276,12 @@ def cmd_bench(args) -> int:
     header.append("errors")  # failed or timed-out trials, not counted in `trials`
     print(",".join(header), file=writer)
     idx = 0
-    for plan in plans:
+    for label in labels:
         for n in particle_counts:
             chunk = results[idx:idx + args.trials]
             idx += args.trials
             ok = [r for r in chunk if "error" not in r]
-            row = [str(plan), str(n), str(len(ok))]
+            row = [label, str(n), str(len(ok))]
             if ok:
                 row += [repr(float(np.median([r["wall_ms"] for r in ok]))),
                         repr(float(np.mean([r["casts"] for r in ok])))]
@@ -342,7 +345,8 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("bench", help="accuracy/runtime profile as CSV")
     p.add_argument("benchmark")
     p.add_argument("--method", choices=["ssi", "ds"], default="ssi")
-    p.add_argument("--plans", required=True, help="comma-separated plan indices")
+    p.add_argument("--plans", required=True,
+                   help="comma-separated plan indices; default is the unannotated program")
     p.add_argument("--particles", default="16", help="comma-separated particle counts")
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)

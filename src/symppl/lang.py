@@ -6,9 +6,10 @@ followed by a main expression.  ``fold`` is the only iteration construct
 functions may not recurse.
 
 ``children`` and ``rebuild`` are the one child map of expressions: every
-structural walk (``walk``, ``runtime.subst``, ``checker.apply_plan`` and
-``checker.check``) keeps only its own cases and recurses through them for
-the rest, as ``sym.children``/``rebuild`` do for values.
+structural walk (``walk``, ``runtime.subst``, which closes ``main`` over
+``data``, ``checker.apply_plan`` and ``checker.check``) keeps only its own
+cases and recurses through them for the rest, as ``sym.children``/``rebuild``
+do for values.
 
 ``immutable`` declares every node class of the package: expressions here,
 values, distributions and state entries in ``sym``, delayed-sampling nodes
@@ -125,7 +126,8 @@ class EConst(Expr):
 
 @immutable
 class EVal(Expr):
-    """Runtime-substituted value leaf; never produced by the parser."""
+    """Value leaf of a closed ``main`` or a residual; never produced by the
+    parser."""
 
     v: object
 
@@ -220,6 +222,22 @@ class EFoldRest(Expr):
     acc: Expr
 
 
+@immutable
+class ELetK(Expr):
+    """Residual of a ``let`` paused in its bound: ``bound`` is the paused
+    bound's residual, and ``body`` runs under ``env``, the environment of
+    the paused frame, extended by ``pat``.
+
+    Only the evaluator builds it.  Environments are never mutated, so
+    resampled copies share the captured ``env``.
+    """
+
+    pat: "Pattern"
+    bound: Expr
+    body: Expr
+    env: dict[str, object]
+
+
 class Pattern:
     __slots__ = ()
 
@@ -279,6 +297,7 @@ _CHILDREN = {
     EFoldRest: lambda e: (e.acc,),
     EIf: attrgetter("cond", "then", "orelse"),
     ELet: attrgetter("bound", "body"),
+    ELetK: attrgetter("bound", "body"),
     EFold: attrgetter("lst", "init"),
     ELetRV: lambda e: e.args + (e.body,),
     EObserve: lambda e: e.args + (e.value,),
@@ -311,6 +330,8 @@ def rebuild(e: Expr, kids) -> Expr:
             return EIf(*kids)
         case ELet(pat, _, _):
             return ELet(pat, *kids)
+        case ELetK(pat, _, _, env):
+            return ELetK(pat, *kids, env)
         case EFold(func, _, _):
             return EFold(func, *kids)
         case ELetRV(ann, name, dist, _, _, site):

@@ -4,10 +4,11 @@ Evaluation follows big-step rules under an environment: a particle runs
 until it terminates with a value or pauses at a ``resample`` with a
 residual expression.  A call starts from a fresh environment holding only
 its parameters (functions are first-order and closed), and ``let`` extends
-a copy of its frame's environment.  Substitution happens only when a
-particle pauses: each enclosing ``let`` substitutes its environment into
-the rest of its body, so the residual a particle keeps is a closed
-expression that resampled copies can share.  Sequencing positions (``let``
+a copy of its frame's environment.  A particle that pauses keeps its
+frames instead of rewriting them: each enclosing ``let`` pauses as an
+``ELetK`` that captures its frame's environment, so the residual a
+particle keeps is closed, and resampled copies share it and the
+environments it holds, which nothing mutates.  Sequencing positions (``let``
 bodies, fold steps) are iterated rather than recursed so long folds do not
 grow the Python stack.  The fold is the only loop over a list: the parser
 writes ``List.map(f, l)`` as ``rev(fold(__map_f, l, []))``, so a map costs
@@ -46,6 +47,7 @@ from .lang import (
     EIf,
     EList,
     ELet,
+    ELetK,
     ELetRV,
     EObserve,
     EOp,
@@ -98,8 +100,9 @@ class DegenerateWeights(Exception):
 def subst(e: Expr, bindings: dict[str, Val]) -> Expr:
     """``e`` with its free variables in ``bindings`` replaced by values.
 
-    The evaluator uses it only to close ``main`` over ``data`` and a paused
-    residual over the environments of its enclosing frames.
+    It only closes ``main`` over ``data``, for a run (``run_model``) and for
+    the analysis, so it never meets an evaluator-built ``ELetK``: a paused
+    particle's residual is closed by the environments it captured.
     """
     if not bindings:
         return e
@@ -332,9 +335,11 @@ class Evaluator:
         """Evaluates ``e`` under ``env``.
 
         Returns ``(value, False)``, or ``(residual_expr, True)`` when the
-        particle pauses at a ``resample``.  A residual is closed: each frame
-        substitutes its own environment into what it returns.  ``env`` is
-        never mutated, since an enclosing frame may still read it.
+        particle pauses at a ``resample``.  A residual is closed: a ``let``
+        paused in its bound returns an ``ELetK`` holding its own ``env``, and
+        resumes its body under that.  ``env`` is never mutated, since an
+        enclosing frame, a paused residual or a resampled copy may still
+        read it.
         """
         while True:
             t = type(e)  # the five most frequent forms first
@@ -347,7 +352,9 @@ class Evaluator:
                 return e.v, False
             if t is EOp:
                 return self._eval_op(e.op, self._args(e.args, env, p), p), False
-            if t is ELet:
+            if t is ELet or t is ELetK:
+                if t is ELetK:  # its bound is closed; its body reads the captured frame
+                    env = e.env
                 b = e.bound  # a leaf is read in place, as in ``_args``
                 if (tb := type(b)) is EVar and b.name in env:
                     r = env[b.name]
@@ -358,8 +365,7 @@ class Evaluator:
                 else:
                     r, interrupted = self._run(b, env, p)
                     if interrupted:
-                        rest = {k: v for k, v in env.items() if k not in pattern_vars(e.pat)}
-                        return ELet(e.pat, r, subst(e.body, rest)), True
+                        return ELetK(e.pat, r, e.body, env), True
                 e, env = e.body, ({**env, e.pat.name: r} if type(e.pat) is PVar
                                   else env | self.bind(e.pat, r))
                 continue

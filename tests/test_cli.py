@@ -480,6 +480,26 @@ def test_bench_runs_its_trials_in_process(monkeypatch, capsys):
     assert len(rows) == 2 and rows[1].split(",")[:3] == ["7", "4", "2"]
 
 
+def test_bench_runs_the_default_heuristic_as_plan_default(monkeypatch, capsys):
+    from symppl import cli
+    from symppl.benchmarks import BENCHMARKS
+
+    ran = []
+    real = cli.run_model
+
+    def recorded(program, *args):
+        ran.append(program)
+        return real(program, *args)
+
+    monkeypatch.setattr(cli, "run_model", recorded)
+    code, out, err = main_out(capsys, "bench", "noise", "--plans", "default,7", "--particles",
+                              "4", "--trials", "1", "--timesteps", "5")
+    assert (code, err) == (0, "")
+    rows = [row.split(",") for row in out.strip().splitlines()[1:]]
+    assert [row[:3] for row in rows] == [["default", "4", "1"], ["7", "4", "1"]]
+    assert ran == [BENCHMARKS["noise"].program(), cli.apply_plan(BENCHMARKS["noise"].program(), 7)]
+
+
 @pytest.mark.parametrize("command", ["run", "analyze", "enumerate-plans"])
 def test_parse_error_is_one_error_line(command, tmp_path, capsys):
     src = tmp_path / "bad.si"

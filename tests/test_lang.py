@@ -23,6 +23,7 @@ from symppl.lang import (
     EIf,
     EList,
     ELet,
+    ELetK,
     ELetRV,
     EObserve,
     EOp,
@@ -233,6 +234,7 @@ def one_of_each_form():
         EResample: EResample(site=0),
         EFold: EFold("f", a, c),
         EFoldRest: EFoldRest("f", (VConst(1.0),), 0, a),
+        ELetK: ELetK(PVar("x"), a, c, {"c": VConst(4.0)}),
     }
 
 
@@ -321,7 +323,7 @@ def test_every_node_class_is_found():
     assert {"EConst", "ELetRV", "VConst", "VAdd", "DNormal", "DSampledDelta", "Entry",
             "MargN", "RealizedN", "AEUnk", "ALst", "ATopN", "Token", "Verdict",
             "Mixture"} <= names
-    assert len(FROZEN) == len(names) == 56
+    assert len(FROZEN) == len(names) == 57
 
 
 @pytest.mark.parametrize("cls", FROZEN, ids=lambda c: c.__name__)

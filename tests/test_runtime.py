@@ -26,7 +26,7 @@ from symppl.runtime import (
 from symppl.interface import CastLog
 from symppl.ssi import SsiBackend
 from symppl.sym import DDelta, DNormal, EvalError, VConst, VLst, VTup
-from symppl.lang import EConst, ELet, ELetRV, EVal, EVar, Expr, pattern_vars
+from symppl.lang import EConst, ELet, ELetK, ELetRV, EVal, EVar, Expr, pattern_vars
 
 
 def make_particle(expr):
@@ -571,6 +571,8 @@ def free_names(e: Expr, bound: frozenset = frozenset()) -> set[str]:
             return set() if name in bound else {name}
         case ELet(pat, b, body):
             return free_names(b, bound) | free_names(body, bound | set(pattern_vars(pat)))
+        case ELetK(pat, b, body, env):  # the body reads only its captured frame
+            return free_names(b, bound) | free_names(body, frozenset(env) | set(pattern_vars(pat)))
         case ELetRV(_, name, _, args, body):
             return set().union(*(free_names(x, bound) for x in args),
                                free_names(body, bound | {name}))
@@ -645,16 +647,41 @@ List.map(twice, [t, s])
     assert calls[0] == 1  # closing ``main`` over ``data``
 
 
-def test_substitution_only_closes_paused_frames(monkeypatch):
+def test_a_pause_substitutes_nothing(monkeypatch):
     # on noise a particle pauses inside the step's ``let () = resample()``,
-    # which runs inside main's ``let (xs, q, r) = fold(...)``: two frames
-    per_pause = []
+    # which runs inside main's ``let (xs, q, r) = fold(...)``: each paused
+    # ``let`` keeps its frame's environment instead
     for timesteps in (20, 80):
         calls = count_top_level_subst(monkeypatch)
+        paused = counting(monkeypatch, Evaluator, "_resample")
         noise_run(4, DsBackend(), 2, timesteps)
         monkeypatch.undo()
-        per_pause.append((calls[0] - 1) / (2 * timesteps))  # one call closes ``main``
-    assert per_pause[0] == per_pause[1] <= 2
+        assert paused[0] == 2 * timesteps
+        assert calls[0] == 1  # closing ``main`` over ``data``
+
+
+# the bound pauses twice, and its pattern swaps ``a`` and ``x``, which the
+# paused frame also binds and the bound reads; the body reads ``c`` from
+# the paused frame
+REBINDING_PAUSE = """
+let symbolic x <- gaussian(0., 1.) in
+let a = 1. in
+let c = 2. in
+let (a, x) = (let () = resample() in let b = x in let () = resample() in (b, a)) in
+let () = observe(gaussian(a, 1.), 0.5) in
+let () = resample() in
+(a, x, c)
+"""
+
+
+@pytest.mark.parametrize("backend", [SsiBackend, DsBackend], ids=["ssi", "ds"])
+def test_a_pause_in_a_rebinding_tuple_let_resumes_like_a_run_without_pauses(backend):
+    paused = run_src(REBINDING_PAUSE, n=3, backend=backend())
+    unpaused = run_src(REBINDING_PAUSE.replace("resample()", "()"), n=3, backend=backend())
+    assert only_output(paused) == only_output(unpaused)
+    # a is x's posterior after the observation, and x is the outer a
+    assert only_output(paused) == str((DNormal(VConst(0.25), VConst(0.5)), DDelta(VConst(1.0)),
+                                       DDelta(VConst(2.0))))
 
 
 def every_particle_evaluates(monkeypatch):

@@ -71,6 +71,49 @@ def test_no_frozen_dataclass(path):
     assert dataclass_classes(path.read_text()) == []
 
 
+def subst_readers(source: str, module: str) -> list[str]:
+    """The functions of ``module`` that read ``runtime.subst``, by qualified
+    name, once per reading; the recursion inside ``subst`` itself aside."""
+    tree = ast.parse(source)
+    aliases = {"subst"} if module == "runtime" else set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "runtime":
+            aliases |= {a.asname or a.name for a in node.names if a.name == "subst"}
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if ((isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+             and node.id in aliases)
+                or (isinstance(node, ast.Attribute) and node.attr == "subst"
+                    and getattr(node.value, "id", None) == "runtime")):
+            if not (module == "runtime" and scope[:1] == ("subst",)):
+                out.append(".".join((module,) + scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return out
+
+
+def test_subst_reader_is_found():
+    source = ("from .runtime import subst as s\nfrom . import runtime\n"
+              "class A:\n    def f(self):\n        return map(s, [])\n"
+              "def g():\n    return runtime.subst(1)\n")
+    assert subst_readers(source, "analysis") == ["analysis.A.f", "analysis.g"]
+    source = "def subst(e):\n    return subst(e)\ndef h():\n    return subst(2)\n"
+    assert subst_readers(source, "runtime") == ["runtime.h"]
+
+
+def test_subst_only_closes_main():
+    # a paused particle keeps its frames' environments (``lang.ELetK``), so
+    # substitution only closes ``main`` over ``data``: for a run and for the
+    # analysis; the evaluation loop never substitutes
+    readers = [r for path in SOURCES for r in subst_readers(path.read_text(), path.stem)]
+    assert sorted(readers) == ["analysis.analyze", "runtime.run_model"]
+
+
 def test_importing_the_package_leaves_numpy_random_unloaded():
     # every command imports the package, and only filters that draw need
     # numpy.random, whose import costs about 15 ms
