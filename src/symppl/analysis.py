@@ -9,9 +9,9 @@ condition stays unknown, the fixpoint of a fold over a list of unknown
 length (a ``map`` is one: the parser writes it as a fold), and the
 abstract backends.  Values are forced by the runtime's
 ``interface.value_star``; one that stays unknown is some constant.
-``main`` is closed over an unknown ``data`` with ``runtime.subst``, as
-``run_model`` closes it over the data, and one abstract particle runs it;
-``resample`` is a no-op and there are no weights.
+``main`` is closed over an unknown ``data`` by ``runtime.subst`` (an
+``ELetK`` binding it), as ``run_model`` closes it over the data, and one
+abstract particle runs it; ``resample`` is a no-op and there are no weights.
 
 The abstract backends are the runtime's: ``AbsSsi`` and ``AbsDs`` bind
 ``ssi``'s and ``ds``'s own functions, which run over an

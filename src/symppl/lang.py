@@ -6,10 +6,10 @@ followed by a main expression.  ``fold`` is the only iteration construct
 functions may not recurse.
 
 ``children`` and ``rebuild`` are the one child map of expressions: every
-structural walk (``walk``, ``runtime.subst``, which closes ``main`` over
-``data``, ``checker.apply_plan`` and ``checker.check``) keeps only its own
-cases and recurses through them for the rest, as ``sym.children``/``rebuild``
-do for values.
+structural walk (``walk``, ``checker.apply_plan`` and ``checker.check``)
+keeps only its own cases and recurses through them for the rest, as
+``sym.children``/``rebuild`` do for values.  No walk substitutes values:
+the evaluator reads them from environments, which ``ELetK`` captures.
 
 ``immutable`` declares every node class of the package: expressions here,
 values, distributions and state entries in ``sym``, delayed-sampling nodes
@@ -122,14 +122,6 @@ class Expr:
 @immutable
 class EConst(Expr):
     value: float | bool | None  # None is unit
-
-
-@immutable
-class EVal(Expr):
-    """Value leaf of a closed ``main`` or a residual; never produced by the
-    parser."""
-
-    v: object
 
 
 @immutable

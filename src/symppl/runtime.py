@@ -4,10 +4,10 @@ Evaluation follows big-step rules under an environment: a particle runs
 until it terminates with a value or pauses at a ``resample`` with a
 residual expression.  A call starts from a fresh environment holding only
 its parameters (functions are first-order and closed), and ``let`` extends
-a copy of its frame's environment.  A particle that pauses keeps its
-frames instead of rewriting them: each enclosing ``let`` pauses as an
-``ELetK`` that captures its frame's environment, so the residual a
-particle keeps is closed, and resampled copies share it and the
+a copy of its frame's environment.  No expression is rewritten: each
+``let`` enclosing a pause becomes an ``ELetK`` that captures its frame's
+environment, as ``subst`` closes ``main`` over ``data``, so a paused
+particle's residual is closed, and resampled copies share it and the
 environments it holds, which nothing mutates.  Sequencing positions (``let``
 bodies, fold steps) are iterated rather than recursed so long folds do not
 grow the Python stack.  The fold is the only loop over a list: the parser
@@ -24,7 +24,7 @@ A parent's only copy takes over the state that the parent owned.  A round's
 generators are built on first draw, from seed words hashed for all at once.
 
 ``Evaluator._run`` is the package's only evaluation loop: the analysis
-(``analysis.AbsInterp``) runs it over abstract values.  It tests the five
+(``analysis.AbsInterp``) runs it over abstract values.  It tests the four
 commonest forms by type before its ``match``, and reads leaves in place.
 """
 
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import repeat
 
 import numpy as np
 
@@ -53,7 +52,6 @@ from .lang import (
     EOp,
     EResample,
     ETuple,
-    EVal,
     EVar,
     Expr,
     Pattern,
@@ -62,10 +60,7 @@ from .lang import (
     PUnit,
     PVar,
     PWild,
-    children,
     immutable,
-    pattern_vars,
-    rebuild,
 )
 from .parser import print_pattern
 from .sym import (
@@ -98,25 +93,11 @@ class DegenerateWeights(Exception):
 
 
 def subst(e: Expr, bindings: dict[str, Val]) -> Expr:
-    """``e`` with its free variables in ``bindings`` replaced by values.
-
-    It only closes ``main`` over ``data``, for a run (``run_model``) and for
-    the analysis, so it never meets an evaluator-built ``ELetK``: a paused
-    particle's residual is closed by the environments it captured.
-    """
-    if not bindings:
-        return e
-    match e:
-        case EVar(name):
-            return EVal(bindings[name]) if name in bindings else e
-        case ELet(pat, bound, body):
-            inner = {k: v for k, v in bindings.items() if k not in pattern_vars(pat)}
-            return ELet(pat, subst(bound, bindings), subst(body, inner))
-        case ELetRV(ann, name, dist, args, body, site):
-            inner = {k: v for k, v in bindings.items() if k != name}
-            return ELetRV(ann, name, dist, tuple(map(subst, args, repeat(bindings))),
-                          subst(body, inner), site=site)
-    return rebuild(e, tuple(map(subst, children(e), repeat(bindings))))
+    """``e`` closed over ``bindings`` by an environment: nothing is walked or
+    rebuilt.  It closes ``main`` over ``data`` (``run_model``, and the
+    analysis as ``esubst``); the name stays because perfbench's probe and
+    ``analysis.esubst`` bind it."""
+    return ELetK(PUnit(), EConst(None), e, bindings)
 
 
 def pattern_mismatch(pat: PTuple, v: Val) -> str:
@@ -162,7 +143,7 @@ class Particle:
 
     def __init__(self, cont: Expr, state: SymState, logw: float, flag: bool,
                  checkpoint: int | None = None, value: Val | None = None) -> None:
-        self.cont = cont
+        self.cont = cont  # None once the particle has terminated
         self.state = state  # holds the particle's generator and cast log
         self.logw = logw
         self.flag = flag
@@ -247,7 +228,7 @@ class Evaluator:
 
     def _resample(self, site: int, p: Particle):
         p.checkpoint = site
-        return EVal(UNIT), True
+        return EConst(None), True
 
     def _fold(self, fname: str, lst: Val, init: Val, p: Particle):
         if not isinstance(lst, VLst):
@@ -311,7 +292,7 @@ class Evaluator:
             p.flag = True
         else:
             p.value = r
-            p.cont = EVal(r)
+            p.cont = None
             p.flag = False
 
     def _args(self, args: tuple[Expr, ...], env: dict[str, Val], p: Particle,
@@ -322,8 +303,6 @@ class Evaluator:
         for x in args:
             if (t := type(x)) is EVar and x.name in env:
                 v = env[x.name]
-            elif t is EVal:
-                v = x.v
             elif t is EConst:
                 v = VConst(x.value)
             else:
@@ -342,25 +321,19 @@ class Evaluator:
         read it.
         """
         while True:
-            t = type(e)  # the five most frequent forms first
+            t = type(e)  # the four most frequent forms first
             if t is EVar:
                 try:
                     return env[e.name], False
                 except KeyError:
                     raise EvalError(f"unbound variable {e.name}") from None
-            if t is EVal:
-                return e.v, False
             if t is EOp:
                 return self._eval_op(e.op, self._args(e.args, env, p), p), False
             if t is ELet or t is ELetK:
                 if t is ELetK:  # its bound is closed; its body reads the captured frame
                     env = e.env
-                b = e.bound  # a leaf is read in place, as in ``_args``
-                if (tb := type(b)) is EVar and b.name in env:
-                    r = env[b.name]
-                elif tb is EVal:
-                    r = b.v
-                elif tb is EConst:
+                b = e.bound  # a constant is read in place, as in ``_args``
+                if type(b) is EConst:
                     r = VConst(b.value)
                 else:
                     r, interrupted = self._run(b, env, p)

@@ -181,8 +181,7 @@ def test_analysis_runs_the_runtime_loop(method, monkeypatch):
 
     assert issubclass(analysis.AbsInterp, runtime.Evaluator)
     assert not {"run", "_run", "_force", "_assume"} & set(vars(analysis.AbsInterp))
-    top_level: list = []
-    depth = [0]
+    closed: list = []
     real = runtime.subst
     forced: list = []
     real_force = runtime.value_star
@@ -192,21 +191,16 @@ def test_analysis_runs_the_runtime_loop(method, monkeypatch):
         return real_force(v, g, *rest)
 
     def counted(e, bindings):
-        if not depth[0]:
-            top_level.append(e)
-        depth[0] += 1
-        try:
-            return real(e, bindings)
-        finally:
-            depth[0] -= 1
+        closed.append(e)
+        return real(e, bindings)
 
     monkeypatch.setattr(runtime, "subst", counted)
     monkeypatch.setattr(analysis, "esubst", counted)
     monkeypatch.setattr(runtime, "value_star", counted_force)
     for prog in (parse(ONE_LOOP_PROGRAM), apply_plan(BENCHMARKS["slam"].program(), 0)):
-        top_level.clear()
+        closed.clear()
         analyze(prog, method)
-        assert top_level == [prog.main]  # only closing main over data
+        assert closed == [prog.main]  # only closing main over data
     assert forced and set(forced) == {AbsState}  # slam forces through the runtime's value_star
 
 

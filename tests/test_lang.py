@@ -29,7 +29,6 @@ from symppl.lang import (
     EOp,
     EResample,
     ETuple,
-    EVal,
     EVar,
     Expr,
     Program,
@@ -39,7 +38,6 @@ from symppl.lang import (
     walk,
 )
 from symppl.parser import ParseError, print_expr
-from symppl.runtime import subst
 from symppl.sym import DDelta, Entry, VConst
 
 
@@ -221,7 +219,6 @@ def one_of_each_form():
     a, b, c = EVar("a"), EConst(1.0), EVar("c")
     return {
         EConst: EConst(2.0),
-        EVal: EVal(VConst(3.0)),
         EVar: EVar("v"),
         ETuple: ETuple((a, b)),
         EList: EList((a, b, c)),
@@ -258,19 +255,6 @@ def test_walk_is_pre_order():
     assert [print_expr(x) for x in walk(e)] == [
         "if (x < 2.0) then (b, [c]) else f(a)", "(x < 2.0)", "x", "2.0",
         "(b, [c])", "b", "[c]", "c", "f(a)", "a"]
-
-
-def test_subst_respects_let_and_random_variable_shadowing():
-    v, w = VConst(5.0), VConst(6.0)
-    e = parse("let x = x + 1. in let y <- gaussian(x, y) in (x, y)").main
-    assert subst(e, {"x": v, "y": w}) == ELet(
-        e.pat, EOp("+", (EVal(v), EConst(1.0))),
-        ELetRV(Annotation.NONE, "y", "gaussian", (EVar("x"), EVal(w)),
-               ETuple((EVar("x"), EVar("y")))))
-    for e in one_of_each_form().values():
-        if not isinstance(e, (ELet, ELetRV)):
-            swapped = [EVal(v) if k == EVar("a") else k for k in children(e)]
-            assert subst(e, {"a": v}) == rebuild(e, swapped)
 
 
 def replace(obj, /, **changes):
@@ -323,7 +307,7 @@ def test_every_node_class_is_found():
     assert {"EConst", "ELetRV", "VConst", "VAdd", "DNormal", "DSampledDelta", "Entry",
             "MargN", "RealizedN", "AEUnk", "ALst", "ATopN", "Token", "Verdict",
             "Mixture"} <= names
-    assert len(FROZEN) == len(names) == 57
+    assert len(FROZEN) == len(names) == 56
 
 
 @pytest.mark.parametrize("cls", FROZEN, ids=lambda c: c.__name__)

@@ -26,7 +26,7 @@ from symppl.runtime import (
 from symppl.interface import CastLog
 from symppl.ssi import SsiBackend
 from symppl.sym import DDelta, DNormal, EvalError, VConst, VLst, VTup
-from symppl.lang import EConst, ELet, ELetK, ELetRV, EVal, EVar, Expr, pattern_vars
+from symppl.lang import EConst, ELet, ELetK, ELetRV, EVar, Expr, PUnit, pattern_vars
 
 
 def make_particle(expr):
@@ -617,25 +617,44 @@ def test_paused_residual_is_closed_and_resumes_like_a_full_run():
     assert str(resumed) == only_output(run_model(prog, 3, 0, SsiBackend(), data))
 
 
-def count_top_level_subst(monkeypatch) -> list[int]:
-    """Counts calls of ``runtime.subst`` that are not its own recursion."""
-    calls, depth = [0], [0]
-    original = runtime.subst
+def test_subst_closes_through_an_environment():
+    e = parse("let x <- gaussian(List.hd(data), 1.) in x").main
+    data = VLst((VConst(1.0),))
+    closed = runtime.subst(e, {"data": data})
+    assert type(closed) is ELetK and closed.body is e  # nothing is rebuilt
+    assert closed.pat == PUnit() and closed.bound == EConst(None)
+    assert closed.env == {"data": data}
 
-    def counted(e, bindings):
-        calls[0] += depth[0] == 0
-        depth[0] += 1
-        try:
-            return original(e, bindings)
-        finally:
-            depth[0] -= 1
 
-    monkeypatch.setattr(runtime, "subst", counted)
-    return calls
+# main rebinds ``data`` before folding over it, and both functions bind a
+# parameter named ``data``: each reads its own binding, never main's
+SHADOWED_DATA = """
+let double = fun data -> 2. * data
+let step = fun (data, x) ->
+  let () = observe(gaussian(x, 1.), data) in
+  let () = resample() in
+  x
+let data = List.map(double, data) in
+let symbolic x <- gaussian(0., 1.) in
+fold(step, data, x)
+"""
+
+
+def test_closing_main_through_its_environment_respects_shadowing():
+    from symppl.analysis import analyze
+
+    prog = parse(SHADOWED_DATA)
+    data = VLst((VConst(0.5), VConst(1.0), VConst(-0.25)))
+    # x ~ N(0, 1) observed at 1, 2 and -0.5 with unit noise: N(2.5 / 4, 1 / 4)
+    for backend in (SsiBackend(), DsBackend()):
+        mean, var = posterior_stats(run_model(prog, 3, 0, backend, data), ())
+        assert mean == pytest.approx(0.625, abs=1e-12)
+        assert var == pytest.approx(0.25, abs=1e-12)
+        assert analyze(prog, backend.name).satisfiable
 
 
 def test_no_substitution_without_a_pause(monkeypatch):
-    calls = count_top_level_subst(monkeypatch)
+    calls = counting(monkeypatch, runtime, "subst")
     src = """
 let inc = fun (z, acc) -> let (a, b) = (acc, z) in a + b
 let twice = fun x -> let y = inc(x, x) in y
@@ -652,7 +671,7 @@ def test_a_pause_substitutes_nothing(monkeypatch):
     # which runs inside main's ``let (xs, q, r) = fold(...)``: each paused
     # ``let`` keeps its frame's environment instead
     for timesteps in (20, 80):
-        calls = count_top_level_subst(monkeypatch)
+        calls = counting(monkeypatch, runtime, "subst")
         paused = counting(monkeypatch, Evaluator, "_resample")
         noise_run(4, DsBackend(), 2, timesteps)
         monkeypatch.undo()
