@@ -5,9 +5,13 @@ no equivalent for: ``AUnkC`` (some constant), ``AEUnk(S)`` (some
 expression over a variable set), ``ATopE`` (any expression) and
 ``ALst(items, tail)`` (a list with an unknown suffix over the variables
 ``tail``).  ``AUnkC`` counts as a constant.  The analysis builds nodes
-through ``ALGEBRA``, its smart constructors, and walks them through
-``sym``'s child map (``children``/``rebuild``) and ``sym.free_vars``;
-each walk here keeps only its leaf and abstract-only cases.
+through ``ALGEBRA``, its smart constructors: ``sym``'s arithmetic rules
+with an abstract node step that builds plain nodes, not interned ones,
+and its own ``acmp`` and ``aite`` (an abstract ``ite`` must not collapse
+equal branches, which stand for possibly different values).  It walks
+nodes through ``sym``'s child map (``children``/``rebuild``) and
+``sym.free_vars``; each walk here keeps only its leaf and abstract-only
+cases.
 Distributions are the runtime's forms over abstract parameters plus
 ``ADUnk(S)``/``ATopD``, and the delayed-sampling nodes are ``ds``'s plus
 ``ATopN``.  Joins recurse through matching heads, collapse mismatches to
@@ -49,18 +53,18 @@ from .sym import (
     VRV,
     VTup,
     Val,
-    VAdd,
-    VDiv,
-    VMul,
-    VSub,
     _List,
     _Node,
     _union,
+    add,
     children,
     distr_params,
+    div,
     free_vars,
     map_params,
+    mul,
     rebuild,
+    sub,
     t_scale,
 )
 
@@ -163,50 +167,34 @@ def _some_constant(c: Val) -> bool:
     return _is_constish(c) or (isinstance(c, AEUnk) and not c.fv)
 
 
-def _arith(cls, fold, l: Val, r: Val) -> Val:
+def _abstract(cls, make, l: Val, r: Val) -> Val:
+    """The abstract node step of ``sym``'s arithmetic constructors: a top
+    operand gives top, two constant-like ones some constant, and any other
+    pair a plain node, not interned, so an analysis leaves nothing in
+    ``sym``'s intern table."""
     if isinstance(l, ATopE) or isinstance(r, ATopE):
         return TOP_E
-    if isinstance(l, VConst) and isinstance(r, VConst):
-        return VConst(fold(l.v, r.v))
     if _is_constish(l) and _is_constish(r):
         return UNK
     return cls(l, r)
 
 
 def aadd(l: Val, r: Val) -> Val:
-    if isinstance(l, VConst) and l.v == 0:
-        return r
-    if isinstance(r, VConst) and r.v == 0:
-        return l
-    return _arith(VAdd, lambda a, b: a + b, l, r)
+    return add(l, r, _abstract)
 
 
 def asub(l: Val, r: Val) -> Val:
-    if isinstance(r, VConst) and r.v == 0:
-        return l
-    return _arith(VSub, lambda a, b: a - b, l, r)
+    return sub(l, r, _abstract)
 
 
 def amul(l: Val, r: Val) -> Val:
-    if isinstance(l, VConst):
-        if l.v == 1:
-            return r
-        if l.v == 0:
-            return VConst(0.0)
-    if isinstance(r, VConst):
-        if r.v == 1:
-            return l
-        if r.v == 0:
-            return VConst(0.0)
-    return _arith(VMul, lambda a, b: a * b, l, r)
+    return mul(l, r, _abstract)
 
 
 def adiv(l: Val, r: Val) -> Val:
-    if isinstance(r, VConst) and r.v == 1:
-        return l
     if isinstance(r, VConst) and r.v == 0:
         return UNK  # a concrete run would fail; keep the analysis total
-    return _arith(VDiv, lambda a, b: a / b, l, r)
+    return div(l, r, _abstract)
 
 
 def acmp(op: str, l: Val, r: Val) -> Val:

@@ -46,7 +46,7 @@ from .absdomain import (
 )
 from .ds import DsBackend
 from .lang import Expr, Program, PTuple, immutable
-from .runtime import Evaluator, match_pattern, pattern_mismatch, subst as esubst
+from .runtime import Evaluator, match_pattern, numeric, pattern_mismatch, subst as esubst
 from .ssi import SsiBackend
 from .sym import UNIT, EvalError, VConst, VLst, VTup, Val, _List, weak_eq
 
@@ -169,7 +169,7 @@ class AbsInterp(Evaluator):
                 return TOP_E if contains_top(lst) else AEUnk(fv(lst))
             case "len":
                 return VConst(float(len(lst.items))) if isinstance(lst, VLst) else UNK
-        lo, hi = a  # range
+        lo, hi = numeric(a, "range")
         if isinstance(lo, VConst) and isinstance(hi, VConst):
             return VLst(tuple(VConst(float(i)) for i in range(int(lo.v), int(hi.v))))
         return AEUnk(frozenset())

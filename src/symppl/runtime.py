@@ -129,6 +129,16 @@ def match_pattern(pat: Pattern, v: Val, items=tuple_items) -> dict[str, Val]:
     return out
 
 
+def numeric(vals, what: str):
+    """``vals``, unless one is the unit value, which no operator,
+    distribution or observation takes: then ``EvalError`` naming ``what``.
+    Both domains check their operands here, before any fold sees them."""
+    for v in vals:
+        if type(v) is VConst and v.v is None:
+            raise EvalError(f"unit value passed to {what}")
+    return vals
+
+
 def _as_list(v: Val, g: SymState, error: str) -> VLst:
     """``v`` as a list, evaluating it only when it is not one already."""
     if not isinstance(v, VLst):
@@ -218,7 +228,7 @@ class Evaluator:
                 return VLst(tuple(reversed(_as_list(args[0], g, "rev of a non-list value").items)))
             case "len":
                 return VConst(float(len(_as_list(args[0], g, "len of a non-list value").items)))
-        lo, hi = (g.eval_value(x) for x in args)  # range
+        lo, hi = numeric([g.eval_value(x) for x in args], "range")
         if not (isinstance(lo, VConst) and isinstance(hi, VConst)):
             raise EvalError("range bounds must be constants")
         return VLst(tuple(VConst(float(i)) for i in range(int(lo.v), int(hi.v))))
@@ -241,7 +251,7 @@ class Evaluator:
         if op in LIST_OPS:
             return self._list_op(op, args, p)
         g = p.state
-        a = [g.eval_value(x) for x in args]
+        a = numeric([g.eval_value(x) for x in args], op)
         alg = g.alg
         match op:
             case "+":
@@ -367,26 +377,29 @@ class Evaluator:
                             tv, _ = self._run(te, env, p)
                             ov, _ = self._run(oe, env, p)
                             # a tuple or list is not selected lazily: its
-                            # consumers need its shape
-                            if not isinstance(tv, CONTAINERS) and not isinstance(ov, CONTAINERS):
+                            # consumers need its shape; nor is a unit beside
+                            # a number, so the operator taking it can reject it
+                            if (not isinstance(tv, CONTAINERS) and not isinstance(ov, CONTAINERS)
+                                    and (tv == UNIT) == (ov == UNIT)):
                                 return p.state.alg.ite(cv, tv, ov), False
                         cv = value_star(cv, p.state, self.backend)
                         if not isinstance(cv, VConst):  # an abstract value can stay unknown
                             return self._join_branches(te, oe, env, p), False
                     e = te if cv.v else oe
                 case ELetRV(ann, name, dist, args, body, site):
-                    argv = self._args(args, env, p, p.state.eval_value)
+                    argv = numeric(self._args(args, env, p, p.state.eval_value), dist)
                     rid = self.backend.assume(ann, make_dist(dist, argv), p.state,
                                               label=name, site=f"rv:{site}")
                     bound_v = (self.backend.value(rid, p.state) if ann is Annotation.SAMPLE
                                else VRV(rid))
                     e, env = body, {**env, name: bound_v}
                 case EObserve(dist, args, value_e):
-                    argv = self._args(args, env, p, p.state.eval_value)
+                    argv = numeric(self._args(args, env, p, p.state.eval_value), dist)
                     rid = self.backend.assume(Annotation.NONE, make_dist(dist, argv),
                                               p.state, label="obs", site="obs")
                     ve, _ = self._run(value_e, env, p)
-                    self._observe(rid, value_star(ve, p.state, self.backend), p)
+                    (c,) = numeric((value_star(ve, p.state, self.backend),), dist)
+                    self._observe(rid, c, p)
                     return UNIT, False
                 case EResample(site):
                     return self._resample(site, p)

@@ -4,10 +4,12 @@ Values double as symbolic expressions over random variables.  The node
 classes serve the runtime and the analysis alike: ``children`` and
 ``rebuild`` are the one child map every structural walk recurses through,
 and ``free_vars`` is the one free-variable walk.  Each value domain builds
-nodes through its own smart constructors, an ``Algebra``: the concrete ones
-(``add`` .. ``ite``) fold constants, drop arithmetic identities and
-hash-cons, so stored expressions stay small; the analysis's are
-``absdomain.ALGEBRA``.  ``eval_value`` additionally substitutes realized
+nodes through its smart constructors, an ``Algebra`` (the analysis's is
+``absdomain.ALGEBRA``).  The arithmetic rules are written once, here:
+``add`` .. ``div`` fold constants and drop identities, and a domain
+supplies only the node step that builds what they leave.  The concrete
+step distributes into ``ite`` branches and hash-conses, so stored
+expressions stay small.  ``eval_value`` additionally substitutes realized
 random variables.
 
 The concrete constructors are canonical: every node they build is a fixed
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import field
+from functools import partial
 from itertools import chain
 from operator import attrgetter
 from typing import Callable
@@ -154,58 +157,51 @@ def _intern(key, node):
     return node
 
 
-def _node2(cls, l: Val, r: Val) -> Val:
-    l, r = _canon(l), _canon(r)
-    return _intern((cls, id(l), id(r)), cls(l, r))
-
-
-def _node_cmp(op: str, l: Val, r: Val) -> Val:
-    l, r = _canon(l), _canon(r)
-    return _intern((VCmp, op, id(l), id(r)), VCmp(op, l, r))
-
-
 def _node_ite(c: Val, t: Val, o: Val) -> Val:
     c, t, o = _canon(c), _canon(t), _canon(o)
     return _intern((VIte, id(c), id(t), id(o)), VIte(c, t, o))
 
 
-def _push_ite(make, l: Val, r: Val) -> Val | None:
-    """Distribute a strict scalar operation into conditional branches.
-
-    Applied when one operand is a constant or both share the same guard
-    node; keeps position-lookup towers (nested selects over constants)
-    foldable instead of opaque.
-    """
+def _interned(cls, make, l: Val, r: Val) -> Val:
+    """The concrete node step of the binary constructors: ``make``, the
+    constructor, distributed into conditional branches when one operand is
+    a constant or both share the same guard node, which keeps
+    position-lookup towers (nested selects over constants) foldable;
+    otherwise the hash-consed ``cls`` node."""
     if isinstance(l, VIte) and isinstance(r, VIte) and l.cond is r.cond:
         return ite(l.cond, make(l.then, r.then), make(l.orelse, r.orelse))
     if isinstance(l, VIte) and isinstance(r, VConst):
         return ite(l.cond, make(l.then, r), make(l.orelse, r))
     if isinstance(r, VIte) and isinstance(l, VConst):
         return ite(r.cond, make(l, r.then), make(l, r.orelse))
-    return None
+    l, r = _canon(l), _canon(r)
+    return _intern((cls, id(l), id(r)), cls(l, r))
 
 
-def add(l: Val, r: Val) -> Val:
+# The arithmetic rules, written once: what folding and the identities
+# leave is built by ``node``, a domain's node step (``absdomain`` has the
+# abstract one).
+
+
+def add(l: Val, r: Val, node=_interned) -> Val:
     if isinstance(l, VConst) and isinstance(r, VConst):
         return VConst(l.v + r.v)
     if isinstance(l, VConst) and l.v == 0:
         return r
     if isinstance(r, VConst) and r.v == 0:
         return l
-    pushed = _push_ite(add, l, r)
-    return pushed if pushed is not None else _node2(VAdd, l, r)
+    return node(VAdd, add, l, r)
 
 
-def sub(l: Val, r: Val) -> Val:
+def sub(l: Val, r: Val, node=_interned) -> Val:
     if isinstance(l, VConst) and isinstance(r, VConst):
         return VConst(l.v - r.v)
     if isinstance(r, VConst) and r.v == 0:
         return l
-    pushed = _push_ite(sub, l, r)
-    return pushed if pushed is not None else _node2(VSub, l, r)
+    return node(VSub, sub, l, r)
 
 
-def mul(l: Val, r: Val) -> Val:
+def mul(l: Val, r: Val, node=_interned) -> Val:
     if isinstance(l, VConst) and isinstance(r, VConst):
         return VConst(l.v * r.v)
     if isinstance(l, VConst):
@@ -218,11 +214,10 @@ def mul(l: Val, r: Val) -> Val:
             return l
         if r.v == 0:
             return VConst(0.0)
-    pushed = _push_ite(mul, l, r)
-    return pushed if pushed is not None else _node2(VMul, l, r)
+    return node(VMul, mul, l, r)
 
 
-def div(l: Val, r: Val) -> Val:
+def div(l: Val, r: Val, node=_interned) -> Val:
     if isinstance(r, VConst):
         if r.v == 0:
             raise EvalError("division by zero")
@@ -230,8 +225,7 @@ def div(l: Val, r: Val) -> Val:
             return l
         if isinstance(l, VConst):
             return VConst(l.v / r.v)
-    pushed = _push_ite(div, l, r)
-    return pushed if pushed is not None else _node2(VDiv, l, r)
+    return node(VDiv, div, l, r)
 
 
 _CMP = {
@@ -240,13 +234,13 @@ _CMP = {
     "<": lambda a, b: a < b,
     "<=": lambda a, b: a <= b,
 }
+_CMP_NODE = {op: partial(VCmp, op) for op in _CMP}  # each operator's node builder and key
 
 
 def cmp(op: str, l: Val, r: Val) -> Val:
     if isinstance(l, VConst) and isinstance(r, VConst):
         return VConst(_CMP[op](l.v, r.v))
-    pushed = _push_ite(lambda a, b: cmp(op, a, b), l, r)
-    return pushed if pushed is not None else _node_cmp(op, l, r)
+    return _interned(_CMP_NODE[op], lambda a, b: cmp(op, a, b), l, r)
 
 
 def ite(c: Val, t: Val, o: Val) -> Val:

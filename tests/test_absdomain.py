@@ -298,3 +298,29 @@ def test_join_fails_at_the_first_symbolic_variable_it_tops():
     with pytest.raises(AnalysisFail) as exc:
         join_states(g1, g2, in_fold=False)
     assert exc.value.witnesses == [("rv:2", "a")]
+
+
+# Operands on which both domains' constructors must agree.  No -0.0: the
+# concrete side interns constants by equality, so which zero a node over a
+# variable keeps depends on which one was interned first.
+AGREEMENT_OPERANDS = [VConst(0.0), VConst(1.0), VConst(-2.0), VConst(True), VConst(False),
+                      VConst(1), VRV(0)]
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+def test_concrete_and_abstract_constructors_agree(op):
+    # the abstract constructors are the concrete ones with another node
+    # step, so each pair builds the same value; a zero divisor fails a run
+    # and is some constant for the analysis
+    from symppl import absdomain, sym
+
+    sym.reset_intern()
+    concrete, abstract = getattr(sym, op), getattr(absdomain, "a" + op)
+    for left in AGREEMENT_OPERANDS:
+        for right in AGREEMENT_OPERANDS:
+            if op == "div" and right == VConst(0.0):
+                with pytest.raises(sym.EvalError):
+                    concrete(left, right)
+                assert abstract(left, right) is UNK
+                continue
+            assert repr(concrete(left, right)) == repr(abstract(left, right)), (left, right)

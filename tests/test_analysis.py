@@ -496,6 +496,13 @@ def test_analysis_uses_the_runtime_values():
             if isinstance(n, ast.Name) and n.id in ctors:
                 assert id(n) in inside, (module.__name__, n.id, n.lineno)
     assert {absdomain.ALGEBRA.add, absdomain.ALGEBRA.ite} == {absdomain.aadd, absdomain.aite}
+    # the arithmetic rules are sym's, written once: absdomain supplies only
+    # a node step, and builds no arithmetic node and folds nothing itself
+    for name in ("VAdd", "VSub", "VMul", "VDiv", "_arith"):
+        assert not hasattr(absdomain, name), name
+    for op in ("add", "sub", "mul", "div"):
+        ctor = getattr(absdomain.ALGEBRA, op)
+        assert op in ctor.__code__.co_names and ctor.__globals__[op] is getattr(sym, op)
 
 
 def test_states_are_joined_in_one_place():

@@ -561,6 +561,42 @@ def test_out_of_domain_parameter_is_one_error_line(case, method, tmp_path, capsy
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+# A unit value where a number is expected: the program, and what the one
+# error line names (the operator, the distribution or `range`).
+UNIT_OPERAND = {
+    "add": ("() + 1.0\n", "+"),
+    "less": ("() < 1.0\n", "<"),
+    "bound mul": ("let u = () in u * 2.0\n", "*"),
+    "symbolic add": ("let x <- gaussian(0.0, 1.0) in x + ()\n", "+"),
+    "symbolic less": ("let x <- gaussian(0.0, 1.0) in if x < () then 1.0 else 2.0\n", "<"),
+    "gaussian variance": ("let x <- gaussian(0.0, ()) in x\n", "gaussian"),
+    "gaussian mean": ("let x <- gaussian((), 1.0) in x\n", "gaussian"),
+    "bernoulli": ("let x <- bernoulli(()) in x\n", "bernoulli"),
+    "beta": ("let x <- beta((), 1.0) in x\n", "beta"),
+    "observed": ("observe(gaussian(0.0, 1.0), ())\n", "gaussian"),
+    "range": ("range((), 2.0)\n", "range"),
+    # a pure `if` does not select a unit beside a number lazily: x is
+    # forced and the unit branch reaches `+` (x < 10 on every draw here)
+    "selected": ("let x <- gaussian(0.0, 1.0) in\n"
+                 "let u = if x < 10.0 then () else 1.0 in u + 1.0\n", "+"),
+}
+
+
+@pytest.mark.parametrize("method", ["ssi", "ds"])
+@pytest.mark.parametrize("case", sorted(UNIT_OPERAND))
+def test_unit_operand_is_one_error_line(case, method, tmp_path, capsys):
+    src = tmp_path / "unit.si"
+    program, name = UNIT_OPERAND[case]
+    src.write_text(program)
+    code, out, err = main_out(capsys, "run", str(src), "--method", method,
+                              "--particles", "2", "--seed", "0")
+    assert (code, out) == (3, "")
+    assert err == f"error: unit value passed to {name}\n"
+    code, out, err = main_out(capsys, "analyze", str(src), "--method", method)
+    assert code in (0, 2, 3) and "Traceback" not in err
+    assert err in ("", f"error: unit value passed to {name}\n")
+
+
 @pytest.mark.parametrize("method", ["ssi", "ds"])
 def test_unreduced_condition_names_its_shape(method, tmp_path, capsys):
     src = tmp_path / "cond.si"
